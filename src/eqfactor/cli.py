@@ -220,11 +220,17 @@ def cmd_verify(args):
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInput(f"cannot read report {args.report}: {exc}") from None
     try:
-        k = int(data["k"])
+        k = data["k"]
         factors = data["factors"]
+        if type(k) is not int or len(factors) != k:
+            raise InvalidInput(f"report has {len(factors)} factors but k = {k!r}")
         assignment = [0] * g.m
         for i, fac in enumerate(factors, start=1):
             for eid in fac["edges"]:
+                # bool is an int subclass, and a negative id would index
+                # from the end of the edge list
+                if type(eid) is not int or not 0 <= eid < g.m:
+                    raise InvalidInput(f"edge id {eid!r} is not an integer in 0..{g.m - 1}")
                 if assignment[eid] != 0:
                     raise InvalidInput(f"edge {eid} appears in two factors")
                 assignment[eid] = i

@@ -27,6 +27,14 @@ class FlowNetwork:
         return self.cap[idx + 1]
 
     def max_flow(self, s: int, t: int) -> int:
+        """Dinic: BFS levels, then blocking flows found by an iterative DFS.
+
+        The DFS keeps its path on an explicit stack, so the depth of the
+        level graph is not limited by the interpreter's recursion limit.
+        Arcs come in pairs (idx, idx ^ 1), so the tail of arc idx is
+        to[idx ^ 1].
+        """
+        graph, to, cap = self.graph, self.to, self.cap
         total = 0
         while True:
             level = [-1] * self.n
@@ -34,35 +42,50 @@ class FlowNetwork:
             queue = deque([s])
             while queue:
                 x = queue.popleft()
-                for idx in self.graph[x]:
-                    y = self.to[idx]
-                    if self.cap[idx] > 0 and level[y] < 0:
+                for idx in graph[x]:
+                    y = to[idx]
+                    if cap[idx] > 0 and level[y] < 0:
                         level[y] = level[x] + 1
                         queue.append(y)
             if level[t] < 0:
                 return total
             it = [0] * self.n
-
-            def dfs(x, pushed):
-                if x == t:
-                    return pushed
-                while it[x] < len(self.graph[x]):
-                    idx = self.graph[x][it[x]]
-                    y = self.to[idx]
-                    if self.cap[idx] > 0 and level[y] == level[x] + 1:
-                        d = dfs(y, min(pushed, self.cap[idx]))
-                        if d > 0:
-                            self.cap[idx] -= d
-                            self.cap[idx + 1] += d
-                            return d
-                    it[x] += 1
-                return 0
-
+            path = []  # arc indices from s to x
+            x = s
             while True:
-                pushed = dfs(s, 1 << 60)
-                if pushed == 0:
+                if x == t:
+                    pushed = min(cap[idx] for idx in path)
+                    first_saturated = None
+                    for i, idx in enumerate(path):
+                        cap[idx] -= pushed
+                        cap[idx ^ 1] += pushed
+                        if first_saturated is None and cap[idx] == 0:
+                            first_saturated = i
+                    total += pushed
+                    # resume from the tail of the first saturated arc, which
+                    # is where the search would be after restarting at s
+                    del path[first_saturated:]
+                    x = to[path[-1]] if path else s
+                    continue
+                arcs = graph[x]
+                i = it[x]
+                nxt = level[x] + 1
+                while i < len(arcs):
+                    idx = arcs[i]
+                    if cap[idx] > 0 and level[to[idx]] == nxt:
+                        break
+                    i += 1
+                it[x] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    x = to[arcs[i]]
+                elif path:
+                    # dead end: retreat and skip the arc that led here
+                    idx = path.pop()
+                    x = to[idx ^ 1]
+                    it[x] += 1
+                else:
                     break
-                total += pushed
 
     def residual_reachable(self, s: int) -> set:
         seen = {s}

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-import networkx as nx
-
 from .errors import Infeasible, InvalidInput, Undecided
 from .multigraph import Factorization, Multigraph
 
@@ -153,6 +151,8 @@ def find_parity_factor(g: Multigraph, spec: ParitySpec):
 def _matching_factor(g: Multigraph, spec: ParitySpec, windows):
     """Tutte gadget: demand h(v) = f0(v), with (f0-g0)/2 padding loops per
     vertex absorbing the parity window; a perfect matching <=> a factor."""
+    import networkx as nx  # most of the import time of the package; only needed here
+
     incidences = [[] for _ in range(g.n)]  # per vertex: gadget endpoint nodes
     h = nx.Graph()
     pair_of = {}

@@ -77,7 +77,7 @@ def _equitable_hypothesis_warnings(g: Multigraph, k: int) -> list:
     warnings = []
     if g.n >= 2 and k >= 2:
         lam = connectivity.edge_connectivity(g)
-        if lam < 3 * k - 3 and connectivity.tree_connectivity(g) < 2 * k - 2:
+        if lam < 3 * k - 3 and not connectivity.tree_connected(g, 2 * k - 2):
             warnings.append(
                 f"hypothesis not met: graph is neither ({3 * k - 3})-edge-connected "
                 f"nor ({2 * k - 2})-tree-connected (lambda = {lam})"
@@ -180,7 +180,7 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
         targets = tuple(d % 2 for d in g.degrees)
         if k >= 3 and g.n >= 2:
             odd_lam = connectivity.odd_edge_connectivity(g)
-            if odd_lam < 3 * k - 2 and connectivity.tree_connectivity(g) < 2 * k - 2:
+            if odd_lam < 3 * k - 2 and not connectivity.tree_connected(g, 2 * k - 2):
                 warnings.append(
                     f"hypothesis not met: graph is neither odd-({3 * k - 2})-edge-connected "
                     f"nor ({2 * k - 2})-tree-connected"

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -120,6 +123,32 @@ def test_cli_verify(tmp_path, capsys):
     assert main(["verify", path, str(report_path), "--claims", "deviation<1,size±1"]) == 0
     assert main(["verify", path, str(report_path), "--claims", "regular"]) == 0
     capsys.readouterr()
+
+
+def test_cli_verify_rejects_malformed_reports(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(3))
+    for report in (
+        {"k": 2, "factors": [{"edges": [0, 1]}, {"edges": [-1]}]},
+        {"k": 1, "factors": [{"edges": [0, 1, 2]}, {"edges": []}]},
+        {"k": 2, "factors": [{"edges": [0, 1, 2]}]},
+        {"k": 2, "factors": [{"edges": [0, 1]}, {"edges": [3]}]},
+        {"k": 2, "factors": [{"edges": [0, 1]}, {"edges": [2.0]}]},
+        {"k": 2, "factors": [{"edges": [0, True]}, {"edges": [2]}]},
+        {"k": "1", "factors": [{"edges": [0, 1, 2]}]},
+    ):
+        report_path = tmp_path / "rep.json"
+        report_path.write_text(json.dumps(report))
+        assert main(["verify", path, str(report_path), "--claims", "size±1"]) == 2, report
+    report_path.write_text(json.dumps({"k": 1, "factors": [{"edges": [0, 1, 2]}]}))
+    assert main(["verify", path, str(report_path), "--claims", "size±1"]) == 0
+    capsys.readouterr()
+
+
+def test_import_cli_leaves_networkx_unloaded():
+    code = "import sys, eqfactor.cli; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_even_and_parity_factor(tmp_path, capsys):

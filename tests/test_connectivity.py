@@ -3,10 +3,11 @@ import random
 
 import pytest
 
+import cut_oracles
 from conftest import eulerian_union, random_multigraph
 from eqfactor import connectivity
 from eqfactor.errors import InvalidInput
-from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
+from eqfactor.multigraph import Multigraph, complete_graph, components, cut_size, cycle_graph
 
 
 def doubled(g):
@@ -24,8 +25,6 @@ def test_edge_connectivity_frozen_values():
 def test_edge_connectivity_witness_is_minimal():
     lam, a = connectivity.edge_connectivity_witness(cycle_graph(5))
     assert lam == 2
-    from eqfactor.multigraph import cut_size
-
     assert cut_size(cycle_graph(5), a) == 2
 
 
@@ -98,24 +97,48 @@ def test_f_odd_matches_odd_lambda():
             assert ok == (odd >= lam)
 
 
-def test_budget_cliff_agreement(monkeypatch):
-    """The above-budget algorithms must agree with exact enumeration."""
+def test_exact_algorithms_match_oracles():
+    """Every connectivity value and witness agrees with exhaustive enumeration
+    on seeded random multigraphs with loops, parallel edges and several
+    components."""
     rng = random.Random(17)
-    for _ in range(20):
-        g = random_multigraph(rng, max_n=7, max_m=16, min_m=4)
-        exact_lam = connectivity.edge_connectivity(g)
-        exact_odd = connectivity.odd_edge_connectivity(g)
-        exact_tree = connectivity.tree_connectivity(g)
-        f = tuple(d % 2 for d in g.degrees)
-        exact_f = connectivity.f_odd_cut_bound(g, f, 2)[0]
-        monkeypatch.setattr(connectivity, "SUBSET_BUDGET", 1)
-        monkeypatch.setattr(connectivity, "PARTITION_BUDGET", 1)
-        assert connectivity.edge_connectivity(g) == exact_lam
-        assert connectivity.odd_edge_connectivity(g) == exact_odd
-        assert connectivity.tree_connectivity(g) == exact_tree
-        assert connectivity.f_odd_cut_bound(g, f, 2)[0] == exact_f
-        monkeypatch.setattr(connectivity, "SUBSET_BUDGET", 14)
-        monkeypatch.setattr(connectivity, "PARTITION_BUDGET", 10)
+    seen = {"loops": 0, "parallel": 0, "disconnected": 0}
+    for trial in range(240):
+        g = random_multigraph(rng, min_n=1, max_n=8, min_m=0, max_m=3 * (trial % 7) + 2)
+        seen["loops"] += g.has_loops()
+        seen["parallel"] += len(set(map(frozenset, g.edges))) < g.m
+        seen["disconnected"] += len(components(g)) > 1
+
+        lam, a = connectivity.edge_connectivity_witness(g)
+        assert lam == cut_oracles.min_cut(g)
+        if g.n >= 2:
+            assert 0 < len(a) < g.n and cut_size(g, a) == lam
+
+        odd = cut_oracles.odd_degree_set(g)
+        odd_lam, a = connectivity.odd_edge_connectivity_witness(g)
+        assert odd_lam == cut_oracles.min_t_odd_cut(g, odd)
+        if odd_lam != math.inf:
+            assert cut_size(g, a) == odd_lam and cut_size(g, a) % 2 == 1 and len(a & odd) % 2 == 1
+
+        f = [rng.randrange(2) for _ in range(g.n)]
+        f[0] ^= sum(f) % 2
+        t = frozenset(v for v in range(g.n) if f[v])
+        exact = cut_oracles.min_t_odd_cut(g, t)
+        for bound in range(5):
+            ok, x = connectivity.f_odd_cut_bound(g, f, bound)
+            assert ok == (exact >= bound)
+            if not ok:
+                assert len(x & t) % 2 == 1 and cut_size(g, x) == exact
+
+        if g.n < 2:
+            with pytest.raises(InvalidInput):
+                connectivity.tree_connectivity(g)
+            continue
+        tau = cut_oracles.tree_connectivity(g)
+        assert connectivity.tree_connectivity(g) == tau
+        for k in range(tau + 3):
+            assert connectivity.tree_connected(g, k) == (k <= tau)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_analyze_k4():
@@ -129,3 +152,26 @@ def test_eulerian_union_connectivity():
     g = eulerian_union(random.Random(3), 7, 3)
     assert connectivity.edge_connectivity(g) >= 2
     assert all(d == 6 for d in g.degrees)
+
+
+def test_scale_six_regular_10k():
+    g = eulerian_union(random.Random(5), 10_000, 3)
+    assert connectivity.tree_connectivity(g) == 3
+    f = [0] * g.n
+    f[17] = f[5017] = 1
+    ok, x = connectivity.f_odd_cut_bound(g, f, 7)
+    assert not ok and len(x & {17, 5017}) == 1 and cut_size(g, x) == 6
+
+
+def test_scale_six_regular_1000_edge_connectivity():
+    assert connectivity.edge_connectivity(eulerian_union(random.Random(6), 1000, 3)) == 6
+
+
+def test_scale_doubled_cycle_t_odd_cut():
+    """Antipodal terminals on a 3000-vertex doubled cycle: the flow's level
+    graph is 1500 deep."""
+    g = doubled(cycle_graph(3000))
+    f = [0] * g.n
+    f[0] = f[1500] = 1
+    ok, x = connectivity.f_odd_cut_bound(g, f, 5)
+    assert not ok and len(x & {0, 1500}) == 1 and cut_size(g, x) == 4
