@@ -17,12 +17,10 @@ from .connectivity import (
 from .errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
 from .graphio import parse_graph, serialize_graph
 from .multigraph import (
-    CutQuery,
     Factorization,
     Multigraph,
     Orientation,
     complete_graph,
-    cut_profile,
     cut_size,
     cycle_graph,
     subgraph,
@@ -56,7 +54,6 @@ from .pipelines import (
 )
 
 __all__ = [
-    "CutQuery",
     "CutReport",
     "EquitableRequest",
     "FactorReport",
@@ -75,7 +72,6 @@ __all__ = [
     "balanced_mod_k_orientation",
     "check_lovasz",
     "complete_graph",
-    "cut_profile",
     "cut_size",
     "cycle_graph",
     "decompose_directed",

@@ -15,7 +15,7 @@ from .coloring import anstee_decomposition
 from .errors import Infeasible, InvalidInput, Undecided
 from .graphio import dump_report, factorization_report, parse_graph, serialize_graph
 from .multigraph import Factorization, Multigraph
-from .orientation import DEFAULT_BUDGET, ResidueMap, eulerian_orientation, mod_k_orientation
+from .orientation import DEFAULT_BUDGET, eulerian_orientation, mod_k_orientation, residue_map
 
 
 def _csv_ints(text: str) -> list:
@@ -49,22 +49,28 @@ def _parity_map(g: Multigraph, odd_vertices) -> tuple:
     return tuple(f)
 
 
-def _emit(args, report: dict, text_lines):
+def _residue_map(g: Multigraph, args):
+    zset = frozenset(_csv_ints(args.Z)) if args.Z is not None else None
+    return residue_map(g, args.k, z=args.z, Z=zset)
+
+
+def _emit(args, fz: Factorization, audit, text_lines):
+    """Print the report of fz and its audit entries: JSON, or text_lines
+    followed by one line per audit entry."""
     if args.format == "json":
-        sys.stdout.write(dump_report(report))
+        sys.stdout.write(dump_report(factorization_report(fz, audit)))
     else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+        lines = text_lines + [f"audit {c}: bound {b}, measured {m}, pass {p}" for c, b, m, p in audit]
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _audit_entries(g, fz, claims):
-    return lab.verify(g, fz, claims).entries
-
-
-def _subset_report(g: Multigraph, edge_ids, audit) -> tuple:
-    """Package a single factor as a 2-part factorization (factor, complement)."""
+def _one_factor(g: Multigraph, edge_ids, claims) -> tuple:
+    """A single factor F as the 2-part factorization (F, complement), and the
+    audit entries of claims measured on F alone; the complement's degrees
+    follow from F's."""
     chosen = set(edge_ids)
     fz = Factorization(g, 2, [1 if eid in chosen else 2 for eid in range(g.m)])
-    return fz, factorization_report(fz, audit)
+    return fz, lab.measure(g, [fz.factor_degrees(1)], claims).entries
 
 
 def cmd_analyze(args):
@@ -89,14 +95,7 @@ def cmd_orient(args):
     if args.k is None:
         d = eulerian_orientation(g)
     else:
-        if args.Z is not None:
-            zset = frozenset(_csv_ints(args.Z))
-            p = tuple(g.degree(v) % args.k if v in zset else 0 for v in range(g.n))
-        elif args.z is not None:
-            p = tuple(g.m % args.k if v == args.z else 0 for v in range(g.n))
-        else:
-            p = (0,) * g.n
-        d = mod_k_orientation(g, ResidueMap(args.k, p), budget=args.budget)
+        d = mod_k_orientation(g, _residue_map(g, args), budget=args.budget)
     if args.format == "json":
         sys.stdout.write(json.dumps({"tails": list(d.tails)}, sort_keys=True) + "\n")
     else:
@@ -107,6 +106,7 @@ def cmd_orient(args):
 
 def cmd_factor(args):
     g = _read_graph(args.graph)
+    rep, warnings, audit = None, [], []
     if args.mode == "equitable":
         req = pipelines.EquitableRequest(
             k=args.k,
@@ -115,45 +115,30 @@ def cmd_factor(args):
             auto_find_Z=args.z is None and args.Z is None,
         )
         rep = pipelines.equitable_factorize(g, req, budget=args.budget)
-        fz, warnings = rep.factorization, rep.warnings
-        audit = _audit_entries(g, fz, ["deviation<1", "size±1"])
     elif args.mode == "parity":
         f = _parity_map(g, _csv_ints(args.f)) if args.f is not None else None
         rep = pipelines.parity_factorize(g, args.k, f=f, budget=args.budget)
-        fz, warnings = rep.factorization, rep.warnings
-        audit = _audit_entries(g, fz, ["deviation<2"])
-        targets = f if f is not None else tuple(d % 2 for d in g.degrees)
-        bad = sum(
-            1 for degs in fz.all_factor_degrees() for v in range(g.n)
-            if degs[v] % 2 != targets[v] % 2
-        )
-        audit.append(("parity", 0, bad, bad == 0))
     elif args.mode == "regular":
         if args.r_list is not None:
             fz = pipelines.regular_split(
                 g, _csv_ints(args.r_list), args.k,
                 bounded_mode=args.bounded, budget=args.budget,
             )
-            warnings = []
-            audit = []
         else:
             rep = pipelines.regular_factorize(g, args.k, budget=args.budget)
-            fz, warnings = rep.factorization, rep.warnings
-            audit = _audit_entries(g, fz, ["regular"])
     elif args.mode == "anstee":
         fz = anstee_decomposition(g, args.k)
-        warnings = []
-        audit = _audit_entries(g, fz, ["deviation<2", "size±1"])
+        audit = lab.verify(g, fz, ["deviation<2", "size±1"]).entries
     else:
         raise InvalidInput(f"unknown mode {args.mode!r}")
+    if rep is not None:
+        fz, warnings, audit = rep.factorization, rep.warnings, rep.audit.entries
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    report = factorization_report(fz, audit)
     lines = [f"k = {fz.k}"]
     for i in range(1, fz.k + 1):
         lines.append(f"factor {i}: edges {fz.factor_edges(i)}")
-    lines += [f"audit {c}: bound {b}, measured {m}, pass {p}" for c, b, m, p in audit]
-    _emit(args, report, lines)
+    _emit(args, fz, audit, lines)
     return 0
 
 
@@ -166,14 +151,8 @@ def cmd_parity_factor(args):
     if args.z is not None:
         side = (args.z, "at_least" if args.side == "at-least" else "at_most")
     edge_ids = parity.epsilon_parity_factor(g, f, args.epsilon, z=side)
-    degs = parity.factor_degrees(g, edge_ids)
-    window = max(abs(degs[v] - args.epsilon * g.degree(v)) for v in range(g.n)) if g.n else 0.0
-    bad = sum(1 for v in range(g.n) if degs[v] % 2 != f[v])
-    audit = [("parity", 0, bad, bad == 0), ("eps-window", 2, window, window < 2)]
-    fz, report = _subset_report(g, edge_ids, audit)
-    lines = [f"factor edges: {sorted(edge_ids)}"]
-    lines += [f"audit {c}: bound {b}, measured {m}, pass {p}" for c, b, m, p in audit]
-    _emit(args, report, lines)
+    fz, audit = _one_factor(g, edge_ids, [lab.parity_claim(f), f"eps-window:{args.epsilon!r}"])
+    _emit(args, fz, audit, [f"factor edges: {sorted(edge_ids)}"])
     return 0
 
 
@@ -184,31 +163,18 @@ def cmd_even_factor(args):
         raise InvalidInput("even-factor takes exactly one of --epsilon, --epsilons, --k")
     if args.epsilon is not None:
         edge_ids = parity.even_factor_eps(g, args.epsilon)
-        degs = parity.factor_degrees(g, edge_ids)
-        window = max((abs(degs[v] - args.epsilon * g.degree(v)) for v in range(g.n)), default=0.0)
-        bad = sum(1 for v in range(g.n) if degs[v] % 2 != 0)
-        audit = [("even", 0, bad, bad == 0), ("eps-window", 2, window, window < 2)]
-        fz, report = _subset_report(g, edge_ids, audit)
-        lines = [f"factor edges: {sorted(edge_ids)}"]
-    elif args.k is not None:
+        fz, audit = _one_factor(g, edge_ids, ["even", f"eps-window:{args.epsilon!r}"])
+        _emit(args, fz, audit, [f"factor edges: {sorted(edge_ids)}"])
+        return 0
+    if args.k is not None:
         fz = parity.hilton_even_factorization(g, args.k)
-        audit = _audit_entries(g, fz, ["even", "deviation<2"])
-        report = factorization_report(fz, audit)
-        lines = [f"factor {i}: edges {fz.factor_edges(i)}" for i in range(1, fz.k + 1)]
+        claims = ["even", "deviation<2"]
     else:
         eps_list = _csv_floats(args.epsilons)
         fz = parity.weighted_even_factorization(g, eps_list)
-        dev = max(
-            (abs(degs[v] - eps_list[i] * g.degree(v))
-             for i, degs in enumerate(fz.all_factor_degrees()) for v in range(g.n)),
-            default=0.0,
-        )
-        bad = sum(1 for degs in fz.all_factor_degrees() for v in range(g.n) if degs[v] % 2 != 0)
-        audit = [("even", 0, bad, bad == 0), ("deviation<6", 6, dev, dev < 6)]
-        report = factorization_report(fz, audit)
-        lines = [f"factor {i}: edges {fz.factor_edges(i)}" for i in range(1, fz.k + 1)]
-    lines += [f"audit {c}: bound {b}, measured {m}, pass {p}" for c, b, m, p in audit]
-    _emit(args, report, lines)
+        claims = ["even", "deviation<6:" + ";".join(repr(e) for e in eps_list)]
+    audit = lab.verify(g, fz, claims).entries
+    _emit(args, fz, audit, [f"factor {i}: edges {fz.factor_edges(i)}" for i in range(1, fz.k + 1)])
     return 0
 
 
@@ -268,14 +234,7 @@ def cmd_oracle(args):
     elif args.question == "orientation":
         if args.k is None:
             raise InvalidInput("oracle orientation requires --k")
-        if args.Z is not None:
-            zset = frozenset(_csv_ints(args.Z))
-            p = tuple(g.degree(v) % args.k if v in zset else 0 for v in range(g.n))
-        elif args.z is not None:
-            p = tuple(g.m % args.k if v == args.z else 0 for v in range(g.n))
-        else:
-            p = (0,) * g.n
-        answer = lab.oracle(g, "orientation", jobs=args.jobs, p=p, k=args.k)
+        answer = lab.oracle(g, "orientation", jobs=args.jobs, p=_residue_map(g, args).p, k=args.k)
     elif args.question == "parity_gf":
         if args.f is None or args.epsilon is None:
             raise InvalidInput("oracle parity_gf requires --f and --epsilon")

@@ -21,11 +21,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import InvalidInput, Undecided
+from .errors import InvalidInput
 from .maxflow import FlowNetwork
 from .multigraph import Multigraph
-
-SUBSET_BUDGET = 14
 
 
 def _merged_edges(g: Multigraph) -> dict:
@@ -364,30 +362,6 @@ def tree_connected(g: Multigraph, k: int) -> bool:
     if lam < k or lam // 2 >= k:
         return lam >= k
     return _ForestPacking(g).grow(k) == k * (g.n - 1)
-
-
-def essential_edge_connectivity_at_least(g: Multigraph, lam: int) -> bool:
-    """True iff every edge cut of size < lam has all edges on a common vertex."""
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
-            raise InvalidInput(f"essential connectivity requires loopless input; edge {eid} is a loop")
-    if g.n < 2:
-        return True
-    lam_g, _ = edge_connectivity_witness(g)
-    if lam_g >= lam:
-        return True
-    if g.n > SUBSET_BUDGET:
-        raise Undecided(f"essential connectivity check above enumeration budget ({g.n} > {SUBSET_BUDGET})")
-    for mask in range(1, 2 ** (g.n - 1)):
-        a = {0} | {v for v in range(1, g.n) if mask >> (v - 1) & 1}
-        crossing = [(x, y) for x, y in g.edges if (x in a) != (y in a)]
-        if 0 < len(crossing) < lam:
-            shared = set(crossing[0])
-            for x, y in crossing[1:]:
-                shared &= {x, y}
-            if not shared:
-                return False
-    return True
 
 
 def f_odd_cut_bound(g: Multigraph, f, lam: int):

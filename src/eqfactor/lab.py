@@ -21,7 +21,10 @@ EQUITABLE_BUDGET = 10**8
 PARITY_EDGE_BUDGET = 24
 ORIENTATION_EDGE_BUDGET = 20
 
-KNOWN_CLAIMS = ("deviation<1", "deviation<2", "size±1", "parity", "even", "regular")
+# claim name -> bound: a deviation passes below its bound, a count of
+# vertex degrees that miss their target (bound 0) when it is 0
+CLAIM_BOUNDS = {"deviation<1": 1, "deviation<2": 2, "deviation<6": 6, "eps-window": 2,
+                "size±1": 1, "parity": 0, "even": 0, "regular": 0}
 
 
 @dataclass
@@ -40,39 +43,86 @@ def verify(g: Multigraph, fz: Factorization, claims) -> VerificationReport:
     """Judge each claim against degrees and sizes recomputed from the edges."""
     if fz.base is not g and fz.base != g:
         raise InvalidInput("factorization is not defined on this graph")
+    return measure(g, fz.all_factor_degrees(), claims)
+
+
+def parity_claim(f) -> str:
+    """The ``parity`` claim whose targets are the 0/1 parity map f."""
+    return "parity:" + ";".join(str(v) for v, bit in enumerate(f) if bit % 2)
+
+
+def measure(g: Multigraph, degree_vectors, claims) -> VerificationReport:
+    """Judge each claim against per-vertex degree vectors, one per factor.
+
+    With k vectors, a claim is ``name`` or ``name:args``; the args are
+    separated by ';', so that a claim survives the ',' split of a claim list,
+    and the report keys the entry by ``name``:
+
+    - ``deviation<B`` (B in 1, 2, 6): max |d_i(v) - c_i(v)| < B, centred at
+      c_i(v) = d(v)/k, or at eps_i * d(v) given ``:eps_1;...;eps_k``;
+    - ``eps-window:eps``: max |d_i(v) - eps * d(v)| < 2;
+    - ``parity``: number of d_i(v) whose parity differs from d(v), or, given
+      ``:v;w;...``, from the map that is odd exactly at v, w, ...;
+    - ``size±1``: max |sum_v d_i(v) / 2 - |E|/k| < 1;
+    - ``even``: number of odd d_i(v); ``regular``: number of d_i(v) != d(v)/k.
+    """
+    k = len(degree_vectors)
     report = VerificationReport()
-    all_degs = fz.all_factor_degrees()
-    k = fz.k
     for claim in claims:
-        if claim not in KNOWN_CLAIMS:
+        name, has_args, text = claim.partition(":")
+        if name not in CLAIM_BOUNDS:
             raise InvalidInput(f"unknown claim {claim!r}")
-        if claim in ("deviation<1", "deviation<2"):
-            bound = 1 if claim == "deviation<1" else 2
-            measured = max(
-                (abs(degs[v] - g.degree(v) / k) for degs in all_degs for v in range(g.n)),
-                default=0.0,
-            )
-            report.add(claim, bound, measured, measured < bound)
-        elif claim == "size±1":
-            measured = max((abs(s - g.m / k) for s in fz.factor_sizes()), default=0.0)
-            report.add(claim, 1, measured, measured < 1)
-        elif claim == "parity":
-            bad = sum(
-                1 for degs in all_degs for v in range(g.n) if degs[v] % 2 != g.degree(v) % 2
-            )
-            report.add(claim, 0, bad, bad == 0)
-        elif claim == "even":
-            bad = sum(1 for degs in all_degs for v in range(g.n) if degs[v] % 2 != 0)
-            report.add(claim, 0, bad, bad == 0)
-        elif claim == "regular":
-            bad = sum(
-                1
-                for degs in all_degs
-                for v in range(g.n)
-                if degs[v] * k != g.degree(v)
-            )
-            report.add(claim, 0, bad, bad == 0)
+        if has_args and name in ("size±1", "even", "regular"):
+            raise InvalidInput(f"claim {name!r} takes no arguments, got {claim!r}")
+        args = text.split(";") if text else []
+        if name == "eps-window":
+            measured = _max_deviation(g, degree_vectors, _claim_values(claim, args, float, 1) * k)
+        elif name.startswith("deviation<"):
+            weights = _claim_values(claim, args, float, k) if has_args else None
+            measured = _max_deviation(g, degree_vectors, weights)
+        elif name == "size±1":
+            measured = max((abs(sum(degs) // 2 - g.m / k) for degs in degree_vectors), default=0.0)
+        elif name == "regular":
+            measured = sum(x * k != d for degs in degree_vectors for x, d in zip(degs, g.degrees))
+        else:
+            if name == "even":
+                targets = [0] * g.n
+            elif has_args:
+                odd = set(_claim_values(claim, args, int, None))
+                if not odd <= set(range(g.n)):
+                    raise InvalidInput(f"claim {claim!r} names a vertex outside 0..{g.n - 1}")
+                targets = [int(v in odd) for v in range(g.n)]
+            else:
+                targets = [d % 2 for d in g.degrees]
+            measured = sum(x % 2 != t for degs in degree_vectors for x, t in zip(degs, targets))
+        bound = CLAIM_BOUNDS[name]
+        report.add(name, bound, measured, measured < bound if bound else measured == 0)
     return report
+
+
+def _claim_values(claim: str, args, kind, count) -> list:
+    """Parse a claim's args as ints or floats, count of them when count is given."""
+    try:
+        values = [kind(a) for a in args]
+    except ValueError:
+        raise InvalidInput(f"claim {claim!r}: arguments must be {kind.__name__}s separated by ';'") from None
+    if count is not None and len(values) != count:
+        raise InvalidInput(f"claim {claim!r} needs {count} arguments, got {len(values)}")
+    return values
+
+
+def _max_deviation(g: Multigraph, degree_vectors, weights) -> float:
+    """max over factors i and vertices v of |d_i(v) - c_i(v)|, where c_i(v) is
+    weights[i] * d(v), or d(v)/k when weights is None."""
+    if weights is None:
+        centre = [d / len(degree_vectors) for d in g.degrees]
+        centres = [centre] * len(degree_vectors)
+    else:
+        centres = [[w * d for d in g.degrees] for w in weights]
+    return max(
+        (abs(x - c) for degs, cs in zip(degree_vectors, centres) for x, c in zip(degs, cs)),
+        default=0.0,
+    )
 
 
 def _random_hamiltonian_cycle(n: int, rng: random.Random) -> list:

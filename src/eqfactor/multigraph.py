@@ -11,8 +11,6 @@ All objects are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidInput
 
 
@@ -88,40 +86,6 @@ class Multigraph:
         return f"Multigraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class CutQuery:
-    """Two disjoint vertex sets A, B for cut counting."""
-
-    A: frozenset
-    B: frozenset = frozenset()
-
-    def validate(self, g: Multigraph):
-        if self.A & self.B:
-            raise InvalidInput("cut query sets overlap")
-        for v in self.A | self.B:
-            if not 0 <= v < g.n:
-                raise InvalidInput(f"vertex {v} out of range")
-
-
-def cut_profile(g: Multigraph, q: CutQuery) -> tuple:
-    """Return (d(A), d(A,B)): edges leaving A, and edges between A and B.
-
-    Loops never count in either quantity.
-    """
-    q.validate(g)
-    d_a = 0
-    d_ab = 0
-    for u, v in g.edges:
-        if u == v:
-            continue
-        in_a = (u in q.A) + (v in q.A)
-        if in_a == 1:
-            d_a += 1
-            if (u in q.B) or (v in q.B):
-                d_ab += 1
-    return d_a, d_ab
-
-
 def cut_size(g: Multigraph, a) -> int:
     """d(A): number of non-loop edges with exactly one end in A."""
     a = set(a)
@@ -152,13 +116,6 @@ def components(g: Multigraph, removed=()) -> list:
                     stack.append(y)
         comps.append(comp)
     return comps
-
-
-def degree_residues(g: Multigraph, k: int) -> tuple:
-    """Per-vertex d(v) mod k."""
-    if k < 1:
-        raise InvalidInput("k must be >= 1")
-    return tuple(d % k for d in g.degrees)
 
 
 class Orientation:

@@ -31,6 +31,21 @@ class ResidueMap:
         object.__setattr__(self, "p", tuple(int(x) % self.k for x in self.p))
 
 
+def residue_map(g: Multigraph, k: int, z=None, Z=None) -> ResidueMap:
+    """p(v) = d(v) mod k on the vertex set Z, else |E| mod k at the single
+    vertex z, and 0 everywhere else (everywhere when both are None)."""
+    if Z is not None:
+        chosen = set(Z)
+    else:
+        chosen = set() if z is None else {z}
+    for v in chosen:
+        if not 0 <= v < g.n:
+            raise InvalidInput(f"vertex {v} out of range")
+    if Z is not None:
+        return ResidueMap(k, tuple(g.degree(v) if v in chosen else 0 for v in range(g.n)))
+    return ResidueMap(k, tuple(g.m if v == z else 0 for v in range(g.n)))
+
+
 @dataclass(frozen=True)
 class OutDegreePlan:
     """Prescribed out-degree per vertex."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import Infeasible, InvalidInput, Undecided
-from .multigraph import Factorization, Multigraph
+from .multigraph import Factorization, Multigraph, components
 
 CONDITION_VERTEX_BUDGET = 12
 
@@ -58,35 +58,15 @@ def omega_f(g: Multigraph, a, b, f) -> int:
     if a & b:
         raise InvalidInput("A and B must be disjoint")
     f = tuple(int(x) % 2 for x in f)
-    comp_root = _component_roots(g, a | b)
-    fsum = {}
-    cross_b = {}
-    for v, root in comp_root.items():
-        fsum[root] = fsum.get(root, 0) + f[v]
-        cross_b.setdefault(root, 0)
+    comps = components(g, a | b)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    surplus = [sum(f[v] for v in comp) for comp in comps]  # sum_X f(v) - d(X, B)
     for u, v in g.edges:
-        if u in comp_root and v in b:
-            cross_b[comp_root[u]] += 1
-        if v in comp_root and u in b:
-            cross_b[comp_root[v]] += 1
-    return sum(1 for root in fsum if (fsum[root] - cross_b[root]) % 2 != 0)
-
-
-def _component_roots(g: Multigraph, removed) -> dict:
-    root = {}
-    for start in range(g.n):
-        if start in removed or start in root:
-            continue
-        root[start] = start
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for eid in g.incident(x):
-                y = g.other_end(eid, x)
-                if y not in removed and y not in root:
-                    root[y] = start
-                    stack.append(y)
-    return root
+        if u in comp_of and v in b:
+            surplus[comp_of[u]] -= 1
+        if v in comp_of and u in b:
+            surplus[comp_of[v]] -= 1
+    return sum(1 for s in surplus if s % 2 != 0)
 
 
 def check_lovasz(g: Multigraph, spec: ParitySpec):
@@ -188,15 +168,6 @@ def _matching_factor(g: Multigraph, spec: ParitySpec, windows):
     )
 
 
-def factor_degrees(g: Multigraph, edge_ids) -> list:
-    deg = [0] * g.n
-    for eid in edge_ids:
-        u, v = g.edges[eid]
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
 def epsilon_windows(g: Multigraph, f, eps: float):
     """Per-vertex parity windows around eps*d(v): the closest values of the
     parity f(v) to floor(eps*d) from below and ceil(eps*d) from above."""
@@ -251,19 +222,15 @@ def epsilon_parity_factor(g: Multigraph, f, eps: float, z=None):
 def _epsilon_hypothesis_report(g: Multigraph, f, eps) -> str:
     from . import connectivity
 
-    notes = []
-    try:
-        ok_odd, _ = connectivity.f_odd_cut_bound(g, f, math.ceil(1 / eps))
-        comp = tuple((g.degree(v) - f[v]) % 2 for v in range(g.n))
-        if sum(comp) % 2 == 0:
-            ok_even, _ = connectivity.f_odd_cut_bound(g, comp, math.ceil(1 / (1 - eps)))
-        else:
-            ok_even = True
-        if ok_odd and ok_even:
-            return "cut hypotheses hold (unexpected)"
-        return "cut hypotheses of the guarantee are not met"
-    except Undecided:
-        return "cut hypotheses unchecked (above budget)"
+    ok_odd, _ = connectivity.f_odd_cut_bound(g, f, math.ceil(1 / eps))
+    comp = tuple((g.degree(v) - f[v]) % 2 for v in range(g.n))
+    if sum(comp) % 2 == 0:
+        ok_even, _ = connectivity.f_odd_cut_bound(g, comp, math.ceil(1 / (1 - eps)))
+    else:
+        ok_even = True
+    if ok_odd and ok_even:
+        return "cut hypotheses hold (unexpected)"
+    return "cut hypotheses of the guarantee are not met"
 
 
 def even_factor_eps(g: Multigraph, eps: float):

@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 from . import connectivity
 from .coloring import decompose_directed
 from .errors import Infeasible, InvalidInput
+from .lab import VerificationReport, parity_claim, verify
 from .multigraph import Factorization, Multigraph
 from .orientation import (
     DEFAULT_BUDGET,
-    ResidueMap,
     balanced_mod_k_orientation,
     mod_k_orientation,
+    residue_map,
 )
 
 
@@ -43,34 +44,11 @@ class EquitableRequest:
 
 @dataclass
 class FactorReport:
-    """A factorization plus bounds recomputed from its raw edges."""
+    """A factorization plus the audit of its pipeline's claims by ``lab.verify``."""
 
     factorization: Factorization
-    max_deviation: float
-    size_deviation: float
-    parity_ok: bool = None
+    audit: VerificationReport
     warnings: list = field(default_factory=list)
-
-
-def build_report(fz: Factorization, parity_targets=None, warnings=()) -> FactorReport:
-    """Recompute every claimed statistic from the factorization itself."""
-    g = fz.base
-    k = fz.k
-    max_dev = 0.0
-    parity_ok = None if parity_targets is None else True
-    for degs in fz.all_factor_degrees():
-        for v in range(g.n):
-            max_dev = max(max_dev, abs(degs[v] - g.degree(v) / k))
-            if parity_targets is not None and degs[v] % 2 != parity_targets[v] % 2:
-                parity_ok = False
-    size_dev = max(abs(s - g.m / k) for s in fz.factor_sizes())
-    return FactorReport(
-        factorization=fz,
-        max_deviation=max_dev,
-        size_deviation=size_dev,
-        parity_ok=parity_ok,
-        warnings=list(warnings),
-    )
 
 
 def _equitable_hypothesis_warnings(g: Multigraph, k: int) -> list:
@@ -119,17 +97,12 @@ def equitable_factorize(g: Multigraph, req: EquitableRequest, budget: int = DEFA
         if zset is None:
             z = max(range(g.n), key=lambda v: (g.degree(v), -v))
             warnings.append(f"no Z set attains |E| mod k; fell back to special vertex z = {z}")
-    if zset is not None:
-        if (g.m - sum(g.degree(v) for v in zset)) % k != 0:
-            raise InvalidInput("Z does not satisfy |E| = sum of Z degrees (mod k)")
-        p = tuple(g.degree(v) % k if v in zset else 0 for v in range(g.n))
-    else:
-        if not 0 <= z < g.n:
-            raise InvalidInput(f"special vertex {z} out of range")
-        p = tuple(g.m % k if v == z else 0 for v in range(g.n))
-    orientation = mod_k_orientation(g, ResidueMap(k, p), budget=budget)
+    p = residue_map(g, k, z=z, Z=zset)
+    if zset is not None and (g.m - sum(g.degree(v) for v in zset)) % k != 0:
+        raise InvalidInput("Z does not satisfy |E| = sum of Z degrees (mod k)")
+    orientation = mod_k_orientation(g, p, budget=budget)
     fz = decompose_directed(orientation, k, mode="size")
-    return build_report(fz, warnings=warnings)
+    return FactorReport(fz, verify(g, fz, ["deviation<1", "size±1"]), warnings)
 
 
 @dataclass
@@ -177,7 +150,7 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
     if k % 2 == 1:
         if f is not None:
             raise InvalidInput("odd k takes no parity map; targets are d(v) mod 2")
-        targets = tuple(d % 2 for d in g.degrees)
+        parity = "parity"
         if k >= 3 and g.n >= 2:
             odd_lam = connectivity.odd_edge_connectivity(g)
             if odd_lam < 3 * k - 2 and not connectivity.tree_connected(g, 2 * k - 2):
@@ -195,13 +168,14 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
         if sum(targets) % 2 == 1:
             raise InvalidInput("sum of f over V must be even")
         q = {v for v in range(g.n) if targets[v] == 1}
+        parity = parity_claim(targets)
         if g.n >= 2:
             ok, witness = connectivity.f_odd_cut_bound(g, targets, 3 * k - 2)
             if not ok:
                 warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at f-odd set {sorted(witness)}")
         orientation = balanced_mod_k_orientation(g, k, q, budget=budget)
     fz = decompose_directed(orientation, k, mode="parity")
-    return build_report(fz, parity_targets=targets, warnings=warnings)
+    return FactorReport(fz, verify(g, fz, ["deviation<2", parity]), warnings)
 
 
 def regular_factorize(g: Multigraph, k: int, budget: int = DEFAULT_BUDGET) -> FactorReport:
@@ -220,10 +194,10 @@ def regular_factorize(g: Multigraph, k: int, budget: int = DEFAULT_BUDGET) -> Fa
         ok, witness = connectivity.f_odd_cut_bound(g, q_parity, 3 * k - 2)
         if not ok:
             warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at Q-odd set {sorted(witness)}")
-    orientation = mod_k_orientation(g, ResidueMap(k, (0,) * g.n), budget=budget)
+    orientation = mod_k_orientation(g, residue_map(g, k), budget=budget)
     fz = decompose_directed(orientation, k, mode="size")
-    report = build_report(fz, warnings=warnings)
-    if report.max_deviation != 0:
+    report = FactorReport(fz, verify(g, fz, ["regular"]), warnings)
+    if not report.audit.ok:
         raise AssertionError("regular factorization produced a non-regular factor")
     return report
 

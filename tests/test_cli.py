@@ -7,7 +7,7 @@ import sys
 import jsonschema
 import pytest
 
-from conftest import random_multigraph
+from conftest import eulerian_union, random_multigraph
 from eqfactor.cli import main
 from eqfactor.graphio import (
     REPORT_SCHEMA,
@@ -98,6 +98,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     # undecided -> 3
     k7 = write_graph(tmp_path, complete_graph(7), "k7.txt")
     assert main(["oracle", k7, "--question", "equitable", "--k", "3"]) == 3
+    # a special vertex or Z set outside the graph -> 2, not a silently ignored z
+    assert main(["orient", k7, "--k", "3", "--z", "99"]) == 2
+    assert main(["orient", k7, "--k", "3", "--Z", "0,99"]) == 2
     # argparse rejection -> 2
     assert main(["factor", tri, "--k", "2", "--mode", "sideways"]) == 2
     capsys.readouterr()
@@ -142,6 +145,30 @@ def test_cli_verify_rejects_malformed_reports(tmp_path, capsys):
     report_path.write_text(json.dumps({"k": 1, "factors": [{"edges": [0, 1, 2]}]}))
     assert main(["verify", path, str(report_path), "--claims", "size±1"]) == 0
     capsys.readouterr()
+
+
+def test_cli_verify_rechecks_every_k_factor_report(tmp_path, capsys):
+    g = eulerian_union(random.Random(7), 12, 3)  # 6-regular, even degrees
+    path = write_graph(tmp_path, g)
+    report_path = tmp_path / "rep.json"
+    for argv, claims in (
+        (["factor", path, "--k", "3"], "deviation<1,size±1"),
+        (["factor", path, "--k", "3", "--mode", "parity"], "deviation<2,parity"),
+        (["factor", path, "--k", "2", "--mode", "parity", "--f", "0,1"], "deviation<2,parity:0;1"),
+        (["factor", path, "--k", "3", "--mode", "regular"], "regular"),
+        (["factor", path, "--k", "3", "--mode", "anstee"], "deviation<2,size±1"),
+        (["even-factor", path, "--k", "3"], "even,deviation<2"),
+        (["even-factor", path, "--epsilons", "0.5,0.25,0.25"], "even,deviation<6:0.5;0.25;0.25"),
+    ):
+        assert main(argv) == 0
+        report_path.write_text(capsys.readouterr().out)
+        audit = json.loads(report_path.read_text())["audit"]
+        assert main(["verify", path, str(report_path), "--claims", claims]) == 0, argv
+        rechecked = {}
+        for line in capsys.readouterr().out.splitlines():
+            claim, rest = line.split(": ", 1)
+            rechecked[claim] = float(rest.split("measured ")[1].split(",")[0])
+        assert rechecked == {c: e["measured"] for c, e in audit.items()}, argv
 
 
 def test_import_cli_leaves_networkx_unloaded():

@@ -43,18 +43,6 @@ def test_tree_connectivity_frozen_values():
     assert connectivity.tree_connectivity(Multigraph(3, [(0, 1)])) == 0
 
 
-def test_essential_edge_connectivity():
-    assert connectivity.essential_edge_connectivity_at_least(complete_graph(4), 3)
-    one_bridge = Multigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
-    assert connectivity.essential_edge_connectivity_at_least(one_bridge, 2)
-    two_bridges = Multigraph(
-        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4)]
-    )
-    assert not connectivity.essential_edge_connectivity_at_least(two_bridges, 3)
-    with pytest.raises(InvalidInput):
-        connectivity.essential_edge_connectivity_at_least(Multigraph(1, [(0, 0)]), 2)
-
-
 def test_f_odd_cut_bound():
     g = complete_graph(4)
     ok, wit = connectivity.f_odd_cut_bound(g, (1, 1, 1, 1), 3)

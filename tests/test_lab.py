@@ -31,15 +31,23 @@ def test_verify_empty_claims_vacuous():
 def test_verify_unknown_claim():
     g = cycle_graph(3)
     fz = Factorization(g, 1, [1, 1, 1])
-    with pytest.raises(InvalidInput):
-        verify(g, fz, ["bogus"])
+    for claim in ("bogus", "deviation<3", "size±1:1", "even:0", "parity:9", "parity:x",
+                  "deviation<2:0.5;0.5", "eps-window", "eps-window:a"):
+        with pytest.raises(InvalidInput):
+            verify(g, fz, [claim])
 
 
 def test_verify_parity_even_regular_claims():
     g = Multigraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)] * 2)
     fz = Factorization(g, 2, [1, 1, 1, 1, 2, 2, 2, 2])
-    vr = verify(g, fz, ["even", "regular", "parity", "deviation<2"])
+    claims = ["even", "regular", "parity", "deviation<2",
+              "parity:", "deviation<1:0.5;0.5", "deviation<6:0.25;0.75", "eps-window:0.5"]
+    vr = verify(g, fz, claims)
     assert vr.ok
+    assert [c for c, _, _, _ in vr.entries] == [c.partition(":")[0] for c in claims]
+    vr = verify(g, fz, ["parity:0;1", "deviation<1:0.25;0.75"])
+    assert [m for _, _, m, _ in vr.entries] == [4, 1.0]
+    assert not vr.ok
 
 
 def test_generate_observation_c5():

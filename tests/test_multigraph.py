@@ -6,45 +6,26 @@ from hypothesis import given, strategies as st
 from conftest import random_multigraph
 from eqfactor.errors import InvalidInput
 from eqfactor.multigraph import (
-    CutQuery,
     Factorization,
     Multigraph,
     Orientation,
     complete_graph,
     components,
-    cut_profile,
     cut_size,
     cycle_graph,
-    degree_residues,
     subgraph,
 )
-
-
-def test_triangle_cut_profile():
-    g = cycle_graph(3)
-    d_a, d_ab = cut_profile(g, CutQuery(A=frozenset({1})))
-    assert d_a == 2
-    assert d_ab == 0
 
 
 def test_loop_degree_vs_cut():
     g = Multigraph(1, [(0, 0)])
     assert g.degree(0) == 2
-    d_a, _ = cut_profile(g, CutQuery(A=frozenset({0})))
-    assert d_a == 0
+    assert cut_size(g, {0}) == 0
 
 
 def test_k4_pair_cut():
     g = complete_graph(4)
-    d_a, d_ab = cut_profile(g, CutQuery(A=frozenset({0, 1}), B=frozenset({2, 3})))
-    assert d_a == 4
-    assert d_ab == 4
-
-
-def test_overlapping_cut_query_rejected():
-    g = complete_graph(3)
-    with pytest.raises(InvalidInput):
-        cut_profile(g, CutQuery(A=frozenset({0}), B=frozenset({0, 1})))
+    assert cut_size(g, {0, 1}) == 4
 
 
 def test_components_path_removal():
@@ -53,15 +34,6 @@ def test_components_path_removal():
     assert components(complete_graph(4)) == [{0, 1, 2, 3}]
     two_tri = Multigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     assert components(two_tri) == [{0, 1, 2}, {3, 4, 5}]
-
-
-def test_degree_residues():
-    assert degree_residues(complete_graph(4), 3) == (0, 0, 0, 0)
-    assert degree_residues(complete_graph(7), 3) == (0,) * 7
-    loopy = Multigraph(4, list(complete_graph(4).edges) + [(0, 0)])
-    assert degree_residues(loopy, 3) == (2, 0, 0, 0)
-    with pytest.raises(InvalidInput):
-        degree_residues(complete_graph(3), 0)
 
 
 def test_orientation_loop_counts_once_each_way():

@@ -5,7 +5,7 @@ import pytest
 from conftest import eulerian_union, random_multigraph, random_two_edge_connected
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
 from eqfactor.lab import oracle_parity_gf
-from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
+from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph, subgraph
 from eqfactor.parity import (
     ConditionCertificate,
     ParitySpec,
@@ -13,7 +13,6 @@ from eqfactor.parity import (
     epsilon_parity_factor,
     epsilon_windows,
     even_factor_eps,
-    factor_degrees,
     find_parity_factor,
     hilton_even_factorization,
     omega_f,
@@ -87,7 +86,7 @@ def test_lovasz_finder_oracle_triple_agreement():
         found = find_parity_factor(g, spec)
         assert (found is not None) == truth
         if found is not None:
-            degs = factor_degrees(g, found)
+            degs = subgraph(g, found).degrees
             for v in range(g.n):
                 assert g0[v] <= degs[v] <= f0[v]
                 assert degs[v] % 2 == f[v]
@@ -103,7 +102,7 @@ def test_epsilon_windows_shape():
 def test_epsilon_parity_factor_k4():
     g = complete_graph(4)
     factor = epsilon_parity_factor(g, (1, 1, 1, 1), 0.5)
-    degs = factor_degrees(g, factor)
+    degs = subgraph(g, factor).degrees
     assert all(d % 2 == 1 and 0 <= d <= 3 for d in degs)
 
 
@@ -112,7 +111,7 @@ def test_epsilon_parity_factor_r0_factor():
     edges = [(i, 3 + j) for i in range(3) for j in range(3)]
     g = Multigraph(6, edges)
     factor = epsilon_parity_factor(g, (1,) * 6, 1 / 3)
-    assert factor_degrees(g, factor) == [1] * 6
+    assert subgraph(g, factor).degrees == (1,) * 6
 
 
 def test_epsilon_parity_factor_z_steering():
@@ -126,7 +125,7 @@ def test_epsilon_parity_factor_z_steering():
                 factor = epsilon_parity_factor(g, f, 0.5, z=(z, side))
             except Infeasible:
                 continue
-            dz = factor_degrees(g, factor)[z]
+            dz = subgraph(g, factor).degrees[z]
             if side == "at_least":
                 assert dz >= 0.5 * g.degree(z)
             else:
@@ -146,7 +145,7 @@ def test_even_factor_eps_extremes_and_k5():
     assert even_factor_eps(g, 0) == frozenset()
     assert even_factor_eps(g, 1) == frozenset(range(g.m))
     factor = even_factor_eps(g, 0.5)
-    assert factor_degrees(g, factor) == [2] * 5
+    assert subgraph(g, factor).degrees == (2,) * 5
     with pytest.raises(InvalidInput):
         even_factor_eps(Multigraph(2, [(0, 1)]), 0.5)
 
@@ -158,7 +157,7 @@ def test_even_factor_eps_window_random():
         g = eulerian_union(rng, n, rng.randint(1, 4))
         eps = rng.choice((0.25, 1 / 3, 0.5, 0.7))
         factor = even_factor_eps(g, eps)
-        degs = factor_degrees(g, factor)
+        degs = subgraph(g, factor).degrees
         for v in range(g.n):
             assert degs[v] % 2 == 0
             assert abs(degs[v] - eps * g.degree(v)) < 2

@@ -21,6 +21,11 @@ def doubled(g):
     return Multigraph(g.n, [e for e in g.edges for _ in range(2)])
 
 
+def measured(rep, claim):
+    """The measured value of one claim in a pipeline report's audit."""
+    return {c: m for c, _, m, _ in rep.audit.entries}[claim]
+
+
 def test_find_z_set_frozen():
     assert find_Z_set(complete_graph(7), 3) == frozenset()
     g = Multigraph(4, [(0, 1)] * 2 + [(0, 2), (1, 3), (2, 3), (2, 3), (3, 2)])
@@ -33,14 +38,14 @@ def test_find_z_set_frozen():
 
 def test_equitable_k7():
     rep = equitable_factorize(complete_graph(7), EquitableRequest(k=3, Z=frozenset()))
-    assert rep.max_deviation == 0
+    assert measured(rep, "deviation<1") == 0
     assert rep.factorization.factor_sizes() == [7, 7, 7]
     assert all(d == 2 for degs in rep.factorization.all_factor_degrees() for d in degs)
 
 
 def test_equitable_k4():
     rep = equitable_factorize(complete_graph(4), EquitableRequest(k=2, Z=frozenset()))
-    assert rep.max_deviation < 1
+    assert measured(rep, "deviation<1") < 1
     assert sorted(rep.factorization.factor_sizes()) == [3, 3]
     for degs in rep.factorization.all_factor_degrees():
         assert all(1 <= d <= 2 for d in degs)
@@ -71,14 +76,14 @@ def test_equitable_auto_matches_oracle():
             continue
         if rep.warnings and any("fell back" in w for w in rep.warnings):
             continue
-        assert rep.max_deviation < 1
-        assert rep.size_deviation < 1
+        assert measured(rep, "deviation<1") < 1
+        assert measured(rep, "size±1") < 1
 
 
 def test_three_factor_k7():
     res = three_factor_criterion(complete_graph(7))
     assert res.decomposable
-    assert res.report.max_deviation < 1
+    assert measured(res.report, "deviation<1") < 1
 
 
 def test_three_factor_impossible():
@@ -98,8 +103,8 @@ def test_three_factor_impossible_matches_oracle():
 
 def test_parity_odd_k_k7():
     rep = parity_factorize(complete_graph(7), 3)
-    assert rep.parity_ok
-    assert rep.max_deviation < 2
+    assert measured(rep, "parity") == 0
+    assert measured(rep, "deviation<2") < 2
     assert all(d == 2 for degs in rep.factorization.all_factor_degrees() for d in degs)
 
 
@@ -112,7 +117,7 @@ def test_parity_even_k():
     g = eulerian_union(random.Random(5), 6, 3)  # 6-regular on 6 vertices
     f = (1, 1, 1, 1, 0, 0)
     rep = parity_factorize(g, 2, f=f)
-    assert rep.parity_ok
+    assert measured(rep, "parity") == 0
     for degs in rep.factorization.all_factor_degrees():
         for v in range(6):
             assert degs[v] % 2 == f[v]
@@ -125,7 +130,7 @@ def test_parity_even_k():
 
 def test_regular_factorize():
     rep = regular_factorize(complete_graph(7), 3)
-    assert rep.max_deviation == 0
+    assert measured(rep, "regular") == 0
     rep = regular_factorize(doubled(cycle_graph(4)), 2)
     assert all(d == 2 for degs in rep.factorization.all_factor_degrees() for d in degs)
     with pytest.raises(InvalidInput):
