@@ -1,7 +1,8 @@
 """Command line surface: parse graphs, run pipelines and oracles, emit reports.
 
 Exit codes: 0 success, 1 infeasible or impossible (or oracle answer false),
-2 invalid input, 3 undecided (budget exhausted).
+2 invalid input, 3 undecided (budget exhausted), 4 internal error (any other
+exception, so that a crash never reads as "infeasible").
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import connectivity, lab, parity, pipelines
 from .coloring import anstee_decomposition
@@ -348,6 +350,10 @@ def main(argv=None) -> int:
     except Undecided as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a bug, not an answer: keep it apart from exit 1
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

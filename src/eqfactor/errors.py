@@ -1,7 +1,7 @@
 """Shared exception types.
 
 Exit-code mapping used by the CLI: InvalidInput -> 2, Infeasible -> 1,
-Undecided -> 3.
+Undecided -> 3, and any other exception (an internal error) -> 4.
 """
 
 

@@ -294,18 +294,9 @@ def oracle_equitable(g: Multigraph, k: int, jobs: int = 1) -> bool:
         return True
     if k ** max(g.m - 1, 0) > EQUITABLE_BUDGET:
         raise Undecided(f"equitable oracle above budget: {k}^{g.m - 1} assignments")
-    lower, upper = _equitable_bounds(g, k)
-    if jobs <= 1:
-        return _equitable_dfs(g, k, lower, upper, [1] + [0] * (g.m - 1), 1)
-    depth = 1
-    while k ** (depth - 1) < 4 * jobs and depth < g.m:
-        depth += 1
-    tasks = [
-        (g.n, g.edges, k, (1,) + tail)
-        for tail in product(range(1, k + 1), repeat=depth - 1)
-    ]
-    with Pool(jobs) as pool:
-        return any(pool.map(_equitable_worker, tasks))
+    # the first edge's factor is fixed to 1 by symmetry
+    return _sharded(_equitable_worker, lambda tail: (g.n, g.edges, k, (1, *tail)),
+                    range(1, k + 1), g.m - 1, jobs)
 
 
 def _orientation_worker(args):
@@ -338,16 +329,12 @@ def oracle_orientation(g: Multigraph, p, k: int, jobs: int = 1) -> bool:
         raise Undecided(f"orientation oracle above budget ({g.m} > {ORIENTATION_EDGE_BUDGET})")
     base_out = [g.loops_at(v) for v in range(g.n)]
     nonloop = [eid for eid in range(g.m) if not g.is_loop(eid)]
-    if jobs <= 1:
-        return _orientation_worker((g.n, g.edges, p, k, (), tuple(nonloop), tuple(base_out)))
-    depth = min(len(nonloop), max(1, (4 * jobs - 1).bit_length()))
-    head, tail = nonloop[:depth], nonloop[depth:]
-    tasks = [
-        (g.n, g.edges, p, k, tuple(zip(head, bits)), tuple(tail), tuple(base_out))
-        for bits in product((0, 1), repeat=depth)
-    ]
-    with Pool(jobs) as pool:
-        return any(pool.map(_orientation_worker, tasks))
+
+    def task(bits):
+        return (g.n, g.edges, p, k, tuple(zip(nonloop, bits)), tuple(nonloop[len(bits):]),
+                tuple(base_out))
+
+    return _sharded(_orientation_worker, task, (0, 1), len(nonloop), jobs)
 
 
 def _parity_worker(args):
@@ -377,17 +364,27 @@ def oracle_parity_gf(g: Multigraph, spec: ParitySpec, jobs: int = 1) -> bool:
         raise InvalidInput("spec must cover every vertex")
     if g.m > PARITY_EDGE_BUDGET:
         raise Undecided(f"parity oracle above budget ({g.m} > {PARITY_EDGE_BUDGET})")
-    edges_all = tuple(range(g.m))
+
+    def task(bits):
+        return (g.n, g.edges, spec.f, spec.g0, spec.f0, tuple(enumerate(bits)),
+                tuple(range(len(bits), g.m)))
+
+    return _sharded(_parity_worker, task, (0, 1), g.m, jobs)
+
+
+def _sharded(worker, task, choices, limit, jobs):
+    """Is worker(task(prefix)) true for some prefix? The prefixes are every
+    choice of the first d search decisions, with d the least giving 4 tasks
+    per process (at most limit), shared out over a pool of jobs processes;
+    with jobs <= 1 the empty prefix runs the whole search in this process."""
     if jobs <= 1:
-        return _parity_worker((g.n, g.edges, spec.f, spec.g0, spec.f0, (), edges_all))
-    depth = min(g.m, max(1, (4 * jobs - 1).bit_length()))
-    head, tail = edges_all[:depth], edges_all[depth:]
-    tasks = [
-        (g.n, g.edges, spec.f, spec.g0, spec.f0, tuple(zip(head, bits)), tail)
-        for bits in product((0, 1), repeat=depth)
-    ]
+        return worker(task(()))
+    depth = 0
+    while len(choices) ** depth < 4 * jobs and depth < limit:
+        depth += 1
+    tasks = [task(prefix) for prefix in product(choices, repeat=depth)]
     with Pool(jobs) as pool:
-        return any(pool.map(_parity_worker, tasks))
+        return any(pool.map(worker, tasks))
 
 
 def oracle(g: Multigraph, question: str, jobs: int = 1, **params):

@@ -4,8 +4,9 @@ factorizations).
 
 The finder is exact at every size: it reduces to perfect matching through the
 classical degree-gadget construction (padding loops encode the allowed parity
-window), keeping it fully independent of the brute-force subset oracle used
-for cross-checking.
+window) and solves that with the in-house cardinality blossom of
+``matching``, warm-started from a greedy factor. It stays fully independent
+of the brute-force subset oracle used for cross-checking.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import Infeasible, InvalidInput, Undecided
+from .matching import maximum_matching
 from .multigraph import Factorization, Multigraph, components
 
 CONDITION_VERTEX_BUDGET = 12
@@ -125,47 +127,71 @@ def find_parity_factor(g: Multigraph, spec: ParitySpec):
         return None
     if sum(spec.f) % 2 != 0:
         return None  # handshake: sum of factor degrees is even
-    return _matching_factor(g, spec, windows)
+    return _matching_factor(g, windows)
 
 
-def _matching_factor(g: Multigraph, spec: ParitySpec, windows):
+def _matching_factor(g: Multigraph, windows):
     """Tutte gadget: demand h(v) = f0(v), with (f0-g0)/2 padding loops per
-    vertex absorbing the parity window; a perfect matching <=> a factor."""
-    import networkx as nx  # most of the import time of the package; only needed here
-
-    incidences = [[] for _ in range(g.n)]  # per vertex: gadget endpoint nodes
-    h = nx.Graph()
-    pair_of = {}
-    for eid, (u, v) in enumerate(g.edges):
-        nu = ("e", eid, 0)
-        nv = ("e", eid, 1)
-        incidences[u].append(nu)
-        incidences[v].append(nv)
-        h.add_edge(nu, nv)
-        pair_of[frozenset((nu, nv))] = eid
-    for v in range(g.n):
-        lo, hi = windows[v]
-        for i in range((hi - lo) // 2):
-            na = ("p", v, i, 0)
-            nb = ("p", v, i, 1)
-            incidences[v].append(na)
-            incidences[v].append(nb)
-            h.add_edge(na, nb)
-    for v in range(g.n):
-        demand = windows[v][1]  # real degree + chosen padding loops
-        slots = len(incidences[v]) - demand
-        if slots < 0:
-            return None
-        for i in range(slots):
-            core = ("c", v, i)
-            for node in incidences[v]:
-                h.add_edge(core, node)
-    matching = nx.max_weight_matching(h, maxcardinality=True)
-    if 2 * len(matching) != h.number_of_nodes():
+    vertex absorbing the parity window; a perfect matching <=> a factor.
+    The search stops at the first node shown exposed in a maximum matching."""
+    adj, mate = _gadget(g, windows)
+    if maximum_matching(adj, mate, perfect=True) is None:
         return None
-    return frozenset(
-        pair_of[key] for x, y in matching if (key := frozenset((x, y))) in pair_of
-    )
+    return frozenset(eid for eid in range(g.m) if mate[2 * eid] == 2 * eid + 1)
+
+
+def _gadget(g: Multigraph, windows):
+    """Adjacency lists of the gadget and a warm-start matching in it.
+
+    Nodes 2e and 2e + 1 are the ends of edge e (at its first and second
+    endpoint); padding pairs follow, also as (2i, 2i + 1); then the cores.
+    Each vertex v with window [lo, hi] owns d(v) ends, (hi - lo) / 2 padding
+    pairs and d(v) - lo cores, and every core of v is joined to every end and
+    padding node of v. A perfect matching matches d(v) - lo of them to cores,
+    so the matched ends d_F(v) and padding pairs p(v) give d_F(v) + 2p(v) = hi.
+
+    The warm start takes edges greedily while d_F stays at most hi at both
+    ends, matches padding pairs while d_F(v) + 2 <= hi, and gives every other
+    node of v a core; it leaves hi - d_F(v) - 2p(v) nodes of v free.
+    """
+    incidences = [[] for _ in range(g.n)]
+    used = [0] * g.n  # d_F(v) + 2p(v) in the warm start
+    mate = []
+    for eid, (u, v) in enumerate(g.edges):
+        incidences[u].append(2 * eid)
+        incidences[v].append(2 * eid + 1)
+        if u == v:
+            take = used[u] + 2 <= windows[u][1]
+        else:
+            take = used[u] < windows[u][1] and used[v] < windows[v][1]
+        if take:
+            used[u] += 1
+            used[v] += 1
+            mate += (2 * eid + 1, 2 * eid)
+        else:
+            mate += (-1, -1)
+    for v, (lo, hi) in enumerate(windows):
+        for _ in range((hi - lo) // 2):
+            x = len(mate)
+            incidences[v] += (x, x + 1)
+            if used[v] + 2 <= hi:
+                used[v] += 2
+                mate += (x + 1, x)
+            else:
+                mate += (-1, -1)
+    adj = [[x ^ 1] for x in range(len(mate))]
+    for v, (lo, _) in enumerate(windows):
+        first = len(mate)
+        cores = list(range(first, first + g.degree(v) - lo))
+        for x in incidences[v]:
+            adj[x] += cores
+        adj += [incidences[v]] * len(cores)
+        mate += [-1] * len(cores)
+        free = (x for x in incidences[v] if mate[x] == -1)
+        for c, x in zip(cores, free):
+            mate[c] = x
+            mate[x] = c
+    return adj, mate
 
 
 def epsilon_windows(g: Multigraph, f, eps: float):

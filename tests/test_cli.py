@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from conftest import eulerian_union, random_multigraph
+from eqfactor import pipelines
 from eqfactor.cli import main
 from eqfactor.graphio import (
     REPORT_SCHEMA,
@@ -171,11 +172,28 @@ def test_cli_verify_rechecks_every_k_factor_report(tmp_path, capsys):
         assert rechecked == {c: e["measured"] for c, e in audit.items()}, argv
 
 
-def test_import_cli_leaves_networkx_unloaded():
-    code = "import sys, eqfactor.cli; print('networkx' in sys.modules)"
+def test_import_cli_leaves_networkx_unloaded(tmp_path):
+    k4 = write_graph(tmp_path, complete_graph(4), "k4.txt")
+    code = (
+        "import sys, eqfactor.cli; "
+        f"rc = eqfactor.cli.main(['parity-factor', {k4!r}, '--f', '0,1,2,3', '--epsilon', '0.5']); "
+        "print(rc, 'networkx' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(pipelines, "parity_factorize", crash)
+    path = write_graph(tmp_path, complete_graph(5))
+    assert main(["factor", path, "--k", "3", "--mode", "parity"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.splitlines()[-1] == "internal error: RecursionError: maximum recursion depth exceeded"
 
 
 def test_cli_even_and_parity_factor(tmp_path, capsys):

@@ -3,8 +3,16 @@ import random
 import pytest
 
 from eqfactor.errors import InvalidInput, Undecided
-from eqfactor.lab import generate, oracle, oracle_equitable, oracle_orientation, verify
-from eqfactor.multigraph import Factorization, Multigraph, complete_graph, cycle_graph
+from conftest import random_multigraph
+from eqfactor.lab import (
+    generate,
+    oracle,
+    oracle_equitable,
+    oracle_orientation,
+    oracle_parity_gf,
+    verify,
+)
+from eqfactor.multigraph import Factorization, Multigraph, complete_graph, cycle_graph, subgraph
 from eqfactor.parity import ParitySpec
 from eqfactor.pipelines import EquitableRequest, equitable_factorize
 
@@ -122,6 +130,31 @@ def test_oracle_front_end_and_jobs():
     assert oracle(cycle_graph(5), "equitable", k=2, jobs=3) is False
     with pytest.raises(InvalidInput):
         oracle(g, "whatever")
+
+
+def test_sharded_orientation_and_parity_oracles_agree():
+    rng = random.Random(83)
+    answers = {"orientation": set(), "parity_gf": set()}
+    for _ in range(10):
+        g = random_multigraph(rng, max_n=6, max_m=10)
+        k = rng.choice((2, 3))
+        p = tuple(rng.randrange(k) for _ in range(g.n))
+        single = oracle_orientation(g, p, k)
+        assert oracle_orientation(g, p, k, jobs=2) is single
+        answers["orientation"].add(single)
+        # windows around the degrees of a random edge set, one of them
+        # sometimes shifted up past it
+        degs = subgraph(g, [e for e in range(g.m) if rng.random() < 0.5]).degrees
+        shift = [2 * (v == 0 and rng.random() < 0.5) for v in range(g.n)]
+        spec = ParitySpec(
+            f=tuple(d % 2 for d in degs),
+            g0=tuple(max(d % 2, d - 2) + s for d, s in zip(degs, shift)),
+            f0=tuple(d + s for d, s in zip(degs, shift)),
+        )
+        single = oracle_parity_gf(g, spec)
+        assert oracle_parity_gf(g, spec, jobs=2) is single
+        answers["parity_gf"].add(single)
+    assert all(seen == {True, False} for seen in answers.values())
 
 
 def test_oracle_loops_handled():

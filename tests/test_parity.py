@@ -4,7 +4,7 @@ import pytest
 
 from conftest import eulerian_union, random_multigraph, random_two_edge_connected
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
-from eqfactor.lab import oracle_parity_gf
+from eqfactor.lab import generate, measure, oracle_parity_gf
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph, subgraph
 from eqfactor.parity import (
     ConditionCertificate,
@@ -90,6 +90,19 @@ def test_lovasz_finder_oracle_triple_agreement():
             for v in range(g.n):
                 assert g0[v] <= degs[v] <= f0[v]
                 assert degs[v] % 2 == f[v]
+
+
+def test_scale_epsilon_parity_factor_10k():
+    """ROADMAP item 4 at m = 3 * 10^4, at the default recursion limit."""
+    g = generate("eulerian_cycles", {"n": 10_000, "c": 3}, seed=1)
+    f = [0] * g.n
+    f[17] = f[5017] = 1
+    for eps, z in ((0.5, None), (0.34, None), (0.5, (3, "at_most"))):
+        factor = epsilon_parity_factor(g, f, eps, z=z)
+        degs = subgraph(g, factor).degrees
+        assert measure(g, [degs], ["parity:17;5017", f"eps-window:{eps!r}"]).ok
+        if z is not None:
+            assert degs[3] < eps * g.degree(3)
 
 
 def test_epsilon_windows_shape():
