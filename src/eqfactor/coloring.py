@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidInput
 from .multigraph import Factorization, Multigraph, Orientation
+from .orientation import near_balanced_orientation
 
 
 @dataclass
@@ -246,10 +247,4 @@ def anstee_decomposition(g: Multigraph, k: int) -> Factorization:
     Odd-degree vertices are paired through a temporary auxiliary vertex so an
     Eulerian orientation exists; auxiliary arcs are dropped afterwards.
     """
-    from .orientation import eulerian_orientation
-
-    odd = [v for v in range(g.n) if g.degree(v) % 2 == 1]
-    aux = Multigraph(g.n + 1, list(g.edges) + [(v, g.n) for v in odd])
-    oriented = eulerian_orientation(aux)
-    d = Orientation(g, oriented.tails[: g.m])
-    return decompose_directed(d, k, mode="size")
+    return decompose_directed(near_balanced_orientation(g), k, mode="size")

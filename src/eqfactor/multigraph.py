@@ -17,7 +17,7 @@ from .errors import InvalidInput
 class Multigraph:
     """An undirected multigraph. Loops and parallel edges are first-class."""
 
-    __slots__ = ("vertex_count", "edges", "_degrees", "_incidence")
+    __slots__ = ("vertex_count", "edges", "_degrees", "_incidence", "_loops")
 
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
@@ -29,6 +29,7 @@ class Multigraph:
         self.vertex_count = vertex_count
         self.edges = edges
         degrees = [0] * vertex_count
+        loops = {}  # vertex -> loop count, only vertices with loops
         incidence = [[] for _ in range(vertex_count)]
         for eid, (u, v) in enumerate(edges):
             degrees[u] += 1
@@ -36,8 +37,11 @@ class Multigraph:
             incidence[u].append(eid)
             if u != v:
                 incidence[v].append(eid)
+            else:
+                loops[u] = loops.get(u, 0) + 1
         self._degrees = tuple(degrees)
         self._incidence = tuple(tuple(ids) for ids in incidence)
+        self._loops = loops
 
     @property
     def n(self) -> int:
@@ -67,10 +71,10 @@ class Multigraph:
         return u == v
 
     def loops_at(self, v: int) -> int:
-        return sum(1 for eid in self._incidence[v] if self.is_loop(eid))
+        return self._loops.get(v, 0)
 
     def has_loops(self) -> bool:
-        return any(u == v for u, v in self.edges)
+        return bool(self._loops)
 
     def __eq__(self, other):
         return (

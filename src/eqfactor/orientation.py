@@ -1,15 +1,19 @@
 """Orientation solvers: Eulerian, prescribed out-degrees, mod-k residues, balance.
 
-The mod-k solver is two-stage: a backtracking search over residue-compliant
-out-degree plans (sum-window and partial Hakimi pruning), each leaf realized
-exactly by a bipartite max-flow. Search exhaustion means infeasible; hitting
-the node budget raises Undecided instead.
+The mod-k solver is two-stage: an iterative backtracking search over
+residue-compliant out-degree plans (sum-window and partial Hakimi pruning),
+each leaf realized exactly by a warm-started flow. The realization starts from
+a near-balanced (Eulerian) orientation and reverses edges along paths from
+vertices above their planned out-degree to vertices below it, with a max-flow
+on the n + 2 node vertex digraph; when the start already meets the plan, no
+network is built. Search exhaustion means infeasible; hitting the node budget
+raises Undecided instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
 from .maxflow import FlowNetwork
@@ -67,75 +71,97 @@ def eulerian_orientation(g: Multigraph) -> Orientation:
     for v in range(g.n):
         if g.degree(v) % 2 == 1:
             raise Infeasible(f"vertex {v} has odd degree {g.degree(v)}")
+    edges = g.edges
     tails = [None] * g.m
     used = [False] * g.m
     ptr = [0] * g.n
     for v0 in range(g.n):
+        x = v0
         while True:
-            inc = g.incident(v0)
-            while ptr[v0] < len(inc) and used[inc[ptr[v0]]]:
-                ptr[v0] += 1
-            if ptr[v0] >= len(inc):
-                break
-            x = v0
-            while True:
-                inc_x = g.incident(x)
-                while ptr[x] < len(inc_x) and used[inc_x[ptr[x]]]:
-                    ptr[x] += 1
-                if ptr[x] >= len(inc_x):
-                    break  # even degrees: only possible back at the trail start
-                eid = inc_x[ptr[x]]
-                used[eid] = True
-                tails[eid] = x
-                x = g.other_end(eid, x)
+            inc = g.incident(x)
+            i = ptr[x]
+            while i < len(inc) and used[inc[i]]:
+                i += 1
+            ptr[x] = i
+            if i == len(inc):
+                break  # even degrees: only possible back at the trail start
+            eid = inc[i]
+            used[eid] = True
+            tails[eid] = x
+            u, w = edges[eid]
+            x = w if u == x else u
     return Orientation(g, tails)
 
 
+def near_balanced_orientation(g: Multigraph) -> Orientation:
+    """Orientation with |d+(v) - d-(v)| <= 1: Eulerian, after pairing the
+    odd-degree vertices through one auxiliary vertex whose edges are dropped."""
+    odd = [v for v in range(g.n) if g.degree(v) % 2 == 1]
+    if not odd:
+        return eulerian_orientation(g)
+    aux = Multigraph(g.n + 1, list(g.edges) + [(v, g.n) for v in odd])
+    return Orientation(g, eulerian_orientation(aux).tails[: g.m])
+
+
 def realize_out_degrees(g: Multigraph, plan: OutDegreePlan) -> Orientation:
-    """Orientation with d+(v) = o(v) exactly, via edge-to-vertex max-flow.
+    """Orientation with d+(v) = o(v) exactly.
+
+    Starts from a near-balanced orientation D and reverses edges along paths
+    of D from vertices with too much out-degree to vertices with too little:
+    a max-flow on the vertex digraph of D, one unit arc per non-loop edge,
+    where flow on an arc reverses its edge. No network is built when D already
+    meets the plan.
 
     Raises Infeasible with a certificate set A such that
     sum_{v in A} o(v) < |E(G[A])| (Hakimi violation) when no orientation exists.
     """
     plan.validate(g)
-    loops = [g.loops_at(v) for v in range(g.n)]
+    o = plan.o
     for v in range(g.n):
-        if plan.o[v] < loops[v]:
+        loops = g.loops_at(v)
+        if o[v] < loops:
             # e(G[{v}]) = loops(v) > o(v)
             raise Infeasible(
-                f"vertex {v} cannot host its {loops[v]} loop(s) with out-degree {plan.o[v]}",
+                f"vertex {v} cannot host its {loops} loop(s) with out-degree {o[v]}",
                 certificate=frozenset({v}),
             )
-        if g.degree(v) - plan.o[v] < loops[v]:
+        if g.degree(v) - o[v] < loops:
             # A = V - {v}: sum o over A = m - o(v) < m - d(v) + loops(v) = e(G[A])
             raise Infeasible(
-                f"vertex {v} cannot host its {loops[v]} loop(s) with in-degree {g.degree(v) - plan.o[v]}",
+                f"vertex {v} cannot host its {loops} loop(s) with in-degree {g.degree(v) - o[v]}",
                 certificate=frozenset(range(g.n)) - {v},
             )
-    nonloop = [eid for eid in range(g.m) if not g.is_loop(eid)]
-    s = 0
-    t = 1 + len(nonloop) + g.n
-    net = FlowNetwork(t + 1)
-    tail_arcs = {}
-    for i, eid in enumerate(nonloop):
-        u, v = g.edges[eid]
-        net.add_edge(s, 1 + i, 1)
-        arc_u = net.add_edge(1 + i, 1 + len(nonloop) + u, 1)
-        net.add_edge(1 + i, 1 + len(nonloop) + v, 1)
-        tail_arcs[eid] = (arc_u, u, v)
-    for v in range(g.n):
-        net.add_edge(1 + len(nonloop) + v, t, plan.o[v] - loops[v])
-    pushed = net.max_flow(s, t)
-    if pushed < len(nonloop):
-        reach = net.residual_reachable(s)
-        cert = frozenset(v for v in range(g.n) if 1 + len(nonloop) + v in reach)
+    tails = list(near_balanced_orientation(g).tails)
+    excess = [-x for x in o]
+    for tail in tails:
+        excess[tail] += 1
+    if not any(excess):
+        return Orientation(g, tails)
+    s, t = g.n, g.n + 1
+    net = FlowNetwork(g.n + 2)
+    arcs = []
+    for eid, (u, v) in enumerate(g.edges):
+        if u != v:
+            tail = tails[eid]
+            arcs.append((eid, net.add_edge(tail, u + v - tail, 1)))
+    need = 0
+    for v, x in enumerate(excess):
+        if x > 0:
+            net.add_edge(s, v, x)
+            need += x
+        elif x < 0:
+            net.add_edge(v, t, -x)
+    if net.max_flow(s, t) < need:
+        # The residual arcs among vertices are the edges as now oriented, so
+        # every edge between the reachable set A and the rest points into A,
+        # and sum_{v in A} d+(v) = e(G[A]). No deficit is left in A (t is not
+        # reachable) and some excess is, so sum_{v in A} o(v) < e(G[A]).
+        cert = frozenset(v for v in net.residual_reachable(s) if v < g.n)
         raise Infeasible("out-degree plan is not realizable (Hakimi violation)", certificate=cert)
-    tails = [None] * g.m
-    for eid in range(g.m):
-        if g.is_loop(eid):
-            tails[eid] = g.edges[eid][0]
-    for eid, (arc, u, v) in tail_arcs.items():
-        tails[eid] = u if net.flow_on(arc) == 1 else v
+    for eid, arc in arcs:
+        if net.flow_on(arc):
+            u, v = g.edges[eid]
+            tails[eid] = u + v - tails[eid]
     return Orientation(g, tails)
 
 
@@ -151,6 +177,11 @@ def _plan_candidates(g: Multigraph, v: int, residue: int, k: int) -> list:
 def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGET) -> Orientation:
     """Orientation with d+(v) = p(v) (mod k) at every vertex.
 
+    Depth-first search over plans, vertices by decreasing degree, each
+    vertex's candidates nearest d(v)/2 first. The search keeps its state on
+    per-depth arrays instead of the call stack: the next candidate index and
+    the running out-degree sum. Every candidate tried counts as one node.
+
     Raises ResidueObstruction when sum(p) != |E| (mod k), Infeasible when the
     plan search space is exhausted, and Undecided when the node budget runs out.
     """
@@ -162,70 +193,61 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
             f"sum of residues {sum(rm.p) % k} != |E| mod k = {g.m % k}"
         )
     if k == 1:
-        return realize_out_degrees(g, _any_plan(g))
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        return Orientation(g, [u for u, _ in g.edges])
+    n, m = g.n, g.m
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     cand = [_plan_candidates(g, v, rm.p[v], k) for v in order]
     if any(not c for c in cand):
         raise Infeasible("some vertex admits no residue-compliant out-degree")
-    n = len(order)
     min_suffix = [0] * (n + 1)
     max_suffix = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         min_suffix[i] = min_suffix[i + 1] + min(cand[i])
         max_suffix[i] = max_suffix[i + 1] + max(cand[i])
-    # adjacency counts restricted to the assigned prefix, for Hakimi pruning
-    pos = {v: i for i, v in enumerate(order)}
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # for Hakimi pruning at depth i: internal[i] counts the edges (loops
+    # included) with both ends among order[:i + 1], deg_sum[i] their degrees
+    added = [0] * n
+    for u, w in g.edges:
+        added[max(pos[u], pos[w])] += 1
+    internal = list(accumulate(added))
+    deg_sum = list(accumulate(g.degree(v) for v in order))
+    sum_o = [0] * (n + 1)  # sum_o[i]: chosen out-degrees over order[:i]
+    nxt = [0] * n  # nxt[i]: index of the next candidate to try at depth i
     nodes = 0
-    chosen = [0] * n
-
-    def search(i, sum_o, sum_rev, internal):
-        # internal: edges (incl. loops) with both ends among order[:i]
-        nonlocal nodes
+    i = 0
+    while i >= 0:
         if i == n:
-            if sum_o != g.m:
-                return None
+            o = [0] * n
+            for j, v in enumerate(order):
+                o[v] = cand[j][nxt[j] - 1]
             try:
-                return realize_out_degrees(g, OutDegreePlan(tuple(
-                    chosen[pos[v]] for v in range(g.n)
-                )))
+                return realize_out_degrees(g, OutDegreePlan(tuple(o)))
             except Infeasible:
-                return None
-        v = order[i]
-        added = g.loops_at(v) + sum(
-            1 for eid in g.incident(v)
-            if not g.is_loop(eid) and pos[g.other_end(eid, v)] < i
-        )
-        new_internal = internal + added
-        for c in cand[i]:
-            nodes += 1
-            if nodes > budget:
-                raise Undecided(f"mod-k plan search exceeded node budget {budget}")
-            so = sum_o + c
-            sr = sum_rev + g.degree(v) - c
-            if so + min_suffix[i + 1] > g.m or so + max_suffix[i + 1] < g.m:
+                i -= 1
                 continue
-            if so < new_internal or sr < new_internal:
-                continue
-            chosen[i] = c
-            result = search(i + 1, so, sr, new_internal)
-            if result is not None:
-                return result
-        return None
-
-    result = search(0, 0, 0, 0)
-    if result is None:
-        raise Infeasible(
-            "no residue-compliant orientation found; the guarantee holds only "
-            "under (3k-3)-edge-connectivity or (2k-2)-tree-connectivity"
-        )
-    return result
-
-
-def _any_plan(g: Multigraph) -> OutDegreePlan:
-    o = [0] * g.n
-    for u, v in g.edges:
-        o[u] += 1
-    return OutDegreePlan(tuple(o))
+        j = nxt[i]
+        if j == len(cand[i]):
+            nxt[i] = 0
+            i -= 1
+            continue
+        nxt[i] = j + 1
+        nodes += 1
+        if nodes > budget:
+            raise Undecided(f"mod-k plan search exceeded node budget {budget}")
+        so = sum_o[i] + cand[i][j]
+        if so + min_suffix[i + 1] > m or so + max_suffix[i + 1] < m:
+            continue
+        if so < internal[i] or deg_sum[i] - so < internal[i]:
+            continue
+        sum_o[i + 1] = so
+        i += 1
+    raise Infeasible(
+        "no residue-compliant orientation found; the guarantee holds only "
+        "under (3k-3)-edge-connectivity or (2k-2)-tree-connectivity"
+    )
 
 
 def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFAULT_BUDGET) -> Orientation:

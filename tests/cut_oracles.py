@@ -1,8 +1,9 @@
 """Exhaustive cut oracles for small graphs (n <= 8 or so).
 
-Subset enumeration (2^n) for minimum cuts and minimum T-odd cuts, and
-partition enumeration (Bell(n)) for tree connectivity through the
-Tutte/Nash-Williams formula. They share no code with eqfactor.connectivity.
+Subset enumeration (2^n) for minimum cuts, minimum T-odd cuts and Hakimi's
+out-degree condition, and partition enumeration (Bell(n)) for tree
+connectivity through the Tutte/Nash-Williams formula. They share no code with
+eqfactor.connectivity or eqfactor.orientation.
 """
 
 import math
@@ -24,6 +25,22 @@ def min_cut(g):
 def min_t_odd_cut(g, t):
     """Minimum d(A) over A with |A & t| odd; math.inf when there is none."""
     return min((cut_size(g, a) for a in proper_subsets(g.n) if len(a & t) % 2 == 1), default=math.inf)
+
+
+def internal_edges(g, a):
+    """e(G[A]): edges, loops included, with both ends in A."""
+    return sum(1 for u, v in g.edges if u in a and v in a)
+
+
+def hakimi_violation(g, o):
+    """Some nonempty A with sum_{v in A} o(v) < e(G[A]), or None. For a plan
+    with sum(o) = |E|, an orientation with d+ = o exists exactly when there is
+    none (Hakimi 1965)."""
+    for mask in range(1, 2**g.n):
+        a = frozenset(v for v in range(g.n) if mask >> v & 1)
+        if sum(o[v] for v in a) < internal_edges(g, a):
+            return a
+    return None
 
 
 def odd_degree_set(g):

@@ -87,6 +87,16 @@ def test_cli_analyze_k4(tmp_path, capsys):
     assert data["tree_connectivity"] == 2
 
 
+def test_cli_orient_k3_10k(tmp_path, capsys):
+    g = eulerian_union(random.Random(4), 10_000, 3)
+    assert main(["orient", write_graph(tmp_path, g), "--k", "3", "--format", "json"]) == 0
+    tails = json.loads(capsys.readouterr().out)["tails"]
+    out = [0] * g.n
+    for t in tails:
+        out[t] += 1
+    assert all(x % 3 == 0 for x in out)
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     tri = write_graph(tmp_path, cycle_graph(3), "tri.txt")
     # residue obstruction -> infeasible -> 1

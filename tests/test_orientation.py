@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import random_multigraph
+from conftest import random_multigraph, random_orientation
+from cut_oracles import hakimi_violation, internal_edges
 from eqfactor.errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
 from eqfactor.lab import oracle_orientation
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
@@ -59,8 +60,7 @@ def test_realize_triangle_infeasible_certificate():
     with pytest.raises(Infeasible) as exc:
         realize_out_degrees(g4, OutDegreePlan((0, 2, 2, 0)))
     cert = exc.value.certificate
-    internal = sum(1 for u, v in g4.edges if u in cert and v in cert)
-    assert sum(2 if v in (1, 2) else 0 for v in cert) < internal or cert
+    assert sum((0, 2, 2, 0)[v] for v in cert) < internal_edges(g4, cert)
 
 
 def test_hakimi_certificate_violates_bound():
@@ -90,6 +90,87 @@ def test_hakimi_certificate_violates_bound():
     assert found > 0
 
 
+def test_realize_agrees_with_hakimi_subset_oracle():
+    """realize_out_degrees succeeds exactly when no vertex subset violates
+    Hakimi's bound, and every certificate it raises violates that bound."""
+    rng = random.Random(31)
+    outcomes = set()
+    shapes = set()
+    for _ in range(300):
+        g = random_multigraph(rng, max_n=7, max_m=12)
+        shapes.add((g.has_loops(), len(set(map(frozenset, g.edges))) < g.m))
+        # an orientation's out-degrees, then a few unit moves that keep
+        # sum(o) = |E| and 0 <= o(v) <= d(v)
+        o = list(random_orientation(rng, g).out_degrees)
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.randrange(g.n), rng.randrange(g.n)
+            if o[u] > 0 and o[v] < g.degree(v):
+                o[u] -= 1
+                o[v] += 1
+        violation = hakimi_violation(g, o)
+        try:
+            d = realize_out_degrees(g, OutDegreePlan(tuple(o)))
+        except Infeasible as exc:
+            assert violation is not None
+            a = exc.certificate
+            assert sum(o[v] for v in a) < internal_edges(g, a)
+            outcomes.add(False)
+        else:
+            assert violation is None
+            assert d.out_degrees == tuple(o)
+            outcomes.add(True)
+    assert outcomes == {True, False}
+    assert (True, True) in shapes
+
+
+def random_even_multigraph(rng, n, max_degree, max_m):
+    """Union of random closed walks (loops and parallel edges allowed), kept
+    to degrees <= max_degree and at most max_m edges."""
+    edges, deg = [], [0] * n
+    for _ in range(rng.randint(1, 12)):
+        walk = [rng.randrange(n) for _ in range(rng.randint(1, n))]
+        if len(edges) + len(walk) > max_m:
+            continue
+        new = list(deg)
+        for v in walk:
+            new[v] += 2
+        if max(new) <= max_degree:
+            edges += list(zip(walk, walk[1:] + walk[:1]))
+            deg = new
+    return Multigraph(n, edges)
+
+
+def test_balanced_even_k_agrees_with_orientation_oracle():
+    """With every degree below 2k, the out-degrees congruent to
+    d(v)/2 + [v in Q] k/2 (mod k) are d(v)/2 off Q and d(v)/2 +- k/2 on Q,
+    so a balanced orientation for Q exists exactly when that mod-k
+    orientation does."""
+    rng = random.Random(37)
+    outcomes = []
+    while len(outcomes) < 150:
+        k = rng.choice((4, 6))
+        n = rng.randint(2, 7)
+        g = random_even_multigraph(rng, n, 2 * k - 2, 16)
+        # Q from vertices of degree >= k; smaller ones are rejected up front
+        big = [v for v in range(n) if g.degree(v) >= k]
+        if len(big) < 2:
+            continue
+        q = set(rng.sample(big, 2 * rng.randint(1, len(big) // 2)))
+        p = [(g.degree(v) // 2 + (k // 2 if v in q else 0)) % k for v in range(n)]
+        truth = oracle_orientation(g, p, k)
+        try:
+            d = balanced_mod_k_orientation(g, k, q)
+        except Infeasible:
+            assert not truth
+            outcomes.append(False)
+        else:
+            assert truth
+            for v in range(n):
+                assert abs(d.out_degree(v) - d.in_degree(v)) == (k if v in q else 0)
+            outcomes.append(True)
+    assert 30 <= sum(outcomes) <= 120
+
+
 def test_mod_k_residue_obstruction():
     with pytest.raises(ResidueObstruction):
         mod_k_orientation(cycle_graph(3), ResidueMap(2, (0, 0, 0)))
@@ -111,6 +192,49 @@ def test_mod_k_budget_undecided():
     g = complete_graph(7)
     with pytest.raises(Undecided):
         mod_k_orientation(g, ResidueMap(3, (1, 2, 0, 0, 0, 0, 0)), budget=1)
+
+
+def circulant(n, steps, offset=0):
+    return [(offset + i, offset + (i + s) % n) for s in steps for i in range(n)]
+
+
+# (graph, residue map, smallest node budget with which the plan search
+# succeeds); recorded with the earlier recursive search, so a change to the
+# order in which plans are visited shows here
+SEARCH_ORDER_CASES = [
+    (complete_graph(7), ResidueMap(3, (1, 2, 0, 0, 0, 0, 0)), 7),
+    (Multigraph(12, circulant(12, (1, 3))), ResidueMap(3, (0,) * 12), 166),
+    (Multigraph(8, [(5, 6), (2, 3), (6, 5), (4, 6), (5, 7), (7, 0), (7, 3), (0, 2), (0, 5), (4, 1),
+                    (3, 3), (7, 4), (7, 6), (1, 0)]),
+     ResidueMap(3, (1, 2, 0, 2, 0, 1, 0, 2)), 49),
+]
+
+
+@pytest.mark.parametrize("g, rm, budget", SEARCH_ORDER_CASES)
+def test_plan_search_order_is_pinned(g, rm, budget):
+    d = mod_k_orientation(g, rm, budget=budget)
+    assert all(d.out_degree(v) % rm.k == rm.p[v] for v in range(g.n))
+    with pytest.raises(Undecided):
+        mod_k_orientation(g, rm, budget=budget - 1)
+
+
+def test_plan_search_backtracks_deep_at_default_recursion_limit():
+    """A 2000-vertex 4-regular circulant whose plan is forced (out-degree 2 is
+    the only value = 2 mod 3) comes first in the search order; the 12-vertex
+    circulant after it needs 166 nodes on its own, so the search backtracks
+    below depth 2000."""
+    bulk = 2000
+    g = Multigraph(bulk + 12, circulant(bulk, (1, 3)) + circulant(12, (1, 3), offset=bulk))
+    rm = ResidueMap(3, (2,) * bulk + (0,) * 12)
+    d = mod_k_orientation(g, rm, budget=bulk + 166)
+    assert all(d.out_degree(v) % 3 == rm.p[v] for v in range(g.n))
+    with pytest.raises(Undecided):
+        mod_k_orientation(g, rm, budget=bulk + 165)
+
+
+def test_mod_k_with_k_1_keeps_the_stored_tails():
+    g = Multigraph(3, [(0, 1), (2, 1), (1, 1)])
+    assert mod_k_orientation(g, ResidueMap(1, (0, 0, 0))).tails == (0, 2, 1)
 
 
 def test_mod_k_agrees_with_enumeration():

@@ -169,3 +169,10 @@ def test_regular_split_validations():
         regular_split(complete_graph(7), (2, 2, 3), 3)  # k does not divide r
     with pytest.raises(InvalidInput):
         regular_split(complete_graph(6), (2, 2, 2), 3)  # not 6-regular
+
+
+def test_scale_parity_and_regular_factorize_10k():
+    """ROADMAP item 3 at n = 10^4, at the default recursion limit."""
+    g = eulerian_union(random.Random(3), 10_000, 3)
+    for rep in (parity_factorize(g, 3), regular_factorize(g, 3)):
+        assert rep.audit.ok
