@@ -3,11 +3,11 @@
 The mod-k solver is two-stage: an iterative backtracking search over
 residue-compliant out-degree plans (sum-window and partial Hakimi pruning),
 each leaf realized exactly by a warm-started flow. The realization starts from
-a near-balanced (Eulerian) orientation and reverses edges along paths from
-vertices above their planned out-degree to vertices below it, with a max-flow
-on the n + 2 node vertex digraph; when the start already meets the plan, no
-network is built. Search exhaustion means infeasible; hitting the node budget
-raises Undecided instead.
+a near-balanced (Eulerian) orientation, computed once per search, and
+reverses edges along paths from vertices above their planned out-degree to
+vertices below it, with a max-flow on the n + 2 node vertex digraph; when the
+start already meets the plan, no network is built. Search exhaustion means
+infeasible; hitting the node budget raises Undecided instead.
 """
 
 from __future__ import annotations
@@ -103,10 +103,12 @@ def near_balanced_orientation(g: Multigraph) -> Orientation:
     return Orientation(g, eulerian_orientation(aux).tails[: g.m])
 
 
-def realize_out_degrees(g: Multigraph, plan: OutDegreePlan) -> Orientation:
+def realize_out_degrees(g: Multigraph, plan: OutDegreePlan, *, start=None) -> Orientation:
     """Orientation with d+(v) = o(v) exactly.
 
-    Starts from a near-balanced orientation D and reverses edges along paths
+    Starts from an orientation D of g, by default the near-balanced one
+    (callers that realize many plans on one graph pass it as ``start``, so
+    that it is computed once), and reverses edges along paths
     of D from vertices with too much out-degree to vertices with too little:
     a max-flow on the vertex digraph of D, one unit arc per non-loop edge,
     where flow on an arc reverses its edge. No network is built when D already
@@ -131,7 +133,11 @@ def realize_out_degrees(g: Multigraph, plan: OutDegreePlan) -> Orientation:
                 f"vertex {v} cannot host its {loops} loop(s) with in-degree {g.degree(v) - o[v]}",
                 certificate=frozenset(range(g.n)) - {v},
             )
-    tails = list(near_balanced_orientation(g).tails)
+    if start is None:
+        start = near_balanced_orientation(g)
+    elif start.base is not g and start.base != g:
+        raise InvalidInput("start orientation is not defined on this graph")
+    tails = list(start.tails)
     excess = [-x for x in o]
     for tail in tails:
         excess[tail] += 1
@@ -204,6 +210,7 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
     for i in range(n - 1, -1, -1):
         min_suffix[i] = min_suffix[i + 1] + min(cand[i])
         max_suffix[i] = max_suffix[i + 1] + max(cand[i])
+    start = near_balanced_orientation(g)  # shared by every leaf
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -224,7 +231,7 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
             for j, v in enumerate(order):
                 o[v] = cand[j][nxt[j] - 1]
             try:
-                return realize_out_degrees(g, OutDegreePlan(tuple(o)))
+                return realize_out_degrees(g, OutDegreePlan(tuple(o)), start=start)
             except Infeasible:
                 i -= 1
                 continue
@@ -280,6 +287,7 @@ def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFA
         if g.degree(v) < k:
             raise Infeasible(f"vertex {v} in Q has degree {g.degree(v)} < k = {k}")
     base = [g.degree(v) // 2 for v in range(g.n)]
+    start = near_balanced_orientation(g)
     tried = 0
     for plus in combinations(q, len(q) // 2):
         tried += 1
@@ -289,7 +297,7 @@ def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFA
         for v in q:
             o[v] += k // 2 if v in plus else -(k // 2)
         try:
-            return realize_out_degrees(g, OutDegreePlan(tuple(o)))
+            return realize_out_degrees(g, OutDegreePlan(tuple(o)), start=start)
         except Infeasible:
             continue
     raise Infeasible(

@@ -259,99 +259,144 @@ def _epsilon_hypothesis_report(g: Multigraph, f, eps) -> str:
     return "cut hypotheses of the guarantee are not met"
 
 
-def even_factor_eps(g: Multigraph, eps: float):
-    """Even factor with |d_F(v) - eps*d(v)| < 2 on an even-degree graph.
-
-    Built as a unit-capacity circulation on an Eulerian orientation with
-    per-vertex throughput bounds [floor(eps*d/2), ceil(eps*d/2)]; the
-    all-arcs-at-eps fractional circulation witnesses feasibility, so an
-    integral one always exists.
-    """
-    from .maxflow import FlowNetwork
-    from .orientation import eulerian_orientation
-
+def _check_even_degrees(g: Multigraph):
     for v in range(g.n):
         if g.degree(v) % 2 == 1:
             raise InvalidInput(f"vertex {v} has odd degree {g.degree(v)}")
+
+
+def _eulerian_arcs(g: Multigraph) -> list:
+    """(tail, head) per edge id, along one Eulerian orientation of g."""
+    from .orientation import eulerian_orientation
+
+    return [(t, u + w - t) for t, (u, w) in zip(eulerian_orientation(g).tails, g.edges)]
+
+
+def _even_circulation(n: int, arcs, eps: float) -> list:
+    """Flags over arcs, an Eulerian digraph given as (tail, head) pairs, that
+    mark a sub-circulation of throughput in [floor(eps*d+(v)), ceil(eps*d+(v))]
+    at every vertex v. Its edges form an even factor with |d_F(v) - eps*d(v)|
+    < 2, and the unmarked arcs form an Eulerian digraph again.
+
+    Greedy first: an arc u->w is taken while out(u) and in(w) are both below
+    their lower bounds. When every bound is met, the taken arcs have out = in
+    = lower bound everywhere and form the circulation. Otherwise the shortfall
+    goes to a unit network on split vertices (v_in = v, v_out = n + v; an arc
+    u->w is u_out -> w_in; lower bounds moved to s -> v_out and v_in -> t;
+    capacity hi - lo on v_in -> v_out) in which the greedy flow is already
+    pushed: a taken arc enters reversed, as its residual arc, and s and t keep
+    only the unmet part of each bound. The max flow completes it exactly.
+    Putting eps on every arc is a fractional circulation within the bounds,
+    so an integral one exists and a short flow means the input was not
+    Eulerian.
+    """
+    from .maxflow import FlowNetwork
+
+    outdeg = [0] * n
+    for u, _ in arcs:
+        outdeg[u] += 1
+    lo = [math.floor(eps * x) for x in outdeg]
+    got_out = [0] * n
+    got_in = [0] * n
+    taken = []
+    for u, w in arcs:
+        take = got_out[u] < lo[u] and got_in[w] < lo[w]
+        if take:
+            got_out[u] += 1
+            got_in[w] += 1
+        taken.append(take)
+    if got_out == lo and got_in == lo:
+        return taken
+    s, t = 2 * n, 2 * n + 1
+    net = FlowNetwork(2 * n + 2)
+    arc_ids = [net.add_edge(w, n + u, 1) if take else net.add_edge(n + u, w, 1)
+               for (u, w), take in zip(arcs, taken)]
+    need = 0
+    for v in range(n):
+        spare = math.ceil(eps * outdeg[v]) - lo[v]
+        if spare:
+            net.add_edge(v, n + v, spare)
+        if got_out[v] < lo[v]:
+            net.add_edge(s, n + v, lo[v] - got_out[v])
+            need += lo[v] - got_out[v]
+        if got_in[v] < lo[v]:
+            net.add_edge(v, t, lo[v] - got_in[v])
+    if net.max_flow(s, t) < need:
+        raise Infeasible("circulation infeasible; even-degree precondition violated?")
+    return [take != bool(net.flow_on(idx)) for take, idx in zip(taken, arc_ids)]
+
+
+def even_factor_eps(g: Multigraph, eps: float):
+    """Even factor with |d_F(v) - eps*d(v)| < 2 on an even-degree graph.
+
+    A sub-circulation of one Eulerian orientation with per-vertex throughput
+    in [floor(eps*d/2), ceil(eps*d/2)]: greedily taken arcs first, and a unit
+    flow network, solved by the pruned Dinic of ``maxflow``, only for the
+    lower bounds the greedy pass leaves unmet (see ``_even_circulation``).
+    The all-arcs-at-eps fractional circulation witnesses feasibility, so an
+    integral one always exists.
+    """
+    _check_even_degrees(g)
     if not 0 <= eps <= 1:
         raise InvalidInput("eps must lie in [0, 1]")
     if eps == 0:
         return frozenset()
     if eps == 1:
         return frozenset(range(g.m))
-    d = eulerian_orientation(g)
-    # nodes: v_in = v, v_out = n + v, then super source/sink
-    s = 2 * g.n
-    t = 2 * g.n + 1
-    net = FlowNetwork(2 * g.n + 2)
-    arc_of = {}
-    for eid in range(g.m):
-        u = d.tails[eid]
-        w = d.head(eid)
-        arc_of[eid] = net.add_edge(g.n + u, w, 1)
-    excess = [0] * g.n  # from throughput lower bounds on v_in -> v_out
-    for v in range(g.n):
-        half = g.degree(v) // 2
-        lo = math.floor(eps * half)
-        hi = math.ceil(eps * half)
-        net.add_edge(v, g.n + v, hi - lo)
-        excess[v] = lo
-    total = 0
-    for v in range(g.n):
-        if excess[v] > 0:
-            # lower bound l on v_in -> v_out: supply l at v_out, demand l at v_in
-            net.add_edge(s, g.n + v, excess[v])
-            net.add_edge(v, t, excess[v])
-            total += excess[v]
-    pushed = net.max_flow(s, t)
-    if pushed < total:
-        raise Infeasible("circulation infeasible; even-degree precondition violated?")
-    return frozenset(eid for eid, arc in arc_of.items() if net.flow_on(arc) == 1)
+    taken = _even_circulation(g.n, _eulerian_arcs(g), eps)
+    return frozenset(eid for eid, take in enumerate(taken) if take)
 
 
 def hilton_even_factorization(g: Multigraph, k: int) -> Factorization:
     """Split an even-degree graph into k even factors, peeling an eps = 1/k
-    factor and recursing; every factor deviates from d(v)/k by less than 2."""
+    factor and recursing; every factor deviates from d(v)/k by less than 2.
+
+    The graph is oriented once: each peeled factor is a sub-circulation of
+    the arcs left (``_even_circulation``), so what remains is Eulerian again
+    and the next step works on the same arcs, with no new graph or
+    orientation.
+    """
     if k < 1:
         raise InvalidInput("k must be >= 1")
-    for v in range(g.n):
-        if g.degree(v) % 2 == 1:
-            raise InvalidInput(f"vertex {v} has odd degree {g.degree(v)}")
-    assignment = [0] * g.m
-    remaining = list(range(g.m))
-    sub = g
-    sub_ids = remaining
+    _check_even_degrees(g)
+    arcs = _eulerian_arcs(g)
+    assignment = [1] * g.m
+    ids = list(range(g.m))
     for step in range(k, 1, -1):
-        taken = even_factor_eps(sub, 1.0 / step)
-        for pos in taken:
-            assignment[sub_ids[pos]] = step
-        keep = [i for i in range(sub.m) if i not in taken]
-        sub_ids = [sub_ids[i] for i in keep]
-        sub = Multigraph(g.n, [sub.edges[i] for i in keep])
-    for eid in sub_ids:
-        assignment[eid] = 1
+        taken = _even_circulation(g.n, [arcs[eid] for eid in ids], 1.0 / step)
+        rest = []
+        for eid, take in zip(ids, taken):
+            if take:
+                assignment[eid] = step
+            else:
+                rest.append(eid)
+        ids = rest
     return Factorization(g, k, assignment)
 
 
 def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
     """Split an even-degree graph into even factors with
     |d_{G_i}(v) - eps_i * d(v)| < 6, by recursive balanced bipartition of the
-    weights with an even-factor extraction at each split."""
+    weights with an even-factor extraction at each split.
+
+    As in ``hilton_even_factorization``, one Eulerian orientation serves every
+    split: both sides of a sub-circulation are Eulerian again.
+    """
     eps_list = [float(x) for x in eps_list]
     if not eps_list or any(x <= 0 for x in eps_list):
         raise InvalidInput("weights must be positive")
     if abs(sum(eps_list) - 1.0) > 1e-9:
         raise InvalidInput("weights must sum to 1")
-    for v in range(g.n):
-        if g.degree(v) % 2 == 1:
-            raise InvalidInput(f"vertex {v} has odd degree {g.degree(v)}")
+    _check_even_degrees(g)
+    arcs = _eulerian_arcs(g)
     assignment = [0] * g.m
-
-    def split(edge_ids, indices):
+    pending = [(list(range(g.m)), list(range(len(eps_list))))]
+    while pending:
+        edge_ids, indices = pending.pop()
         if len(indices) == 1:
             for eid in edge_ids:
                 assignment[eid] = indices[0] + 1
-            return
+            continue
         order = sorted(indices, key=lambda i: (-eps_list[i], i))
         left, right = [], []
         sl = sr = 0.0
@@ -362,12 +407,7 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
             else:
                 right.append(i)
                 sr += eps_list[i]
-        sub = Multigraph(g.n, [g.edges[eid] for eid in edge_ids])
-        taken = even_factor_eps(sub, sl / (sl + sr))
-        left_ids = [edge_ids[i] for i in range(len(edge_ids)) if i in taken]
-        right_ids = [edge_ids[i] for i in range(len(edge_ids)) if i not in taken]
-        split(left_ids, left)
-        split(right_ids, right)
-
-    split(list(range(g.m)), list(range(len(eps_list))))
+        taken = _even_circulation(g.n, [arcs[eid] for eid in edge_ids], sl / (sl + sr))
+        pending.append(([eid for eid, take in zip(edge_ids, taken) if take], left))
+        pending.append(([eid for eid, take in zip(edge_ids, taken) if not take], right))
     return Factorization(g, len(eps_list), assignment)

@@ -45,6 +45,23 @@ def eulerian_union(rng, n, cycles):
     return Multigraph(n, edges)
 
 
+def random_even_multigraph(rng, n, max_degree, max_m):
+    """Union of random closed walks (loops and parallel edges allowed), kept
+    to degrees <= max_degree and at most max_m edges."""
+    edges, deg = [], [0] * n
+    for _ in range(rng.randint(1, 12)):
+        walk = [rng.randrange(n) for _ in range(rng.randint(1, n))]
+        if len(edges) + len(walk) > max_m:
+            continue
+        new = list(deg)
+        for v in walk:
+            new[v] += 2
+        if max(new) <= max_degree:
+            edges += list(zip(walk, walk[1:] + walk[:1]))
+            deg = new
+    return Multigraph(n, edges)
+
+
 def proper_coloring(b, coloring):
     seen = [set() for _ in range(b.n)]
     for eid, (u, w) in enumerate(b.edges):

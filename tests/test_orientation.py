@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from conftest import random_multigraph, random_orientation
+from conftest import random_even_multigraph, random_multigraph, random_orientation
 from cut_oracles import hakimi_violation, internal_edges
+from eqfactor import orientation
 from eqfactor.errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
 from eqfactor.lab import oracle_orientation
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
@@ -123,21 +124,33 @@ def test_realize_agrees_with_hakimi_subset_oracle():
     assert (True, True) in shapes
 
 
-def random_even_multigraph(rng, n, max_degree, max_m):
-    """Union of random closed walks (loops and parallel edges allowed), kept
-    to degrees <= max_degree and at most max_m edges."""
-    edges, deg = [], [0] * n
-    for _ in range(rng.randint(1, 12)):
-        walk = [rng.randrange(n) for _ in range(rng.randint(1, n))]
-        if len(edges) + len(walk) > max_m:
-            continue
-        new = list(deg)
-        for v in walk:
-            new[v] += 2
-        if max(new) <= max_degree:
-            edges += list(zip(walk, walk[1:] + walk[:1]))
-            deg = new
-    return Multigraph(n, edges)
+def test_realize_from_any_start_orientation():
+    """The realization is exact from whatever orientation it starts: the
+    verdict matches Hakimi's condition and certificates violate it."""
+    rng = random.Random(43)
+    outcomes = set()
+    for _ in range(200):
+        g = random_multigraph(rng, max_n=7, max_m=12)
+        o = list(random_orientation(rng, g).out_degrees)
+        u, v = rng.randrange(g.n), rng.randrange(g.n)
+        if o[u] > 0 and o[v] < g.degree(v):
+            o[u] -= 1
+            o[v] += 1
+        violation = hakimi_violation(g, o)
+        try:
+            d = realize_out_degrees(g, OutDegreePlan(tuple(o)), start=random_orientation(rng, g))
+        except Infeasible as exc:
+            assert violation is not None
+            assert sum(o[v] for v in exc.certificate) < internal_edges(g, exc.certificate)
+            outcomes.add(False)
+        else:
+            assert violation is None
+            assert d.out_degrees == tuple(o)
+            outcomes.add(True)
+    assert outcomes == {True, False}
+    g = cycle_graph(3)
+    with pytest.raises(InvalidInput):
+        realize_out_degrees(g, OutDegreePlan((1, 1, 1)), start=eulerian_orientation(cycle_graph(4)))
 
 
 def test_balanced_even_k_agrees_with_orientation_oracle():
@@ -235,6 +248,25 @@ def test_plan_search_backtracks_deep_at_default_recursion_limit():
 def test_mod_k_with_k_1_keeps_the_stored_tails():
     g = Multigraph(3, [(0, 1), (2, 1), (1, 1)])
     assert mod_k_orientation(g, ResidueMap(1, (0, 0, 0))).tails == (0, 2, 1)
+
+
+def test_start_orientation_is_computed_once_per_call(monkeypatch):
+    """The plan search and the even-k sign search compute the near-balanced
+    start once and hand it to every leaf they realize."""
+    starts, leaves = [], []
+    near_balanced, realize = orientation.near_balanced_orientation, orientation.realize_out_degrees
+    monkeypatch.setattr(orientation, "near_balanced_orientation", lambda g: starts.append(g) or near_balanced(g))
+    monkeypatch.setattr(orientation, "realize_out_degrees",
+                        lambda g, plan, **kw: leaves.append(plan) or realize(g, plan, **kw))
+    g, rm, budget = SEARCH_ORDER_CASES[1]
+    mod_k_orientation(g, rm, budget=budget)
+    assert len(starts) == 1 and len(leaves) >= 2
+    starts.clear()
+    leaves.clear()
+    g = Multigraph(5, [(0, 2), (2, 4), (4, 0), (0, 2), (2, 4), (4, 3), (3, 1), (1, 0), (4, 2), (2, 1),
+                       (1, 4), (3, 3)])
+    balanced_mod_k_orientation(g, 4, [0, 1, 2, 4])
+    assert len(starts) == 1 and len(leaves) >= 2
 
 
 def test_mod_k_agrees_with_enumeration():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from conftest import eulerian_union, random_multigraph, random_two_edge_connected
+from conftest import eulerian_union, random_even_multigraph, random_multigraph, random_two_edge_connected
+from eqfactor import maxflow
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
-from eqfactor.lab import generate, measure, oracle_parity_gf
+from eqfactor.lab import generate, measure, oracle_parity_gf, verify
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph, subgraph
 from eqfactor.parity import (
     ConditionCertificate,
@@ -202,3 +203,62 @@ def test_weighted_bound_and_validation():
             assert abs(degs[v] - eps[i] * g.degree(v)) < 6
     with pytest.raises(InvalidInput):
         weighted_even_factorization(g, (0.5, 0.4))
+
+
+@pytest.fixture
+def network_builds(monkeypatch):
+    """A one-item list counting the FlowNetwork objects built while it is active."""
+    count = [0]
+
+    class Counted(maxflow.FlowNetwork):
+        def __init__(self, n):
+            count[0] += 1
+            super().__init__(n)
+
+    monkeypatch.setattr(maxflow, "FlowNetwork", Counted)
+    return count
+
+
+WEIGHTS = ((0.5, 0.5), (0.7, 0.3), (0.5, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1))
+
+
+def audit_factorizations(g, k, weights):
+    """Hilton's k even factors and the weighted split of g, each audited on its window."""
+    assert verify(g, hilton_even_factorization(g, k), ["even", "deviation<2"]).ok
+    claim = "deviation<6:" + ";".join(map(repr, weights))
+    assert verify(g, weighted_even_factorization(g, weights), ["even", claim]).ok
+
+
+def test_even_factors_audited_on_small_multigraphs(network_builds):
+    """Both ways of finding the sub-circulation run: the greedy pass alone
+    when it meets every lower bound, and the network for the shortfall when
+    it does not; every result passes its audit."""
+    rng = random.Random(67)
+    calls_by_builds = [0, 0]  # even_factor_eps calls that built no network, one
+    shapes = set()
+    for _ in range(300):
+        g = random_even_multigraph(rng, rng.randint(1, 8), 12, 24)
+        shapes.add((g.has_loops(), len(set(g.edges)) < g.m))
+        eps = rng.choice((0.25, 1 / 3, 0.5, 0.7))
+        before = network_builds[0]
+        factor = even_factor_eps(g, eps)
+        calls_by_builds[network_builds[0] - before] += 1
+        assert measure(g, [subgraph(g, factor).degrees], ["even", f"eps-window:{eps!r}"]).ok
+        audit_factorizations(g, rng.randint(1, 4), rng.choice(WEIGHTS))
+    assert min(calls_by_builds) >= 30, calls_by_builds
+    assert (True, True) in shapes
+
+
+def test_scale_even_factors_shuffled_edges_10k(network_builds):
+    """Three Hamiltonian cycles on 10^4 vertices with the edges in random
+    order: the greedy pass falls short, and the network built for the
+    shortfall completes every factor."""
+    rng = random.Random(73)
+    edges = list(eulerian_union(rng, 10_000, 3).edges)
+    rng.shuffle(edges)
+    g = Multigraph(10_000, edges)
+    for eps in (0.5, 1 / 3):
+        factor = even_factor_eps(g, eps)
+        assert measure(g, [subgraph(g, factor).degrees], ["even", f"eps-window:{eps!r}"]).ok
+    assert network_builds[0] == 2
+    audit_factorizations(g, 3, (0.5, 0.25, 0.25))
