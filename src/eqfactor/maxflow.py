@@ -29,14 +29,6 @@ class FlowNetwork:
     def max_flow(self, s: int, t: int) -> int:
         """Dinic: BFS levels, then blocking flows found by an iterative DFS.
 
-        Each phase's BFS stops as soon as it labels t, at level L(t); the
-        other nodes it labelled at L(t) are unlabelled again, so at level
-        L(t) - 1 the DFS follows only arcs into t and never enters the part
-        of the network that lies at or beyond t's level (standard Dinic
-        pruning: every shortest augmenting path ends there). The flow value
-        and the residual graph that ``residual_reachable`` reads afterwards
-        are those of a maximum flow as before.
-
         The DFS keeps its path on an explicit stack, so the depth of the
         level graph is not limited by the interpreter's recursion limit.
         Arcs come in pairs (idx, idx ^ 1), so the tail of arc idx is
@@ -45,8 +37,17 @@ class FlowNetwork:
         graph, to, cap = self.graph, self.to, self.cap
         total = 0
         while True:
-            level = self._levels(s, t)
-            if level is None:
+            level = [-1] * self.n
+            level[s] = 0
+            queue = deque([s])
+            while queue:
+                x = queue.popleft()
+                for idx in graph[x]:
+                    y = to[idx]
+                    if cap[idx] > 0 and level[y] < 0:
+                        level[y] = level[x] + 1
+                        queue.append(y)
+            if level[t] < 0:
                 return total
             it = [0] * self.n
             path = []  # arc indices from s to x
@@ -85,31 +86,6 @@ class FlowNetwork:
                     it[x] += 1
                 else:
                     break
-
-    def _levels(self, s: int, t: int):
-        """Residual BFS levels from s, level by level, stopped when t is
-        labelled; the other nodes labelled at t's level are reset to -1.
-        None when t is unreachable."""
-        graph, to, cap = self.graph, self.to, self.cap
-        level = [-1] * self.n
-        level[s] = 0
-        frontier = [s]
-        while frontier:
-            labelled = []
-            for x in frontier:
-                nxt = level[x] + 1
-                for idx in graph[x]:
-                    y = to[idx]
-                    if cap[idx] > 0 and level[y] < 0:
-                        if y == t:
-                            for z in labelled:
-                                level[z] = -1
-                            level[t] = nxt
-                            return level
-                        level[y] = nxt
-                        labelled.append(y)
-            frontier = labelled
-        return None
 
     def residual_reachable(self, s: int) -> set:
         seen = {s}

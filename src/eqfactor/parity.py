@@ -331,8 +331,8 @@ def even_factor_eps(g: Multigraph, eps: float):
 
     A sub-circulation of one Eulerian orientation with per-vertex throughput
     in [floor(eps*d/2), ceil(eps*d/2)]: greedily taken arcs first, and a unit
-    flow network, solved by the pruned Dinic of ``maxflow``, only for the
-    lower bounds the greedy pass leaves unmet (see ``_even_circulation``).
+    flow network, solved by the Dinic of ``maxflow``, only for the lower
+    bounds the greedy pass leaves unmet (see ``_even_circulation``).
     The all-arcs-at-eps fractional circulation witnesses feasibility, so an
     integral one always exists.
     """

@@ -73,9 +73,9 @@ def layered_network(rng):
 
 
 def test_max_flow_on_layered_networks_past_the_sink_level():
-    """Pruning the level graph at t's level keeps the flow maximum: the value
-    matches networkx, flow is conserved, and the residual reach of s is a cut
-    of that value."""
+    """Deep sinks with many nodes at or beyond their level: the value matches
+    networkx, flow is conserved, and the residual reach of s is a cut of that
+    value."""
     rng = random.Random(71)
     beyond = positive_flows = 0
     for _ in range(60):
