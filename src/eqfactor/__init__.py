@@ -35,7 +35,6 @@ from .orientation import (
 )
 from .parity import (
     ParitySpec,
-    check_lovasz,
     epsilon_parity_factor,
     even_factor_eps,
     find_parity_factor,
@@ -70,7 +69,6 @@ __all__ = [
     "analyze",
     "anstee_decomposition",
     "balanced_mod_k_orientation",
-    "check_lovasz",
     "complete_graph",
     "cut_size",
     "cycle_graph",

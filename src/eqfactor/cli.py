@@ -15,7 +15,7 @@ import traceback
 from . import connectivity, lab, parity, pipelines
 from .coloring import anstee_decomposition
 from .errors import Infeasible, InvalidInput, Undecided
-from .graphio import dump_report, factorization_report, parse_graph, serialize_graph
+from .graphio import check_report, dump_report, factorization_report, parse_graph, serialize_graph
 from .multigraph import Factorization, Multigraph
 from .orientation import DEFAULT_BUDGET, eulerian_orientation, mod_k_orientation, residue_map
 
@@ -57,13 +57,17 @@ def _residue_map(g: Multigraph, args):
 
 
 def _emit(args, fz: Factorization, audit, text_lines):
-    """Print the report of fz and its audit entries: JSON, or text_lines
-    followed by one line per audit entry."""
+    """Print the report of fz and its audit entries: JSON, or the lines that
+    text_lines() returns followed by one line per audit entry."""
     if args.format == "json":
         sys.stdout.write(dump_report(factorization_report(fz, audit)))
     else:
-        lines = text_lines + [f"audit {c}: bound {b}, measured {m}, pass {p}" for c, b, m, p in audit]
+        lines = text_lines() + [f"audit {c}: bound {b}, measured {m}, pass {p}" for c, b, m, p in audit]
         sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _factor_lines(fz: Factorization) -> list:
+    return [f"factor {i}: edges {fz.factor_edges(i)}" for i in range(1, fz.k + 1)]
 
 
 def _one_factor(g: Multigraph, edge_ids, claims) -> tuple:
@@ -137,10 +141,7 @@ def cmd_factor(args):
         fz, warnings, audit = rep.factorization, rep.warnings, rep.audit.entries
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    lines = [f"k = {fz.k}"]
-    for i in range(1, fz.k + 1):
-        lines.append(f"factor {i}: edges {fz.factor_edges(i)}")
-    _emit(args, fz, audit, lines)
+    _emit(args, fz, audit, lambda: [f"k = {fz.k}", *_factor_lines(fz)])
     return 0
 
 
@@ -154,7 +155,7 @@ def cmd_parity_factor(args):
         side = (args.z, "at_least" if args.side == "at-least" else "at_most")
     edge_ids = parity.epsilon_parity_factor(g, f, args.epsilon, z=side)
     fz, audit = _one_factor(g, edge_ids, [lab.parity_claim(f), f"eps-window:{args.epsilon!r}"])
-    _emit(args, fz, audit, [f"factor edges: {sorted(edge_ids)}"])
+    _emit(args, fz, audit, lambda: [f"factor edges: {sorted(edge_ids)}"])
     return 0
 
 
@@ -166,7 +167,7 @@ def cmd_even_factor(args):
     if args.epsilon is not None:
         edge_ids = parity.even_factor_eps(g, args.epsilon)
         fz, audit = _one_factor(g, edge_ids, ["even", f"eps-window:{args.epsilon!r}"])
-        _emit(args, fz, audit, [f"factor edges: {sorted(edge_ids)}"])
+        _emit(args, fz, audit, lambda: [f"factor edges: {sorted(edge_ids)}"])
         return 0
     if args.k is not None:
         fz = parity.hilton_even_factorization(g, args.k)
@@ -176,7 +177,7 @@ def cmd_even_factor(args):
         fz = parity.weighted_even_factorization(g, eps_list)
         claims = ["even", "deviation<6:" + ";".join(repr(e) for e in eps_list)]
     audit = lab.verify(g, fz, claims).entries
-    _emit(args, fz, audit, [f"factor {i}: edges {fz.factor_edges(i)}" for i in range(1, fz.k + 1)])
+    _emit(args, fz, audit, lambda: _factor_lines(fz))
     return 0
 
 
@@ -187,23 +188,20 @@ def cmd_verify(args):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInput(f"cannot read report {args.report}: {exc}") from None
-    try:
-        k = data["k"]
-        factors = data["factors"]
-        if type(k) is not int or len(factors) != k:
-            raise InvalidInput(f"report has {len(factors)} factors but k = {k!r}")
-        assignment = [0] * g.m
-        for i, fac in enumerate(factors, start=1):
-            for eid in fac["edges"]:
-                # bool is an int subclass, and a negative id would index
-                # from the end of the edge list
-                if type(eid) is not int or not 0 <= eid < g.m:
-                    raise InvalidInput(f"edge id {eid!r} is not an integer in 0..{g.m - 1}")
-                if assignment[eid] != 0:
-                    raise InvalidInput(f"edge {eid} appears in two factors")
-                assignment[eid] = i
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InvalidInput(f"malformed report: {exc}") from None
+    check_report(data)
+    k, factors = data["k"], data["factors"]
+    if len(factors) != k:
+        raise InvalidInput(f"report has {len(factors)} factors but k = {k!r}")
+    assignment = [0] * g.m
+    for i, fac in enumerate(factors, start=1):
+        for eid in fac["edges"]:
+            # bool is an int subclass, and a negative id would index
+            # from the end of the edge list
+            if type(eid) is not int or not 0 <= eid < g.m:
+                raise InvalidInput(f"edge id {eid!r} is not an integer in 0..{g.m - 1}")
+            if assignment[eid] != 0:
+                raise InvalidInput(f"edge {eid} appears in two factors")
+            assignment[eid] = i
     if any(a == 0 for a in assignment):
         raise InvalidInput("factors do not cover every edge")
     fz = Factorization(g, k, assignment)

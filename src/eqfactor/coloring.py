@@ -19,17 +19,27 @@ from .orientation import near_balanced_orientation
 class BipartiteSplit:
     """Bipartite chunk graph of an orientation.
 
-    chunk_of[b_vertex] = (original vertex, side, chunk index) with side in
-    {"out", "in"}; origin_edge[b_edge] = original edge id, or None for an
-    artificial parity-padding edge.
+    Chunks are numbered vertex by vertex: the out-chunks of v from
+    out_first[v], then its in-chunks from in_first[v]. Edge i of b is edge i
+    of the orientation for i < m, so origin_edge[i] = i there; the artificial
+    parity-padding edges follow, with origin_edge None.
     """
 
     b: Multigraph
-    chunk_of: tuple
+    out_first: list
+    in_first: list
     origin_edge: tuple
 
-    def real_edges(self):
-        return [i for i, o in enumerate(self.origin_edge) if o is not None]
+    @property
+    def chunk_of(self) -> list:
+        """chunk_of[b_vertex] = (original vertex, side, chunk index), side in {"out", "in"}."""
+        ends = self.out_first[1:] + [self.b.n]  # v's in-chunks end where v + 1's begin
+        return [
+            (v, side, c - first)
+            for v, (o, i, end) in enumerate(zip(self.out_first, self.in_first, ends))
+            for side, first, stop in (("out", o, i), ("in", i, end))
+            for c in range(first, stop)
+        ]
 
 
 @dataclass
@@ -43,177 +53,179 @@ class EdgeColoring:
 def split_to_bipartite(d: Orientation, k: int, parity_mode: bool = False) -> BipartiteSplit:
     """Split each vertex side into chunks of degree k (plus one deficient chunk).
 
-    Edges fill chunks contiguously in edge-id order. In parity mode, for each
+    Chunks are numbered vertex by vertex, out-chunks before in-chunks, so the
+    chunks of one side of v are consecutive from a per-vertex offset. Edges
+    fill chunks contiguously in edge-id order. In parity mode, for each
     vertex u with d+(u) = d-(u) != 0 (mod k), the two deficient chunks are
     padded to degree k with artificial parallel edges between them.
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")
     g = d.base
-    chunk_id = {}
-    chunk_of = []
+    outd, ind = d.out_degrees, d.in_degrees
+    out_first = [0] * g.n
+    in_first = [0] * g.n
+    chunks = 0
     for v in range(g.n):
-        for side, deg in (("out", d.out_degree(v)), ("in", d.in_degree(v))):
-            for idx in range(-(-deg // k)):
-                chunk_id[(v, side, idx)] = len(chunk_of)
-                chunk_of.append((v, side, idx))
-    out_cnt = [0] * g.n
-    in_cnt = [0] * g.n
+        out_first[v] = chunks
+        chunks += -(-outd[v] // k)
+        in_first[v] = chunks
+        chunks += -(-ind[v] // k)
+    # slot counters: the next edge at v's out side goes to chunk out_slot[v] // k
+    out_slot = [c * k for c in out_first]
+    in_slot = [c * k for c in in_first]
     b_edges = []
-    origin = []
-    for eid in range(g.m):
-        u = d.tails[eid]
-        w = d.head(eid)
-        b_edges.append((chunk_id[(u, "out", out_cnt[u] // k)], chunk_id[(w, "in", in_cnt[w] // k)]))
-        origin.append(eid)
-        out_cnt[u] += 1
-        in_cnt[w] += 1
+    for (u, v), t in zip(g.edges, d.tails):
+        h = u + v - t
+        b_edges.append((out_slot[t] // k, in_slot[h] // k))
+        out_slot[t] += 1
+        in_slot[h] += 1
+    origin = list(range(g.m))
     if parity_mode:
         for u in range(g.n):
-            dp, dm = d.out_degree(u), d.in_degree(u)
-            if dp % k == dm % k and dp % k != 0:
-                top = chunk_id[(u, "out", dp // k)]
-                bot = chunk_id[(u, "in", dm // k)]
-                for _ in range(k - dp % k):
-                    b_edges.append((top, bot))
-                    origin.append(None)
-    return BipartiteSplit(b=Multigraph(len(chunk_of), b_edges), chunk_of=tuple(chunk_of), origin_edge=tuple(origin))
+            r = outd[u] % k
+            if r and r == ind[u] % k:
+                pad = k - r
+                b_edges += [(out_first[u] + outd[u] // k, in_first[u] + ind[u] // k)] * pad
+                origin += [None] * pad
+    return BipartiteSplit(Multigraph(chunks, b_edges), out_first, in_first, tuple(origin))
 
 
-def _bipartition(b: Multigraph):
-    """Two-color the graph; raises on odd cycles."""
-    side = [None] * b.n
-    for start in range(b.n):
-        if side[start] is not None:
+def _check_bipartite(b: Multigraph) -> None:
+    """Raise on an odd cycle: a union-find over the edge list that keeps each
+    vertex's side relative to its parent, so no incidence lists are needed."""
+    parent = list(range(b.n))
+    flip = [0] * b.n  # side of x relative to parent[x]
+    size = [1] * b.n
+    for u, w in b.edges:
+        su = sw = 0  # sides of u and w relative to their roots
+        while parent[u] != u:
+            su ^= flip[u]
+            u = parent[u]
+        while parent[w] != w:
+            sw ^= flip[w]
+            w = parent[w]
+        if u == w:
+            if su == sw:
+                raise InvalidInput("graph is not bipartite (odd cycle detected)")
             continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for eid in b.incident(x):
-                y = b.other_end(eid, x)
-                if side[y] is None:
-                    side[y] = 1 - side[x]
-                    stack.append(y)
-                elif side[y] == side[x]:
-                    raise InvalidInput("graph is not bipartite (odd cycle detected)")
-    return side
+        if size[u] > size[w]:
+            u, w = w, u
+        # union by size keeps every root path O(log n) long
+        parent[u] = w
+        flip[u] = su ^ sw ^ 1
+        size[w] += size[u]
 
 
 def konig_edge_coloring(b: Multigraph, k: int) -> EdgeColoring:
     """Proper <=k-edge-coloring of a bipartite multigraph with max degree <= k.
 
     Each edge takes a color missing at both ends, or a two-color alternating
-    path is swapped to free one (always possible in bipartite graphs).
+    path is swapped to free one (always possible in bipartite graphs). The
+    color slots of all vertices live in one flat list: at[v * (k + 1) + c] is
+    the edge of color c at v, or -1.
     """
     if b.has_loops():
         raise InvalidInput("edge coloring requires a loopless graph")
-    _bipartition(b)
+    _check_bipartite(b)
     if any(d > k for d in b.degrees):
         raise InvalidInput(f"maximum degree {max(b.degrees)} exceeds k = {k}")
+    edges = b.edges
+    stride = k + 1
+    at = [-1] * (b.n * stride)
     color = [0] * b.m
-    at = [dict() for _ in range(b.n)]  # vertex -> {color: edge id}
-
-    def free_color(v):
-        for c in range(1, k + 1):
-            if c not in at[v]:
-                return c
-        return None
-
-    for eid, (u, w) in enumerate(b.edges):
-        a = free_color(u)
-        c = free_color(w)
-        if a is None or c is None:
-            raise InvalidInput("degree bound violated during coloring")
-        if a not in at[w]:
+    for eid, (u, w) in enumerate(edges):
+        bu, bw = u * stride, w * stride
+        # a free color exists at both ends: fewer than d <= k of their edges
+        # are colored so far
+        a = at.index(-1, bu + 1, bu + stride) - bu
+        c = at.index(-1, bw + 1, bw + stride) - bw
+        if at[bw + a] < 0:
             chosen = a
-        elif c not in at[u]:
+        elif at[bu + c] < 0:
             chosen = c
         else:
             # swap the (a, c) alternating path starting at w along color a;
             # bipartiteness keeps it away from u
             path = []
             x, cur = w, a
-            while cur in at[x]:
-                pe = at[x][cur]
+            while at[x * stride + cur] >= 0:
+                pe = at[x * stride + cur]
                 path.append(pe)
-                x = b.other_end(pe, x)
+                pu, pw = edges[pe]
+                x = pw if pu == x else pu
                 cur = c if cur == a else a
-            # two phases: consecutive path edges share vertices, so deleting
-            # and reinserting per edge would clobber neighbors' entries
+            # two phases: consecutive path edges share vertices, so clearing
+            # and refilling per edge would clobber neighbors' slots
             for pe in path:
                 old = color[pe]
-                for y in b.edges[pe]:
-                    if at[y].get(old) == pe:
-                        del at[y][old]
+                for y in edges[pe]:
+                    if at[y * stride + old] == pe:
+                        at[y * stride + old] = -1
             for pe in path:
                 new = c if color[pe] == a else a
                 color[pe] = new
-                pu, pw = b.edges[pe]
-                at[pu][new] = pe
-                at[pw][new] = pe
+                pu, pw = edges[pe]
+                at[pu * stride + new] = pe
+                at[pw * stride + new] = pe
             chosen = a
         color[eid] = chosen
-        at[u][chosen] = eid
-        at[w][chosen] = eid
+        at[bu + chosen] = eid
+        at[bw + chosen] = eid
     return EdgeColoring(k=k, color=tuple(color))
 
 
-def balance_color_sizes(split: BipartiteSplit, coloring: EdgeColoring, artificial_aware: bool = False) -> EdgeColoring:
-    """Swap alternating paths until real color-class sizes differ by at most 1.
+def balance_color_sizes(split: BipartiteSplit, coloring: EdgeColoring) -> EdgeColoring:
+    """Swap alternating paths until color-class sizes differ by at most 1.
 
-    Each swap moves one edge from the largest class to the smallest, strictly
-    decreasing the imbalance potential, so at most m swaps occur.
+    Each round takes the largest class hi and the smallest lo, builds their
+    subgraph once (paths and even cycles, as the coloring is proper), and
+    swaps every path with one more hi than lo edge until the pair is within
+    one. Each swap moves one edge from a class to one at least two smaller,
+    so the sum of squared sizes drops and the rounds end.
     """
     b = split.b
     k = coloring.k
-    real = set(split.real_edges()) if artificial_aware else set(range(b.m))
-    if not artificial_aware and any(o is None for o in split.origin_edge):
-        raise InvalidInput("balancing with artificial edges requires artificial_aware")
+    if any(o is None for o in split.origin_edge):
+        raise InvalidInput("size balancing needs a split without parity padding edges")
+    edges = b.edges
     color = list(coloring.color)
-    for _ in range(b.m + k + 1):
-        sizes = [0] * (k + 1)
-        for eid in real:
-            sizes[color[eid]] += 1
+    sizes = [0] * (k + 1)
+    for c in color:
+        sizes[c] += 1
+    while True:
         hi = max(range(1, k + 1), key=lambda c: (sizes[c], -c))
         lo = min(range(1, k + 1), key=lambda c: (sizes[c], c))
         if sizes[hi] - sizes[lo] <= 1:
             return EdgeColoring(k=k, color=tuple(color))
-        # components of the (hi, lo) subgraph are paths and even cycles;
-        # some path carries one more hi than lo and has hi-colored ends
         sub_adj = [[] for _ in range(b.n)]
-        for eid in range(b.m):
-            if color[eid] in (hi, lo):
-                u, w = b.edges[eid]
+        for eid, c in enumerate(color):
+            if c == hi or c == lo:
+                u, w = edges[eid]
                 sub_adj[u].append(eid)
                 sub_adj[w].append(eid)
-        swapped = False
         seen_edge = [False] * b.m
         for start in range(b.n):
-            if len(sub_adj[start]) != 1:
-                continue
-            eid0 = sub_adj[start][0]
-            if seen_edge[eid0]:
+            if len(sub_adj[start]) != 1 or seen_edge[sub_adj[start][0]]:
                 continue
             path = []
-            x, eid = start, eid0
-            while True:
+            x, eid = start, sub_adj[start][0]
+            while eid is not None:
                 seen_edge[eid] = True
                 path.append(eid)
-                x = b.other_end(eid, x)
-                nxt = [e for e in sub_adj[x] if not seen_edge[e]]
-                if not nxt:
-                    break
-                eid = nxt[0]
-            gain = sum(1 if color[e] == hi else -1 for e in path if e in real)
+                u, w = edges[eid]
+                x = w if u == x else u
+                eid = next((e for e in sub_adj[x] if not seen_edge[e]), None)
+            gain = sum(1 if color[e] == hi else -1 for e in path)
             if gain >= 1:
                 for e in path:
                     color[e] = lo if color[e] == hi else hi
-                swapped = True
-                break
-        if not swapped:
+                sizes[hi] -= gain
+                sizes[lo] += gain
+                if sizes[hi] - sizes[lo] <= 1:
+                    break
+        else:
             raise AssertionError("no rebalancing path found; coloring not proper?")
-    raise AssertionError("rebalancing failed to terminate")
 
 
 def decompose_directed(d: Orientation, k: int, mode: str = "size") -> Factorization:
@@ -234,11 +246,8 @@ def decompose_directed(d: Orientation, k: int, mode: str = "size") -> Factorizat
     coloring = konig_edge_coloring(split.b, k)
     if mode == "size":
         coloring = balance_color_sizes(split, coloring)
-    assignment = [0] * g.m
-    for beid, orig in enumerate(split.origin_edge):
-        if orig is not None:
-            assignment[orig] = coloring.color[beid]
-    return Factorization(g, k, assignment)
+    # chunk-graph edge i is edge i of g for i < m; padding edges come after
+    return Factorization(g, k, coloring.color[: g.m])
 
 
 def anstee_decomposition(g: Multigraph, k: int) -> Factorization:

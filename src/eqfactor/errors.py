@@ -13,7 +13,7 @@ class Infeasible(Exception):
     """The requested object provably does not exist.
 
     ``certificate`` optionally carries a witness (e.g. a Hakimi-violating
-    vertex set, or a Lovasz condition certificate).
+    vertex set).
     """
 
     def __init__(self, message, certificate=None):

@@ -56,12 +56,22 @@ def parse_graph(text: str) -> Multigraph:
     """Parse the text format; errors carry 1-based line numbers."""
     n = None
     edges = []
+    add_edge = edges.append
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        # the common line first: a well-formed edge after the vertex count
+        if len(parts) == 3 and parts[0] == "e" and n is not None:
+            try:
+                u = int(parts[1])
+                v = int(parts[2])
+            except ValueError:
+                raise InvalidInput(f"line {lineno}: edge endpoints are not integers") from None
+            if u < 0 or v < 0 or u >= n or v >= n:
+                raise InvalidInput(f"line {lineno}: endpoint outside [0, {n})")
+            add_edge((u, v))
+        elif not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "n":
+        elif parts[0] == "n":
             if n is not None:
                 raise InvalidInput(f"line {lineno}: duplicate vertex count")
             if len(parts) != 2:
@@ -75,15 +85,7 @@ def parse_graph(text: str) -> Multigraph:
         elif parts[0] == "e":
             if n is None:
                 raise InvalidInput(f"line {lineno}: edge before vertex count")
-            if len(parts) != 3:
-                raise InvalidInput(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise InvalidInput(f"line {lineno}: edge endpoints are not integers") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidInput(f"line {lineno}: endpoint outside [0, {n})")
-            edges.append((u, v))
+            raise InvalidInput(f"line {lineno}: expected 'e <u> <v>'")
         else:
             raise InvalidInput(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:
@@ -109,5 +111,68 @@ def factorization_report(fz: Factorization, audit=None) -> dict:
     }
 
 
+def check_report(data) -> None:
+    """Raise InvalidInput unless data has REPORT_SCHEMA's shape: the keys k,
+    factors and audit and no others, with k an integer >= 1, every factor
+    exactly {"edges": [...]}, and every audit entry exactly {bound, measured,
+    pass} holding two numbers and a boolean. The audit alone may be missing,
+    as ``verify`` measures every claim again. Edge ids are checked against
+    the graph by the caller."""
+
+    def fail(what):
+        raise InvalidInput(f"malformed report: {what}")
+
+    if type(data) is not dict:
+        fail("not a JSON object")
+    if not {"k", "factors"} <= set(data) <= {"k", "factors", "audit"}:
+        fail(f"keys {sorted(data)}, expected ['audit', 'factors', 'k']")
+    if type(data["k"]) is not int or data["k"] < 1:
+        fail(f"k = {data['k']!r} is not an integer >= 1")
+    if type(data["factors"]) is not list:
+        fail("factors is not a list")
+    for i, fac in enumerate(data["factors"], start=1):
+        if type(fac) is not dict or set(fac) != {"edges"} or type(fac["edges"]) is not list:
+            fail(f"factor {i} is not {{\"edges\": [...]}}")
+    audit = data.get("audit", {})
+    if type(audit) is not dict:
+        fail("audit is not an object")
+    for claim, entry in audit.items():
+        if (type(entry) is not dict or set(entry) != {"bound", "measured", "pass"}
+                or type(entry["bound"]) not in (int, float)
+                or type(entry["measured"]) not in (int, float)
+                or type(entry["pass"]) is not bool):
+            fail(f"audit entry {claim!r} is not {{bound, measured, pass}}")
+
+
 def dump_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps(report, indent=2, sort_keys=True) + "\\n" for a
+    report of REPORT_SCHEMA's shape.
+
+    json.dumps runs its pure-Python encoder whenever it indents, so only the
+    small audit goes through it; each factor's edge list, nearly all the
+    bytes, is written by the C encoder and indented by hand.
+    """
+    parts = []
+    for key in sorted(report):
+        value = report[key]
+        if key == "factors":
+            text = _factors_json(value)
+        else:
+            text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+        parts.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
+
+
+def _factors_json(factors) -> str:
+    """The factors list as json.dumps(indent=2) writes it two levels deep."""
+    if not factors:
+        return "[]"
+    items = []
+    for fac in factors:
+        edges = fac["edges"]
+        if edges:
+            edges = "[\n        " + json.dumps(edges)[1:-1].replace(", ", ",\n        ") + "\n      ]"
+        else:
+            edges = "[]"
+        items.append('    {\n      "edges": ' + edges + "\n    }")
+    return "[\n" + ",\n".join(items) + "\n  ]"

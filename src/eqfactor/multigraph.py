@@ -6,7 +6,11 @@ Conventions:
   - a loop at v contributes 2 to d(v) but 0 to any cut d(A);
   - an oriented loop contributes 1 to the out-degree and 1 to the in-degree.
 
-All objects are immutable after construction and safe to share.
+All objects are immutable after construction and safe to share. The one
+exception is a multigraph's incidence lists: they are built on the first read
+of ``incidence`` and cached, so a graph that is only counted and coloured (the
+chunk graph of ``coloring``) never pays for them. The cache is derived from
+the edges and takes no part in equality, hashing or pickling.
 """
 
 from __future__ import annotations
@@ -22,26 +26,29 @@ class Multigraph:
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
             raise InvalidInput("vertex_count must be nonnegative")
-        edges = tuple((int(u), int(v)) for u, v in edges)
-        for eid, (u, v) in enumerate(edges):
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise InvalidInput(f"edge {eid} endpoint out of range: ({u}, {v})")
-        self.vertex_count = vertex_count
-        self.edges = edges
-        degrees = [0] * vertex_count
+        n = vertex_count
+        degrees = [0] * n
         loops = {}  # vertex -> loop count, only vertices with loops
-        incidence = [[] for _ in range(vertex_count)]
-        for eid, (u, v) in enumerate(edges):
+        kept = []
+        keep = kept.append
+        for e in edges:
+            u, v = e
+            # an (int, int) tuple is kept as it is, shared with the caller
+            if type(e) is not tuple or type(u) is not int or type(v) is not int:
+                u, v = int(u), int(v)
+                e = (u, v)
+            if u < 0 or v < 0 or u >= n or v >= n:
+                raise InvalidInput(f"edge {len(kept)} endpoint out of range: ({u}, {v})")
             degrees[u] += 1
             degrees[v] += 1
-            incidence[u].append(eid)
-            if u != v:
-                incidence[v].append(eid)
-            else:
+            if u == v:
                 loops[u] = loops.get(u, 0) + 1
+            keep(e)
+        self.vertex_count = n
+        self.edges = tuple(kept)
         self._degrees = tuple(degrees)
-        self._incidence = tuple(tuple(ids) for ids in incidence)
         self._loops = loops
+        self._incidence = None  # see the incidence property
 
     @property
     def n(self) -> int:
@@ -58,13 +65,18 @@ class Multigraph:
     def degrees(self) -> tuple:
         return self._degrees
 
-    def incident(self, v: int) -> tuple:
-        """Edge ids incident with v; a loop appears once."""
-        return self._incidence[v]
-
-    def other_end(self, eid: int, v: int) -> int:
-        u, w = self.edges[eid]
-        return w if u == v else u
+    @property
+    def incidence(self) -> tuple:
+        """incidence[v]: the ids of the edges at v, ascending; a loop appears
+        once. Built on first use and cached."""
+        if self._incidence is None:
+            lists = [[] for _ in range(self.vertex_count)]
+            for eid, (u, w) in enumerate(self.edges):
+                lists[u].append(eid)
+                if u != w:
+                    lists[w].append(eid)
+            self._incidence = tuple(map(tuple, lists))
+        return self._incidence
 
     def is_loop(self, eid: int) -> bool:
         u, v = self.edges[eid]
@@ -86,6 +98,9 @@ class Multigraph:
     def __hash__(self):
         return hash((self.vertex_count, self.edges))
 
+    def __reduce__(self):
+        return Multigraph, (self.vertex_count, self.edges)
+
     def __repr__(self):
         return f"Multigraph(n={self.n}, m={self.m})"
 
@@ -94,32 +109,6 @@ def cut_size(g: Multigraph, a) -> int:
     """d(A): number of non-loop edges with exactly one end in A."""
     a = set(a)
     return sum(1 for u, v in g.edges if u != v and (u in a) != (v in a))
-
-
-def components(g: Multigraph, removed=()) -> list:
-    """Connected components of G - removed, ordered by minimum vertex id."""
-    removed = set(removed)
-    for v in removed:
-        if not 0 <= v < g.n:
-            raise InvalidInput(f"vertex {v} out of range")
-    seen = set(removed)
-    comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for eid in g.incident(x):
-                y = g.other_end(eid, x)
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
 
 
 class Orientation:
@@ -132,18 +121,15 @@ class Orientation:
         if len(tails) != base.m:
             raise InvalidInput("one tail per edge required")
         out = [0] * base.n
-        indeg = [0] * base.n
-        for eid, t in enumerate(tails):
-            u, v = base.edges[eid]
-            if t not in (u, v):
+        for eid, ((u, v), t) in enumerate(zip(base.edges, tails)):
+            if t != u and t != v:
                 raise InvalidInput(f"tail {t} is not an endpoint of edge {eid}")
-            head = v if t == u else u
             out[t] += 1
-            indeg[head] += 1
         self.base = base
         self.tails = tails
         self._out = tuple(out)
-        self._in = tuple(indeg)
+        # d(v) = d+(v) + d-(v): an oriented loop adds one to each
+        self._in = tuple(d - o for d, o in zip(base.degrees, out))
 
     def head(self, eid: int) -> int:
         u, v = self.base.edges[eid]
@@ -175,12 +161,12 @@ class Factorization:
     def __init__(self, base: Multigraph, k: int, assignment):
         if k < 1:
             raise InvalidInput("k must be >= 1")
-        assignment = tuple(int(a) for a in assignment)
+        assignment = tuple(map(int, assignment))
         if len(assignment) != base.m:
             raise InvalidInput("assignment must cover every edge")
-        for eid, a in enumerate(assignment):
-            if not 1 <= a <= k:
-                raise InvalidInput(f"edge {eid} has factor index {a} outside 1..{k}")
+        if assignment and (min(assignment) < 1 or max(assignment) > k):
+            eid, a = next((eid, a) for eid, a in enumerate(assignment) if not 1 <= a <= k)
+            raise InvalidInput(f"edge {eid} has factor index {a} outside 1..{k}")
         self.base = base
         self.k = k
         self.assignment = assignment
@@ -196,16 +182,20 @@ class Factorization:
 
     def factor_degrees(self, i: int) -> list:
         deg = [0] * self.base.n
-        for eid, a in enumerate(self.assignment):
+        for a, (u, v) in zip(self.assignment, self.base.edges):
             if a == i:
-                u, v = self.base.edges[eid]
                 deg[u] += 1
                 deg[v] += 1
         return deg
 
     def all_factor_degrees(self) -> list:
-        """List of per-vertex degree lists, one per factor."""
-        return [self.factor_degrees(i) for i in range(1, self.k + 1)]
+        """List of per-vertex degree lists, one per factor, in one pass."""
+        degs = [[0] * self.base.n for _ in range(self.k)]
+        for a, (u, v) in zip(self.assignment, self.base.edges):
+            deg = degs[a - 1]
+            deg[u] += 1
+            deg[v] += 1
+        return degs
 
     def __repr__(self):
         return f"Factorization(k={self.k}, m={self.base.m})"

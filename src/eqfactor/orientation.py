@@ -68,23 +68,26 @@ class OutDegreePlan:
 
 def eulerian_orientation(g: Multigraph) -> Orientation:
     """Orient every component along closed trails so that d+(v) = d-(v)."""
-    for v in range(g.n):
-        if g.degree(v) % 2 == 1:
-            raise Infeasible(f"vertex {v} has odd degree {g.degree(v)}")
+    for v, d in enumerate(g.degrees):
+        if d % 2 == 1:
+            raise Infeasible(f"vertex {v} has odd degree {d}")
     edges = g.edges
+    incidence = g.incidence
     tails = [None] * g.m
     used = [False] * g.m
     ptr = [0] * g.n
     for v0 in range(g.n):
         x = v0
         while True:
-            inc = g.incident(x)
+            inc = incidence[x]
             i = ptr[x]
-            while i < len(inc) and used[inc[i]]:
+            end = len(inc)
+            while i < end and used[inc[i]]:
                 i += 1
-            ptr[x] = i
-            if i == len(inc):
+            if i == end:
+                ptr[x] = i
                 break  # even degrees: only possible back at the trail start
+            ptr[x] = i + 1
             eid = inc[i]
             used[eid] = True
             tails[eid] = x

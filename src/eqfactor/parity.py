@@ -1,6 +1,5 @@
-"""Parity factors: the Lovasz condition, a constructive finder, and the
-epsilon-window pipelines (even factors, recursive and weighted even
-factorizations).
+"""Parity factors: a constructive finder and the epsilon-window pipelines
+(even factors, recursive and weighted even factorizations).
 
 The finder is exact at every size: it reduces to perfect matching through the
 classical degree-gadget construction (padding loops encode the allowed parity
@@ -13,13 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
-from .errors import Infeasible, InvalidInput, Undecided
+from .errors import Infeasible, InvalidInput
 from .matching import maximum_matching
-from .multigraph import Factorization, Multigraph, components
-
-CONDITION_VERTEX_BUDGET = 12
+from .multigraph import Factorization, Multigraph
 
 
 @dataclass(frozen=True)
@@ -42,64 +38,6 @@ class ParitySpec:
                 raise InvalidInput(f"g0 > f0 at vertex {v}")
             if lo % 2 != fv or hi % 2 != fv:
                 raise InvalidInput(f"g0, f0, f must share parity at vertex {v}")
-
-
-@dataclass(frozen=True)
-class ConditionCertificate:
-    """A violating pair (A, B) of the parity-factor condition (slack <= 0)."""
-
-    A: frozenset
-    B: frozenset
-    omega: int
-    slack: int
-
-
-def omega_f(g: Multigraph, a, b, f) -> int:
-    """Number of components X of G - (A u B) with sum_X f(v) != d(X, B) (mod 2)."""
-    a, b = set(a), set(b)
-    if a & b:
-        raise InvalidInput("A and B must be disjoint")
-    f = tuple(int(x) % 2 for x in f)
-    comps = components(g, a | b)
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    surplus = [sum(f[v] for v in comp) for comp in comps]  # sum_X f(v) - d(X, B)
-    for u, v in g.edges:
-        if u in comp_of and v in b:
-            surplus[comp_of[u]] -= 1
-        if v in comp_of and u in b:
-            surplus[comp_of[v]] -= 1
-    return sum(1 for s in surplus if s % 2 != 0)
-
-
-def check_lovasz(g: Multigraph, spec: ParitySpec):
-    """Exhaustive parity (g,f)-factor condition over all disjoint (A, B) pairs.
-
-    Returns True, or the lexicographically first violating certificate.
-    Raises Undecided above the 3^|V| enumeration budget.
-    """
-    if len(spec.f) != g.n:
-        raise InvalidInput("spec must cover every vertex")
-    if g.n > CONDITION_VERTEX_BUDGET:
-        raise Undecided(f"condition enumeration above budget ({g.n} > {CONDITION_VERTEX_BUDGET})")
-    for assign in product((0, 1, 2), repeat=g.n):
-        a = frozenset(v for v in range(g.n) if assign[v] == 1)
-        b = frozenset(v for v in range(g.n) if assign[v] == 2)
-        d_ab = sum(
-            1
-            for u, v in g.edges
-            if u != v and {assign[u], assign[v]} == {1, 2}
-        )
-        omega = omega_f(g, a, b, spec.f)
-        rhs = (
-            sum(spec.f0[v] for v in a)
-            + sum(g.degree(v) - spec.g0[v] for v in b)
-            - d_ab
-        )
-        # violation iff omega > rhs; when the total parity demand is even the
-        # gap omega - rhs has even parity, so this coincides with omega >= rhs + 2
-        if omega > rhs:
-            return ConditionCertificate(A=a, B=b, omega=omega, slack=2 + rhs - omega)
-    return True
 
 
 def _effective_window(g: Multigraph, spec: ParitySpec, v: int):

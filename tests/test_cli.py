@@ -12,13 +12,14 @@ from eqfactor import pipelines
 from eqfactor.cli import main
 from eqfactor.graphio import (
     REPORT_SCHEMA,
+    check_report,
     dump_report,
     factorization_report,
     parse_graph,
     serialize_graph,
 )
 from eqfactor.errors import InvalidInput
-from eqfactor.multigraph import Factorization, complete_graph, cycle_graph
+from eqfactor.multigraph import Factorization, Multigraph, complete_graph, cycle_graph
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -184,14 +185,21 @@ def test_cli_verify_rechecks_every_k_factor_report(tmp_path, capsys):
 
 def test_import_cli_leaves_networkx_unloaded(tmp_path):
     k4 = write_graph(tmp_path, complete_graph(4), "k4.txt")
-    code = (
-        "import sys, eqfactor.cli; "
-        f"rc = eqfactor.cli.main(['parity-factor', {k4!r}, '--f', '0,1,2,3', '--epsilon', '0.5']); "
-        "print(rc, 'networkx' in sys.modules)"
-    )
+    k5 = write_graph(tmp_path, complete_graph(5), "k5.txt")
+    report = str(tmp_path / "rep.json")
+    code = "\n".join((
+        "import contextlib, io, sys, eqfactor.cli",
+        f"rc = [eqfactor.cli.main(['parity-factor', {k4!r}, '--f', '0,1,2,3', '--epsilon', '0.5'])]",
+        "out = io.StringIO()",
+        "with contextlib.redirect_stdout(out):",
+        f"    rc.append(eqfactor.cli.main(['factor', {k5!r}, '--k', '2', '--mode', 'regular']))",
+        f"open({report!r}, 'w').write(out.getvalue())",
+        f"rc.append(eqfactor.cli.main(['verify', {k5!r}, {report!r}, '--claims', 'regular']))",
+        "print(rc, 'networkx' in sys.modules, 'jsonschema' in sys.modules)",
+    ))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False False"
 
 
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
@@ -217,3 +225,193 @@ def test_cli_even_and_parity_factor(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     jsonschema.validate(report, REPORT_SCHEMA)
     assert all(entry["pass"] for entry in report["audit"].values())
+
+
+@pytest.mark.parametrize("text, lineno, message", [
+    ("n 2\nn 3\n", 2, "duplicate vertex count"),
+    ("# c\nn\n", 2, "expected 'n <count>'"),
+    ("n 2 3\n", 1, "expected 'n <count>'"),
+    ("n two\n", 1, "vertex count is not an integer"),
+    ("\nn -1\n", 2, "vertex count must be >= 0"),
+    ("e 0 1\nn 2\n", 1, "edge before vertex count"),
+    ("n 2\ne 0\n", 2, "expected 'e <u> <v>'"),
+    ("n 2\ne 0 1 1\n", 2, "expected 'e <u> <v>'"),
+    ("n 2\ne 0 1\ne 0 x\n", 3, "edge endpoints are not integers"),
+    ("n 2\ne 0 1\ne 1.5 0\n", 3, "edge endpoints are not integers"),
+    ("n 2\n\ne 0 5\n", 3, "endpoint outside [0, 2)"),
+    ("n 2\ne -1 0\n", 2, "endpoint outside [0, 2)"),
+    ("n 2\nx 0 1\n", 2, "unknown directive 'x'"),
+    ("n 2\nE 0 1\n", 2, "unknown directive 'E'"),
+])
+def test_parse_error_messages_carry_their_line(text, lineno, message):
+    with pytest.raises(InvalidInput) as exc:
+        parse_graph(text)
+    assert str(exc.value) == f"line {lineno}: {message}"
+
+
+def test_parse_missing_vertex_count():
+    for text in ("", "# nothing\n", "\n  \n"):
+        with pytest.raises(InvalidInput, match="^missing vertex count line 'n <count>'$"):
+            parse_graph(text)
+
+
+def test_parse_accepts_comments_whitespace_and_line_endings():
+    text = "  # indented comment\r\n\tn\t3 \r\n\r\n#e 9 9\n e 0  1\n\te\t1\t2\t\r\n   \ne 2 2 # no\n"
+    with pytest.raises(InvalidInput, match="line 8: expected 'e <u> <v>'"):
+        parse_graph(text)  # a trailing comment is not a comment
+    g = parse_graph(text.replace(" # no", ""))
+    assert g == Multigraph(3, [(0, 1), (1, 2), (2, 2)])
+    assert parse_graph("n 0\n") == Multigraph(0, [])
+
+
+def _random_report(rng):
+    k = rng.randint(1, 4)
+    factors = [{"edges": sorted(rng.sample(range(60), rng.choice((0, 1, rng.randint(2, 30)))))}
+               for _ in range(k)]
+    audit = {}
+    for claim in rng.sample(["deviation<1", "size±1", "parity", "eps-window", 'odd"name', "even"],
+                            rng.randint(0, 4)):
+        bound = rng.choice((0, 1, 2, 6, 1.0, 2.5))
+        measured = rng.choice((0, 3, 0.0, 1 / 3, 1e-17, 123456.75, -0.5))
+        audit[claim] = {"bound": bound, "measured": measured, "pass": rng.random() < 0.5}
+    return {"k": k, "factors": factors, "audit": audit}
+
+
+def test_dump_report_bytes_equal_indented_json_dumps():
+    rng = random.Random(61)
+    reports = [_random_report(rng) for _ in range(300)]
+    reports += [
+        {"k": 1, "factors": [{"edges": [0, 1, 2]}], "audit": {}},
+        {"k": 1, "factors": [{"edges": []}], "audit": {}},
+        {"k": 2, "factors": [{"edges": []}, {"edges": [7]}], "audit": {"regular": {"bound": 0, "measured": 0, "pass": True}}},
+    ]
+    for report in reports:
+        assert dump_report(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    g = complete_graph(5)
+    fz = Factorization(g, 3, [1, 2, 3, 1, 2, 3, 1, 2, 3, 1])
+    report = factorization_report(fz, [("deviation<1", 1, 2 / 3, True), ("size±1", 1, 0, True)])
+    assert dump_report(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+K5_TEXT = {
+    ("factor", "--k", "2"): """\
+k = 2
+factor 1: edges [1, 2, 5, 6, 8]
+factor 2: edges [0, 3, 4, 7, 9]
+audit deviation<1: bound 1, measured 0.0, pass True
+audit size±1: bound 1, measured 0.0, pass True
+""",
+    ("factor", "--k", "3"): """\
+k = 3
+factor 1: edges [0, 3, 5, 7]
+factor 2: edges [1, 6, 9]
+factor 3: edges [2, 4, 8]
+audit deviation<1: bound 1, measured 0.6666666666666667, pass True
+audit size±1: bound 1, measured 0.6666666666666665, pass True
+""",
+    ("factor", "--k", "3", "--mode", "parity"): """\
+k = 3
+factor 1: edges [1, 2, 5, 6, 8]
+factor 2: edges [0, 3, 4, 7, 9]
+factor 3: edges []
+audit deviation<2: bound 2, measured 1.3333333333333333, pass True
+audit parity: bound 0, measured 0, pass True
+""",
+    ("factor", "--k", "2", "--mode", "regular"): """\
+k = 2
+factor 1: edges [1, 2, 5, 6, 8]
+factor 2: edges [0, 3, 4, 7, 9]
+audit regular: bound 0, measured 0, pass True
+""",
+    ("even-factor", "--k", "2"): """\
+factor 1: edges [1, 2, 5, 6, 8]
+factor 2: edges [0, 3, 4, 7, 9]
+audit even: bound 0, measured 0, pass True
+audit deviation<2: bound 2, measured 0.0, pass True
+""",
+    ("even-factor", "--epsilons", "0.5,0.5"): """\
+factor 1: edges [0, 3, 4, 7, 9]
+factor 2: edges [1, 2, 5, 6, 8]
+audit even: bound 0, measured 0, pass True
+audit deviation<6: bound 6, measured 0.0, pass True
+""",
+    ("even-factor", "--epsilon", "0.5"): """\
+factor edges: [0, 3, 4, 7, 9]
+audit even: bound 0, measured 0, pass True
+audit eps-window: bound 2, measured 0.0, pass True
+""",
+    ("parity-factor", "--f", "0,1", "--epsilon", "0.5"): """\
+factor edges: [0, 2, 3, 4, 5, 8]
+audit parity: bound 0, measured 0, pass True
+audit eps-window: bound 2, measured 1.0, pass True
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(K5_TEXT))
+def test_text_format_golden_on_k5(tmp_path, capsys, argv):
+    path = write_graph(tmp_path, complete_graph(5))
+    assert main([argv[0], path, *argv[1:], "--format", "text"]) == 0
+    out, err = capsys.readouterr()
+    assert out == K5_TEXT[argv]
+    if argv == ("factor", "--k", "3"):
+        assert err == ("warning: hypothesis not met: graph is neither (6)-edge-connected "
+                       "nor (4)-tree-connected (lambda = 4)\n")
+    else:
+        assert err == ""
+
+
+MALFORMED_REPORTS = [
+    ({"k": 1, "factors": [{"edges": [0, 1, 2]}], "audit": {}, "extra": 1}, "unknown top-level key"),
+    ({"k": 1}, "no factors"),
+    ({"factors": [{"edges": [0, 1, 2]}]}, "no k"),
+    ([{"edges": [0, 1, 2]}], "not an object"),
+    ({"k": 0, "factors": [], "audit": {}}, "k < 1"),
+    ({"k": -1, "factors": [], "audit": {}}, "negative k"),
+    ({"k": 1.0, "factors": [{"edges": [0, 1, 2]}], "audit": {}}, "float k"),
+    ({"k": True, "factors": [{"edges": [0, 1, 2]}], "audit": {}}, "boolean k"),
+    ({"k": 1, "factors": {"edges": [0, 1, 2]}, "audit": {}}, "factors not a list"),
+    ({"k": 1, "factors": [[0, 1, 2]], "audit": {}}, "factor not an object"),
+    ({"k": 1, "factors": [{"edges": [0, 1, 2], "size": 3}], "audit": {}}, "factor with an extra key"),
+    ({"k": 1, "factors": [{"ids": [0, 1, 2]}], "audit": {}}, "factor without edges"),
+    ({"k": 1, "factors": [{"edges": "0,1,2"}], "audit": {}}, "edges not a list"),
+    ({"k": 1, "factors": [{"edges": [0, 1, 2]}], "audit": []}, "audit not an object"),
+    ({"k": 1, "factors": [{"edges": [0, 1, 2]}], "audit": {"size±1": {"bound": 1, "measured": 0}}},
+     "audit entry without pass"),
+    ({"k": 1, "factors": [{"edges": [0, 1, 2]}], "audit": {"size±1": {"measured": 0, "pass": True}}},
+     "audit entry without bound"),
+    ({"k": 1, "factors": [{"edges": [0, 1, 2]}], "audit": {"size±1": {"bound": 1, "pass": True}}},
+     "audit entry without measured"),
+    ({"k": 1, "factors": [{"edges": [0, 1, 2]}],
+      "audit": {"size±1": {"bound": 1, "measured": 0, "pass": True, "note": "x"}}}, "audit entry with an extra key"),
+    ({"k": 1, "factors": [{"edges": [0, 1, 2]}], "audit": {"size±1": {"bound": "1", "measured": 0, "pass": True}}},
+     "string bound"),
+    ({"k": 1, "factors": [{"edges": [0, 1, 2]}], "audit": {"size±1": {"bound": 1, "measured": 0, "pass": 1}}},
+     "integer pass"),
+    ({"k": 1, "factors": [{"edges": [0, 1, 2]}], "audit": {"size±1": True}}, "audit entry not an object"),
+]
+
+
+@pytest.mark.parametrize("report, why", MALFORMED_REPORTS, ids=[why for _, why in MALFORMED_REPORTS])
+def test_verify_rejects_reports_of_the_wrong_shape(tmp_path, capsys, report, why):
+    path = write_graph(tmp_path, cycle_graph(3))
+    report_path = tmp_path / "rep.json"
+    report_path.write_text(json.dumps(report))
+    assert main(["verify", path, str(report_path), "--claims", "size±1"]) == 2
+    assert "error: " in capsys.readouterr().err
+    with pytest.raises(InvalidInput):
+        check_report(report)
+    # verify accepts a report without its audit, and unlike jsonschema it
+    # does not count 1.0 as an integer (as for edge ids)
+    if "audit" in report and why != "float k":
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def test_check_report_accepts_what_the_schema_accepts():
+    rng = random.Random(71)
+    for _ in range(100):
+        report = _random_report(rng)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        check_report(report)
+        check_report({"k": report["k"], "factors": report["factors"]})

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from conftest import proper_coloring, random_multigraph, random_orientation
+from conftest import eulerian_union, proper_coloring, random_multigraph, random_orientation
 from eqfactor.coloring import (
+    BipartiteSplit,
+    EdgeColoring,
     anstee_decomposition,
     balance_color_sizes,
     decompose_directed,
@@ -11,7 +13,9 @@ from eqfactor.coloring import (
     split_to_bipartite,
 )
 from eqfactor.errors import InvalidInput
+from eqfactor.lab import verify
 from eqfactor.multigraph import Multigraph, Orientation, complete_graph, cycle_graph
+from eqfactor.orientation import eulerian_orientation
 
 
 def directed_triangle():
@@ -93,6 +97,16 @@ def test_balance_two_disjoint_edges():
     assert sorted(fz.factor_sizes()) == [1, 1]
 
 
+def test_balance_evens_out_one_pair_per_subgraph_build():
+    # twelve disjoint edges colored 1 x 6, 2 x 6, 3 x 0: the pair (1, 3)
+    # takes three swaps in its pass, then (2, 1) one and (2, 3) one, each
+    # swapping the first gain-1 paths in vertex order
+    b = Multigraph(24, [(2 * i, 2 * i + 1) for i in range(12)])
+    split = BipartiteSplit(b, list(range(0, 24, 2)), list(range(1, 24, 2)), tuple(range(12)))
+    col = balance_color_sizes(split, EdgeColoring(3, (1,) * 6 + (2,) * 6))
+    assert col.color == (3, 3, 3, 1, 1, 1, 1, 3, 2, 2, 2, 2)
+
+
 def test_decompose_windows_random():
     rng = random.Random(37)
     for _ in range(120):
@@ -158,3 +172,78 @@ def test_anstee_window_random():
                 hi = -(-(dv // 2) // k) + -(-((dv + 1) // 2) // k)
                 assert lo <= degs[v] <= hi
         assert all(abs(s - g.m / k) < 1 for s in fz.factor_sizes())
+
+
+def _first_fit_fails(b, k):
+    """Whether coloring b's edges in id order, each with a color free at both
+    ends and no path swaps, gets stuck."""
+    used = [set() for _ in range(b.n)]
+    for u, w in b.edges:
+        free = [c for c in range(1, k + 1) if c not in used[u] and c not in used[w]]
+        if not free:
+            return True
+        used[u].add(free[0])
+        used[w].add(free[0])
+    return False
+
+
+def test_konig_swaps_alternating_paths_where_first_fit_fails():
+    # u=0, y=1 | x=2, z=3, w=4: after (0,2)->1, (1,3)->1, (1,4)->2 the edge
+    # (0,4) finds color 2 taken at w and color 1 taken at u; swapping the
+    # path w-y-z frees color 2 at w
+    b = Multigraph(5, [(0, 2), (1, 3), (1, 4), (0, 4)])
+    assert _first_fit_fails(b, 2)
+    col = konig_edge_coloring(b, 2)
+    assert proper_coloring(b, col)
+    assert col.color == (1, 2, 1, 2)
+    rng = random.Random(43)
+    swapped = 0
+    for _ in range(300):
+        k = rng.randint(2, 5)
+        left, right = rng.randint(2, 6), rng.randint(2, 6)
+        edges = []
+        deg = [0] * (left + right)
+        for _ in range(rng.randint(4, 30)):
+            u, w = rng.randrange(left), left + rng.randrange(right)
+            if deg[u] < k and deg[w] < k:
+                deg[u] += 1
+                deg[w] += 1
+                edges.append((u, w))
+        b = Multigraph(left + right, edges)
+        swapped += _first_fit_fails(b, k)
+        col = konig_edge_coloring(b, k)
+        assert proper_coloring(b, col)
+        assert all(1 <= c <= k for c in col.color)
+    assert swapped >= 50  # the path-swap branch is what these instances test
+
+
+def test_konig_rejects_odd_cycles_found_late():
+    # a 10-cycle colors fine; the chord (0, 4) then closes the 5-cycle 0..4
+    edges = [(i, i + 1) for i in range(9)] + [(9, 0)]
+    assert proper_coloring(Multigraph(10, edges), konig_edge_coloring(Multigraph(10, edges), 2))
+    with pytest.raises(InvalidInput):
+        konig_edge_coloring(Multigraph(10, edges + [(0, 4)]), 3)
+
+
+def test_chunk_graph_never_builds_incidence_lists():
+    split = split_to_bipartite(eulerian_orientation(complete_graph(7)), 2)
+    balance_color_sizes(split, konig_edge_coloring(split.b, 2))
+    assert split.b._incidence is None
+
+
+def _irregular(rng, n):
+    """Three random Hamiltonian cycles plus n/2 random non-loop edges."""
+    edges = list(eulerian_union(rng, n, 3).edges)
+    for _ in range(n // 2):
+        edges.append(tuple(rng.sample(range(n), 2)))
+    return Multigraph(n, edges)
+
+
+def test_anstee_size_balancing_on_irregular_10k():
+    # about 40% odd degrees: the first coloring's classes differ by about
+    # 4000 edges, so balancing has to swap over two thousand paths
+    g = _irregular(random.Random(47), 10_000)
+    assert sum(d % 2 for d in g.degrees) > 2000
+    fz = anstee_decomposition(g, 3)
+    rep = verify(g, fz, ["deviation<2", "size±1"])
+    assert rep.ok, rep.entries

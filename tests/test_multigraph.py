@@ -1,16 +1,17 @@
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_multigraph
+from cut_oracles import components
 from eqfactor.errors import InvalidInput
 from eqfactor.multigraph import (
     Factorization,
     Multigraph,
     Orientation,
     complete_graph,
-    components,
     cut_size,
     cycle_graph,
     subgraph,
@@ -84,3 +85,51 @@ def test_factor_degrees_sum(seed):
         for v in range(g.n):
             totals[v] += degs[v]
     assert tuple(totals) == g.degrees
+
+
+def test_equality_hash_and_pickling_before_and_after_incidence():
+    rng = random.Random(53)
+    for _ in range(30):
+        g = random_multigraph(rng, max_n=8, max_m=20)
+        twin = Multigraph(g.n, [list(e) for e in g.edges])  # lists become int tuples
+        fresh = pickle.loads(pickle.dumps(g))  # taken before any incidence read
+        built = g.incidence
+        cached = pickle.loads(pickle.dumps(g))
+        assert pickle.dumps(g) == pickle.dumps(twin)  # the cache is not pickled
+        for copy in (twin, fresh, cached):
+            assert copy == g and hash(copy) == hash(g) and copy.edges == g.edges
+            assert copy.degrees == g.degrees
+            assert [copy.loops_at(v) for v in range(g.n)] == [g.loops_at(v) for v in range(g.n)]
+            assert copy.incidence == built
+            assert {g: 1}[copy] == 1
+    assert Multigraph(2, [(0, 1)]) != Multigraph(3, [(0, 1)])
+    assert Multigraph(2, [(0, 1)]) != Multigraph(2, [(1, 0)])
+
+
+def test_incidence_lists_match_the_edges():
+    rng = random.Random(59)
+    for _ in range(50):
+        g = random_multigraph(rng, max_n=8, max_m=20)
+        for v in range(g.n):
+            expected = tuple(eid for eid, (a, b) in enumerate(g.edges) if v in (a, b))
+            assert g.incidence[v] == expected  # ascending ids, a loop once
+
+
+def test_build_checks_and_converts_edges():
+    g = Multigraph(3, [(0.0, 1), ("2", 2), (True, 0)])
+    assert g.edges == ((0, 1), (2, 2), (1, 0))
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert g.degrees == (2, 2, 2) and g.loops_at(2) == 1
+    for bad, eid in (([(0, 1), (0, 3)], 1), ([(-1, 0)], 0), ([(1, 0), (0, -2)], 1), ([(1, 0), (0, 1), (2, 5)], 2)):
+        with pytest.raises(InvalidInput, match=f"edge {eid} endpoint out of range"):
+            Multigraph(3, bad)
+    with pytest.raises(InvalidInput):
+        Multigraph(-1, [])
+
+
+def test_orientation_rejects_foreign_tails_and_counts_in_degrees():
+    g = Multigraph(3, [(0, 1), (1, 2), (2, 2)])
+    with pytest.raises(InvalidInput, match="tail 0 is not an endpoint of edge 1"):
+        Orientation(g, (0, 0, 2))
+    d = Orientation(g, (1, 2, 2))
+    assert d.out_degrees == (0, 1, 2) and d.in_degrees == (1, 1, 1)

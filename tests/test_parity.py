@@ -3,20 +3,18 @@ import random
 import pytest
 
 from conftest import eulerian_union, random_even_multigraph, random_multigraph, random_two_edge_connected
+from cut_oracles import ConditionCertificate, check_lovasz, omega_f
 from eqfactor import maxflow
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
 from eqfactor.lab import generate, measure, oracle_parity_gf, verify
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph, subgraph
 from eqfactor.parity import (
-    ConditionCertificate,
     ParitySpec,
-    check_lovasz,
     epsilon_parity_factor,
     epsilon_windows,
     even_factor_eps,
     find_parity_factor,
     hilton_even_factorization,
-    omega_f,
     weighted_even_factorization,
 )
 
