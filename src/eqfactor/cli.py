@@ -118,7 +118,6 @@ def cmd_factor(args):
             k=args.k,
             z=args.z,
             Z=frozenset(_csv_ints(args.Z)) if args.Z is not None else None,
-            auto_find_Z=args.z is None and args.Z is None,
         )
         rep = pipelines.equitable_factorize(g, req, budget=args.budget)
     elif args.mode == "parity":
@@ -254,28 +253,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Equitable and parity edge-factorizations of multigraphs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    shared = {
+        "--format": dict(choices=("json", "text"), default="json"),
+        "--seed": dict(type=int, default=0),
+        "--budget": dict(type=int, default=DEFAULT_BUDGET),
+        "--jobs": dict(type=int, default=1),
+    }
 
-    def common(p, graph=True):
+    def command(name, help, func, *flags, graph=True):
+        """A subcommand with the shared flags it reads, and no others."""
+        p = sub.add_parser(name, help=help)
         if graph:
             p.add_argument("graph", help="graph file (text format)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--jobs", type=int, default=1)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("analyze", help="edge/odd/tree connectivity report")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
+    command("analyze", "edge/odd/tree connectivity report", cmd_analyze, "--format")
 
-    p = sub.add_parser("orient", help="Eulerian or mod-k residue orientation")
-    common(p)
+    p = command("orient", "Eulerian or mod-k residue orientation", cmd_orient, "--format", "--budget")
     p.add_argument("--k", type=int)
     p.add_argument("--z", type=int)
     p.add_argument("--Z")
-    p.set_defaults(func=cmd_orient)
 
-    p = sub.add_parser("factor", help="factorization pipelines")
-    common(p)
+    p = command("factor", "factorization pipelines", cmd_factor, "--format", "--budget")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("equitable", "parity", "regular", "anstee"), default="equitable")
     p.add_argument("--z", type=int)
@@ -283,31 +285,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", help="comma-separated odd-parity vertices (even-k parity mode)")
     p.add_argument("--r-list", dest="r_list")
     p.add_argument("--bounded", action="store_true", help="complete to a regular supergraph first")
-    p.set_defaults(func=cmd_factor)
 
-    p = sub.add_parser("parity-factor", help="epsilon-parity factor search")
-    common(p)
+    p = command("parity-factor", "epsilon-parity factor search", cmd_parity_factor, "--format")
     p.add_argument("--f", required=True, help="comma-separated odd-parity vertices")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--z", type=int, help="vertex with a one-sided degree constraint")
     p.add_argument("--side", choices=("at-least", "at-most"), default="at-least")
-    p.set_defaults(func=cmd_parity_factor)
 
-    p = sub.add_parser("even-factor", help="even factor or even factorization")
-    common(p)
+    p = command("even-factor", "even factor or even factorization", cmd_even_factor, "--format")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--epsilons", help="comma-separated weights summing to 1")
     p.add_argument("--k", type=int)
-    p.set_defaults(func=cmd_even_factor)
 
-    p = sub.add_parser("verify", help="audit a JSON report against its graph")
-    common(p)
+    p = command("verify", "audit a JSON report against its graph", cmd_verify)
     p.add_argument("report", help="JSON factorization report")
     p.add_argument("--claims", default="deviation<1,size±1")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gen", help="seed-deterministic graph families")
-    common(p, graph=False)
+    p = command("gen", "seed-deterministic graph families", cmd_gen, "--seed", graph=False)
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
@@ -316,17 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--base", help="base graph file for the multiplied family")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("oracle", help="exhaustive ground-truth questions")
-    common(p)
+    p = command("oracle", "exhaustive ground-truth questions", cmd_oracle, "--jobs")
     p.add_argument("--question", required=True, choices=("equitable", "orientation", "parity_gf"))
     p.add_argument("--k", type=int)
     p.add_argument("--z", type=int)
     p.add_argument("--Z")
     p.add_argument("--f")
     p.add_argument("--epsilon", type=float)
-    p.set_defaults(func=cmd_oracle)
 
     return parser
 

@@ -5,9 +5,10 @@ One exact polynomial algorithm per quantity, at every input size:
 - edge connectivity: one maximum-adjacency (Nagamochi-Ibaraki) ordering of
   the vertices; a step whose attachment weight does not already certify the
   best cut so far runs at most that many augmenting-path searches.
-- minimum T-odd cut (odd edge connectivity, d(X) on f-odd sets): Padberg-Rao
-  over a Gomory-Hu tree for the terminal set T only, built with contraction
-  by |T| - 1 max flows on ``maxflow.FlowNetwork``.
+- minimum T-odd cut (odd edge connectivity, d(X) on f-odd sets): Gusfield's
+  non-contracting cut construction over the terminal set T only, |T| - 1
+  max flows on one ``maxflow.FlowNetwork``; the smallest T-odd cut among
+  them is the answer (Padberg-Rao).
 - tree connectivity: the Nash-Williams-Tutte bounds floor(lambda/2) <= tau <=
   min(lambda, floor(m/(n-1))); matroid-union forest packing runs only when
   they differ, growing one forest at a time.
@@ -147,84 +148,40 @@ def edge_connectivity(g: Multigraph):
 def _min_t_odd_cut(g: Multigraph, t: set):
     """Minimum d(A) over A with |A & t| odd, with a witness A.
 
-    Padberg-Rao: some fundamental cut of a Gomory-Hu tree for the terminal
-    set t is a minimum T-odd cut. The tree is built with contraction: each of
-    the |t| - 1 max flows splits a tree node holding two terminals, in the
-    graph where every subtree hanging off that node is one vertex. |t| must
-    be even (it is whenever t comes from degree or parity sums). Returns
-    (math.inf, None) when t is empty.
+    Gusfield's non-contracting cut construction over the terminals ("Very
+    simple methods for all pairs network flow analysis", SIAM J. Comput.
+    1990): every terminal starts with the smallest one as its parent. Each
+    later terminal s, in order, takes a minimum cut between s and its parent
+    in the whole graph, with s's side the residual reach of s; the later
+    terminals on that side that share s's parent move under s. As with
+    Padberg-Rao over a Gomory-Hu tree, the smallest of these |t| - 1 cuts
+    whose side holds an odd number of terminals is a minimum T-odd cut
+    (tests/test_connectivity.py checks this against exhaustive enumeration
+    and against networkx's Gomory-Hu tree). All flows run on one network
+    whose capacities are reset before each. |t| must be even (it is whenever
+    t comes from degree or parity sums). Returns (math.inf, None) when t is
+    empty or no T-odd cut is found.
     """
     if not t:
         return math.inf, None
-    n = g.n
-    edges = _merged_edges(g)
-    node_of = [0] * n  # tree node holding each vertex
-    terminals = [sorted(t)]  # terminals held by each tree node
-    tree = [{}]  # tree[a][b]: cut value of tree edge a-b
-    for _ in range(len(t) - 1):
-        a = next(i for i, ts in enumerate(terminals) if len(ts) > 1)
-        # every other tree node collapses onto the neighbour of a that
-        # leads to it
-        hub = {}
-        for b in tree[a]:
-            hub[b] = b
-            stack = [b]
-            while stack:
-                c = stack.pop()
-                for d in tree[c]:
-                    if d != a and d not in hub:
-                        hub[d] = b
-                        stack.append(d)
-        ids = {}
-        ident = [ids.setdefault(v if node_of[v] == a else n + hub[node_of[v]], len(ids)) for v in range(n)]
-        caps = {}
-        for (u, v), w in edges.items():
-            iu, iv = ident[u], ident[v]
-            if iu != iv:
-                key = (iu, iv) if iu < iv else (iv, iu)
-                caps[key] = caps.get(key, 0) + w
-        net = FlowNetwork(len(ids))
-        for (iu, iv), w in caps.items():
-            net.add_edge(iu, iv, w)
-            net.add_edge(iv, iu, w)
-        s, s2 = terminals[a][:2]
-        value = net.max_flow(ident[s], ident[s2])
-        reach = net.residual_reachable(ident[s])
-        c = len(tree)
-        tree.append({})
-        terminals.append([v for v in terminals[a] if ident[v] not in reach])
-        terminals[a] = [v for v in terminals[a] if ident[v] in reach]
-        for v in range(n):
-            if node_of[v] == a and ident[v] not in reach:
-                node_of[v] = c
-        for b in list(tree[a]):
-            if ids[n + b] not in reach:
-                tree[c][b] = tree[b][c] = tree[a].pop(b)
-                del tree[b][a]
-        tree[a][c] = tree[c][a] = value
-    # root the tree at node 0; every node holds exactly one terminal, so the
-    # fundamental cut below node c is T-odd iff c's subtree has odd size
-    parent = {0: None}
-    order = [0]
-    for c in order:
-        for d in tree[c]:
-            if d not in parent:
-                parent[d] = c
-                order.append(d)
-    size = dict.fromkeys(order, 1)
-    for c in reversed(order[1:]):
-        size[parent[c]] += size[c]
-    best, below = math.inf, None
-    for c in order[1:]:
-        if size[c] % 2 == 1 and tree[c][parent[c]] < best:
-            best, below = tree[c][parent[c]], c
-    if below is None:
-        return math.inf, None
-    side = {below}
-    for c in order:
-        if parent[c] in side:
-            side.add(c)
-    return best, frozenset(v for v in range(n) if node_of[v] in side)
+    terminals = sorted(t)
+    net = FlowNetwork(g.n)
+    for (u, v), w in _merged_edges(g).items():
+        # an undirected edge is one arc pair with capacity w each way
+        net.cap[net.add_edge(u, v, w) + 1] = w
+    full = list(net.cap)
+    parent = dict.fromkeys(terminals, terminals[0])
+    best, witness = math.inf, None
+    for i, s in enumerate(terminals[1:], 1):
+        net.cap[:] = full
+        value = net.max_flow(s, parent[s])
+        side = net.residual_reachable(s)
+        for u in terminals[i + 1 :]:
+            if parent[u] == parent[s] and u in side:
+                parent[u] = s
+        if value < best and len(side.intersection(t)) % 2 == 1:
+            best, witness = value, frozenset(side)
+    return best, witness
 
 
 def odd_edge_connectivity_witness(g: Multigraph):

@@ -122,20 +122,6 @@ def realize_out_degrees(g: Multigraph, plan: OutDegreePlan, *, start=None) -> Or
     """
     plan.validate(g)
     o = plan.o
-    for v in range(g.n):
-        loops = g.loops_at(v)
-        if o[v] < loops:
-            # e(G[{v}]) = loops(v) > o(v)
-            raise Infeasible(
-                f"vertex {v} cannot host its {loops} loop(s) with out-degree {o[v]}",
-                certificate=frozenset({v}),
-            )
-        if g.degree(v) - o[v] < loops:
-            # A = V - {v}: sum o over A = m - o(v) < m - d(v) + loops(v) = e(G[A])
-            raise Infeasible(
-                f"vertex {v} cannot host its {loops} loop(s) with in-degree {g.degree(v) - o[v]}",
-                certificate=frozenset(range(g.n)) - {v},
-            )
     if start is None:
         start = near_balanced_orientation(g)
     elif start.base is not g and start.base != g:
@@ -163,8 +149,10 @@ def realize_out_degrees(g: Multigraph, plan: OutDegreePlan, *, start=None) -> Or
     if net.max_flow(s, t) < need:
         # The residual arcs among vertices are the edges as now oriented, so
         # every edge between the reachable set A and the rest points into A,
-        # and sum_{v in A} d+(v) = e(G[A]). No deficit is left in A (t is not
-        # reachable) and some excess is, so sum_{v in A} o(v) < e(G[A]).
+        # and sum_{v in A} d+(v) = e(G[A]) (a loop at v adds one to each side;
+        # loops are never reversed, so a plan with o(v) < loops(v) or
+        # d(v) - o(v) < loops(v) ends here too). No deficit is left in A (t is
+        # not reachable) and some excess is, so sum_{v in A} o(v) < e(G[A]).
         cert = frozenset(v for v in net.residual_reachable(s) if v < g.n)
         raise Infeasible("out-degree plan is not realizable (Hakimi violation)", certificate=cert)
     for eid, arc in arcs:

@@ -26,18 +26,17 @@ from .orientation import (
 class EquitableRequest:
     """Parameters of an equitable factorization run.
 
-    At most one of z (special vertex), Z (residue vertex set), auto_find_Z.
+    At most one of z (special vertex) and Z (residue vertex set); with
+    neither, ``equitable_factorize`` searches for a Z set.
     """
 
     k: int
     z: int = None
     Z: frozenset = None
-    auto_find_Z: bool = False
 
     def __post_init__(self):
-        active = sum(x for x in (self.z is not None, self.Z is not None, self.auto_find_Z))
-        if active > 1:
-            raise InvalidInput("at most one of z, Z, auto_find_Z may be active")
+        if self.z is not None and self.Z is not None:
+            raise InvalidInput("at most one of z and Z may be given")
         if self.k < 1:
             raise InvalidInput("k must be >= 1")
 
@@ -92,7 +91,7 @@ def equitable_factorize(g: Multigraph, req: EquitableRequest, budget: int = DEFA
     k = req.k
     warnings = _equitable_hypothesis_warnings(g, k)
     z, zset = req.z, req.Z
-    if req.auto_find_Z or (z is None and zset is None):
+    if z is None and zset is None:
         zset = find_Z_set(g, k)
         if zset is None:
             z = max(range(g.n), key=lambda v: (g.degree(v), -v))

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import eulerian_union, random_multigraph
 from eqfactor import pipelines
-from eqfactor.cli import main
+from eqfactor.cli import build_parser, main
 from eqfactor.graphio import (
     REPORT_SCHEMA,
     check_report,
@@ -115,6 +115,38 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["orient", k7, "--k", "3", "--Z", "0,99"]) == 2
     # argparse rejection -> 2
     assert main(["factor", tri, "--k", "2", "--mode", "sideways"]) == 2
+    capsys.readouterr()
+
+
+# the shared flags, with the subcommands that read each
+SHARED_FLAGS = {
+    "--format": ("text", {"analyze", "orient", "factor", "parity-factor", "even-factor"}),
+    "--seed": ("3", {"gen"}),
+    "--budget": ("5", {"orient", "factor"}),
+    "--jobs": ("2", {"oracle"}),
+}
+
+
+def test_cli_subcommands_take_only_the_shared_flags_they_read(capsys):
+    assert main(["analyze", "g.txt", "--budget", "5"]) == 2
+    base = {
+        "analyze": ["analyze", "g.txt"],
+        "orient": ["orient", "g.txt"],
+        "factor": ["factor", "g.txt", "--k", "3"],
+        "parity-factor": ["parity-factor", "g.txt", "--f", "0,1", "--epsilon", "0.5"],
+        "even-factor": ["even-factor", "g.txt", "--k", "2"],
+        "verify": ["verify", "g.txt", "r.json"],
+        "gen": ["gen", "--family", "regular"],
+        "oracle": ["oracle", "g.txt", "--question", "equitable"],
+    }
+    parser = build_parser()
+    for name, argv in base.items():
+        for flag, (value, readers) in SHARED_FLAGS.items():
+            if name in readers:
+                args = parser.parse_args(argv + [flag, value])
+                assert str(getattr(args, flag[2:])) == value
+            else:
+                assert main(argv + [flag, value]) == 2, (name, flag)
     capsys.readouterr()
 
 

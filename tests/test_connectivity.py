@@ -1,6 +1,7 @@
 import math
 import random
 
+import networkx as nx
 import pytest
 
 import cut_oracles
@@ -163,3 +164,87 @@ def test_scale_doubled_cycle_t_odd_cut():
     f[0] = f[1500] = 1
     ok, x = connectivity.f_odd_cut_bound(g, f, 5)
     assert not ok and len(x & {0, 1500}) == 1 and cut_size(g, x) == 4
+
+
+def gomory_hu_t_odd_cut(g, t):
+    """Padberg-Rao over networkx's Gomory-Hu tree of the whole vertex set:
+    the smallest fundamental cut whose side holds an odd number of t."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    for v in range(1, g.n):  # zero-capacity path: gomory_hu_tree needs a connected graph
+        h.add_edge(v - 1, v, capacity=0)
+    for (u, v), w in connectivity._merged_edges(g).items():
+        h.add_edge(u, v, capacity=w)
+    tree = nx.gomory_hu_tree(h)
+    best = math.inf
+    for u, v, w in list(tree.edges(data="weight")):
+        tree.remove_edge(u, v)
+        if len(nx.node_connected_component(tree, u) & t) % 2 == 1:
+            best = min(best, w)
+        tree.add_edge(u, v, weight=w)
+    return best
+
+
+def test_t_odd_cuts_match_gomory_hu_padberg_rao():
+    """Mid-size cross-check, where the exhaustive oracle cannot go: odd edge
+    connectivity and f-odd cuts against Padberg-Rao over networkx's
+    Gomory-Hu tree, on multigraphs with loops and parallel edges."""
+    rng = random.Random(23)
+    found = 0
+    for trial in range(100):
+        n = rng.randint(10, 60)
+        g = random_multigraph(rng, min_n=n, max_n=n, min_m=n, max_m=3 * n)
+        if trial % 2:
+            # dense clusters joined by a few edges, so that the minimum
+            # T-odd cut is seldom a single vertex
+            cluster = [rng.randrange(4) for _ in range(n)]
+            edges = [(u, v) for u, v in g.edges if cluster[u] == cluster[v]]
+            edges += [e for e in g.edges if cluster[e[0]] != cluster[e[1]]][: rng.randint(1, 6)]
+            g = Multigraph(n, edges * 3)
+        f = [rng.randrange(2) for _ in range(g.n)]
+        f[0] ^= sum(f) % 2
+        t = frozenset(v for v in range(g.n) if f[v])
+        expected = gomory_hu_t_odd_cut(g, cut_oracles.odd_degree_set(g))
+        value, x = connectivity.odd_edge_connectivity_witness(g)
+        assert value == expected
+        if value != math.inf:
+            assert cut_size(g, x) == value and cut_size(g, x) % 2 == 1
+        expected = gomory_hu_t_odd_cut(g, t)
+        for bound in (expected, expected + 1):
+            ok, x = connectivity.f_odd_cut_bound(g, f, bound)
+            assert ok == (expected >= bound)
+            if not ok:
+                found += 1
+                assert cut_size(g, x) == expected and len(x & t) % 2 == 1
+    assert found >= 90
+
+
+def test_scale_t_odd_cut_many_terminals():
+    """|T| = 200 on a 2000-vertex union of three Hamiltonian cycles: each
+    terminal alone is a T-odd cut of 6 = lambda."""
+    g = eulerian_union(random.Random(8), 2000, 3)
+    t = set(random.Random(9).sample(range(g.n), 200))
+    value, x = connectivity._min_t_odd_cut(g, t)
+    assert value == 6 and cut_size(g, x) == 6 and len(x & t) % 2 == 1
+
+
+def test_t_odd_cut_builds_one_network_and_runs_t_minus_one_flows(monkeypatch):
+    counts = {"networks": 0, "flows": 0}
+
+    class CountingNetwork(connectivity.FlowNetwork):
+        def __init__(self, n):
+            counts["networks"] += 1
+            super().__init__(n)
+
+        def max_flow(self, s, t):
+            counts["flows"] += 1
+            return super().max_flow(s, t)
+
+    monkeypatch.setattr(connectivity, "FlowNetwork", CountingNetwork)
+    rng = random.Random(29)
+    for _ in range(20):
+        g = random_multigraph(rng, min_n=4, max_n=12, max_m=30)
+        t = set(rng.sample(range(g.n), 2 * rng.randint(1, g.n // 2)))
+        counts.update(networks=0, flows=0)
+        connectivity._min_t_odd_cut(g, t)
+        assert counts == {"networks": 1, "flows": len(t) - 1}

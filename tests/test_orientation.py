@@ -124,6 +124,47 @@ def test_realize_agrees_with_hakimi_subset_oracle():
     assert (True, True) in shapes
 
 
+def test_realize_plans_that_cannot_host_their_loops():
+    """A plan with o(v) < loops(v) or d(v) - o(v) < loops(v) fails in the flow
+    itself, with a certificate that violates Hakimi's bound."""
+    g = Multigraph(2, [(0, 0), (0, 1), (1, 1)])
+    for o in ((0, 3), (3, 0)):
+        with pytest.raises(Infeasible) as info:
+            realize_out_degrees(g, OutDegreePlan(o))
+        a = info.value.certificate
+        assert sum(o[v] for v in a) < internal_edges(g, a)
+    rng = random.Random(37)
+    tried = 0
+    while tried < 200:
+        g = random_multigraph(rng, max_n=6, max_m=10)
+        looped = [v for v in range(g.n) if g.loops_at(v)]
+        if not looped:
+            continue
+        v = rng.choice(looped)
+        o = list(random_orientation(rng, g).out_degrees)
+        # set o(v) below loops(v), or above d(v) - loops(v), and move the
+        # difference to the other vertices
+        target = rng.randrange(g.loops_at(v))
+        if rng.random() < 0.5:
+            target = g.degree(v) - target
+        shift = o[v] - target
+        others = [u for u in range(g.n) if u != v]
+        rng.shuffle(others)
+        for u in others:
+            step = max(-o[u], min(g.degree(u) - o[u], shift))
+            o[u] += step
+            shift -= step
+        if shift:
+            continue
+        o[v] = target
+        tried += 1
+        assert hakimi_violation(g, o) is not None
+        with pytest.raises(Infeasible) as info:
+            realize_out_degrees(g, OutDegreePlan(tuple(o)))
+        a = info.value.certificate
+        assert sum(o[x] for x in a) < internal_edges(g, a)
+
+
 def test_realize_from_any_start_orientation():
     """The realization is exact from whatever orientation it starts: the
     verdict matches Hakimi's condition and certificates violate it."""
