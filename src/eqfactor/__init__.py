@@ -26,7 +26,6 @@ from .multigraph import (
     subgraph,
 )
 from .orientation import (
-    OutDegreePlan,
     ResidueMap,
     balanced_mod_k_orientation,
     eulerian_orientation,
@@ -61,7 +60,6 @@ __all__ = [
     "InvalidInput",
     "Multigraph",
     "Orientation",
-    "OutDegreePlan",
     "ParitySpec",
     "ResidueMap",
     "ResidueObstruction",

@@ -229,20 +229,17 @@ def cmd_oracle(args):
     if args.question == "equitable":
         if args.k is None:
             raise InvalidInput("oracle equitable requires --k")
-        answer = lab.oracle(g, "equitable", jobs=args.jobs, k=args.k)
+        answer = lab.oracle_equitable(g, args.k, jobs=args.jobs)
     elif args.question == "orientation":
         if args.k is None:
             raise InvalidInput("oracle orientation requires --k")
-        answer = lab.oracle(g, "orientation", jobs=args.jobs, p=_residue_map(g, args).p, k=args.k)
-    elif args.question == "parity_gf":
+        answer = lab.oracle_orientation(g, _residue_map(g, args).p, args.k, jobs=args.jobs)
+    else:
         if args.f is None or args.epsilon is None:
             raise InvalidInput("oracle parity_gf requires --f and --epsilon")
         f = _parity_map(g, _csv_ints(args.f))
         g0, f0 = parity.epsilon_windows(g, f, args.epsilon)
-        spec = parity.ParitySpec(f=f, g0=g0, f0=f0)
-        answer = lab.oracle(g, "parity_gf", jobs=args.jobs, spec=spec)
-    else:
-        raise InvalidInput(f"unknown question {args.question!r}")
+        answer = lab.oracle_parity_gf(g, parity.ParitySpec(f=f, g0=g0, f0=f0), jobs=args.jobs)
     print("true" if answer else "false")
     return 0 if answer else 1
 
@@ -256,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "--format": dict(choices=("json", "text"), default="json"),
         "--seed": dict(type=int, default=0),
-        "--budget": dict(type=int, default=DEFAULT_BUDGET),
+        "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                         help="plan-search nodes, one per candidate out-degree tried, before exit 3 (undecided)"),
         "--jobs": dict(type=int, default=1),
     }
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidInput
 from .maxflow import FlowNetwork
@@ -339,17 +339,15 @@ def f_odd_cut_bound(g: Multigraph, f, lam: int):
 
 @dataclass
 class CutReport:
-    """Connectivity statistics with witness cuts."""
+    """Connectivity statistics: lambda, odd lambda and tree connectivity."""
 
     lam: object
     odd_lam: object
     tree_conn: int
-    witnesses: list = field(default_factory=list)
 
 
 def analyze(g: Multigraph) -> CutReport:
-    lam, wit = edge_connectivity_witness(g)
-    odd_lam, odd_wit = odd_edge_connectivity_witness(g)
+    lam = edge_connectivity(g)
+    odd_lam = odd_edge_connectivity(g)
     tree_conn = _tree_connectivity(g, lam) if g.n >= 2 else 0
-    witnesses = [w for w in (wit, odd_wit) if w is not None]
-    return CutReport(lam=lam, odd_lam=odd_lam, tree_conn=tree_conn, witnesses=witnesses)
+    return CutReport(lam=lam, odd_lam=odd_lam, tree_conn=tree_conn)

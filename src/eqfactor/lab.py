@@ -385,14 +385,3 @@ def _sharded(worker, task, choices, limit, jobs):
     tasks = [task(prefix) for prefix in product(choices, repeat=depth)]
     with Pool(jobs) as pool:
         return any(pool.map(worker, tasks))
-
-
-def oracle(g: Multigraph, question: str, jobs: int = 1, **params):
-    """Unified oracle front end: questions 'equitable', 'orientation', 'parity_gf'."""
-    if question == "equitable":
-        return oracle_equitable(g, int(params["k"]), jobs=jobs)
-    if question == "orientation":
-        return oracle_orientation(g, params["p"], int(params["k"]), jobs=jobs)
-    if question == "parity_gf":
-        return oracle_parity_gf(g, params["spec"], jobs=jobs)
-    raise InvalidInput(f"unknown oracle question {question!r}")

@@ -1,19 +1,20 @@
 """Orientation solvers: Eulerian, prescribed out-degrees, mod-k residues, balance.
 
-The mod-k solver is two-stage: an iterative backtracking search over
-residue-compliant out-degree plans (sum-window and partial Hakimi pruning),
-each leaf realized exactly by a warm-started flow. The realization starts from
-a near-balanced (Eulerian) orientation, computed once per search, and
-reverses edges along paths from vertices above their planned out-degree to
-vertices below it, with a max-flow on the n + 2 node vertex digraph; when the
-start already meets the plan, no network is built. Search exhaustion means
-infeasible; hitting the node budget raises Undecided instead.
+Both mod-k solvers run one plan search: an iterative depth-first search over
+per-vertex out-degree candidates (the residue-compliant values for a
+p-orientation; d(v)/2 off Q and d(v)/2 +- k/2 on Q for even-k balance) with
+sum-window and partial Hakimi pruning. Each leaf is realized exactly by a flow
+from a near-balanced (Eulerian) start, computed once per search, that reverses
+edges along paths from vertices above their planned out-degree to vertices
+below it on the n + 2 node vertex digraph; no network is built when the start
+already meets the plan. Exhaustion means infeasible; a spent node budget
+raises Undecided instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
 from .maxflow import FlowNetwork
@@ -48,22 +49,6 @@ def residue_map(g: Multigraph, k: int, z=None, Z=None) -> ResidueMap:
     if Z is not None:
         return ResidueMap(k, tuple(g.degree(v) if v in chosen else 0 for v in range(g.n)))
     return ResidueMap(k, tuple(g.m if v == z else 0 for v in range(g.n)))
-
-
-@dataclass(frozen=True)
-class OutDegreePlan:
-    """Prescribed out-degree per vertex."""
-
-    o: tuple
-
-    def validate(self, g: Multigraph):
-        if len(self.o) != g.n:
-            raise InvalidInput("plan must cover every vertex")
-        for v, ov in enumerate(self.o):
-            if not 0 <= ov <= g.degree(v):
-                raise InvalidInput(f"plan value {ov} at vertex {v} outside [0, d(v)]")
-        if sum(self.o) != g.m:
-            raise InvalidInput("plan out-degrees must sum to |E|")
 
 
 def eulerian_orientation(g: Multigraph) -> Orientation:
@@ -106,8 +91,9 @@ def near_balanced_orientation(g: Multigraph) -> Orientation:
     return Orientation(g, eulerian_orientation(aux).tails[: g.m])
 
 
-def realize_out_degrees(g: Multigraph, plan: OutDegreePlan, *, start=None) -> Orientation:
-    """Orientation with d+(v) = o(v) exactly.
+def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:
+    """Orientation with d+(v) = o(v) exactly, for an out-degree sequence o
+    with 0 <= o(v) <= d(v) summing to |E| (InvalidInput otherwise).
 
     Starts from an orientation D of g, by default the near-balanced one
     (callers that realize many plans on one graph pass it as ``start``, so
@@ -120,8 +106,13 @@ def realize_out_degrees(g: Multigraph, plan: OutDegreePlan, *, start=None) -> Or
     Raises Infeasible with a certificate set A such that
     sum_{v in A} o(v) < |E(G[A])| (Hakimi violation) when no orientation exists.
     """
-    plan.validate(g)
-    o = plan.o
+    if len(o) != g.n:
+        raise InvalidInput("plan must cover every vertex")
+    for v, ov in enumerate(o):
+        if not 0 <= ov <= g.degree(v):
+            raise InvalidInput(f"plan value {ov} at vertex {v} outside [0, d(v)]")
+    if sum(o) != g.m:
+        raise InvalidInput("plan out-degrees must sum to |E|")
     if start is None:
         start = near_balanced_orientation(g)
     elif start.base is not g and start.base != g:
@@ -171,36 +162,21 @@ def _plan_candidates(g: Multigraph, v: int, residue: int, k: int) -> list:
     return vals
 
 
-def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGET) -> Orientation:
-    """Orientation with d+(v) = p(v) (mod k) at every vertex.
+def _plan_search(g: Multigraph, order, cand, budget: int, failure: str) -> Orientation:
+    """Realize the first plan, depth first, that gives vertex order[i] one of
+    the out-degrees cand[i], each list tried in its own order.
 
-    Depth-first search over plans, vertices by decreasing degree, each
-    vertex's candidates nearest d(v)/2 first. The search keeps its state on
-    per-depth arrays instead of the call stack: the next candidate index and
-    the running out-degree sum. Every candidate tried counts as one node.
-
-    Raises ResidueObstruction when sum(p) != |E| (mod k), Infeasible when the
-    plan search space is exhausted, and Undecided when the node budget runs out.
+    The search keeps its state on per-depth arrays instead of the call stack:
+    the next candidate index and the running out-degree sum. Every candidate
+    tried counts as one node. A prefix is cut when no completion sums to |E|,
+    or when its out-degrees or its in-degrees fall short of the edges inside
+    it (Hakimi's bound on the prefix set). Raises Infeasible(failure) when the
+    plans run out and Undecided when the node budget does.
     """
-    k = rm.k
-    if len(rm.p) != g.n:
-        raise InvalidInput("residue map must cover every vertex")
-    if (sum(rm.p) - g.m) % k != 0:
-        raise ResidueObstruction(
-            f"sum of residues {sum(rm.p) % k} != |E| mod k = {g.m % k}"
-        )
-    if k == 1:
-        return Orientation(g, [u for u, _ in g.edges])
     n, m = g.n, g.m
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    cand = [_plan_candidates(g, v, rm.p[v], k) for v in order]
-    if any(not c for c in cand):
-        raise Infeasible("some vertex admits no residue-compliant out-degree")
-    min_suffix = [0] * (n + 1)
-    max_suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        min_suffix[i] = min_suffix[i + 1] + min(cand[i])
-        max_suffix[i] = max_suffix[i + 1] + max(cand[i])
+    # min_suffix[i], max_suffix[i]: the least and greatest candidate sums over order[i:]
+    min_suffix = list(accumulate(map(min, reversed(cand)), initial=0))[::-1]
+    max_suffix = list(accumulate(map(max, reversed(cand)), initial=0))[::-1]
     start = near_balanced_orientation(g)  # shared by every leaf
     pos = [0] * n
     for i, v in enumerate(order):
@@ -209,9 +185,11 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
     # included) with both ends among order[:i + 1], deg_sum[i] their degrees
     added = [0] * n
     for u, w in g.edges:
-        added[max(pos[u], pos[w])] += 1
+        a, b = pos[u], pos[w]
+        added[a if a > b else b] += 1
     internal = list(accumulate(added))
-    deg_sum = list(accumulate(g.degree(v) for v in order))
+    deg = g.degrees
+    deg_sum = list(accumulate(deg[v] for v in order))
     sum_o = [0] * (n + 1)  # sum_o[i]: chosen out-degrees over order[:i]
     nxt = [0] * n  # nxt[i]: index of the next candidate to try at depth i
     nodes = 0
@@ -219,10 +197,10 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
     while i >= 0:
         if i == n:
             o = [0] * n
-            for j, v in enumerate(order):
-                o[v] = cand[j][nxt[j] - 1]
+            for v, c, j in zip(order, cand, nxt):
+                o[v] = c[j - 1]
             try:
-                return realize_out_degrees(g, OutDegreePlan(tuple(o)), start=start)
+                return realize_out_degrees(g, o, start=start)
             except Infeasible:
                 i -= 1
                 continue
@@ -242,10 +220,35 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
             continue
         sum_o[i + 1] = so
         i += 1
-    raise Infeasible(
+    raise Infeasible(failure)
+
+
+def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGET) -> Orientation:
+    """Orientation with d+(v) = p(v) (mod k) at every vertex.
+
+    The plan search visits vertices by decreasing degree, each vertex's
+    residue-compliant out-degrees nearest d(v)/2 first.
+
+    Raises ResidueObstruction when sum(p) != |E| (mod k), Infeasible when the
+    plan search space is exhausted, and Undecided when the node budget runs out.
+    """
+    k = rm.k
+    if len(rm.p) != g.n:
+        raise InvalidInput("residue map must cover every vertex")
+    if (sum(rm.p) - g.m) % k != 0:
+        raise ResidueObstruction(
+            f"sum of residues {sum(rm.p) % k} != |E| mod k = {g.m % k}"
+        )
+    if k == 1:
+        return Orientation(g, [u for u, _ in g.edges])
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    cand = [_plan_candidates(g, v, rm.p[v], k) for v in order]
+    if any(not c for c in cand):
+        raise Infeasible("some vertex admits no residue-compliant out-degree")
+    return _plan_search(g, order, cand, budget, (
         "no residue-compliant orientation found; the guarantee holds only "
         "under (3k-3)-edge-connectivity or (2k-2)-tree-connectivity"
-    )
+    ))
 
 
 def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFAULT_BUDGET) -> Orientation:
@@ -255,8 +258,9 @@ def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFA
     p-orientation with p(v) = d(v) * inv(2) mod k.
 
     Even k (even-degree graph, |q| even): d+(v) = d-(v) off q and
-    |d+(v) - d-(v)| = k on q, by searching sign choices over q and realizing
-    the resulting out-degree plans by flow.
+    |d+(v) - d-(v)| = k on q. The plan search runs over vertices 0..n-1 with
+    out-degree d(v)/2 off q and d(v)/2 + k/2, then d(v)/2 - k/2, on q, so it
+    meets the sign choices over q in lexicographic order of their plus sets.
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")
@@ -266,7 +270,7 @@ def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFA
         inv2 = (k + 1) // 2
         p = tuple((g.degree(v) * inv2) % k for v in range(g.n))
         return mod_k_orientation(g, ResidueMap(k, p), budget=budget)
-    q = sorted(set(q or ()))
+    q = set(q or ())
     for v in range(g.n):
         if g.degree(v) % 2 == 1:
             raise InvalidInput(f"even-k balance needs even degrees; vertex {v} has degree {g.degree(v)}")
@@ -274,24 +278,12 @@ def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFA
         raise InvalidInput("|Q| must be even")
     if not q:
         return eulerian_orientation(g)
-    for v in q:
+    for v in sorted(q):
         if g.degree(v) < k:
             raise Infeasible(f"vertex {v} in Q has degree {g.degree(v)} < k = {k}")
-    base = [g.degree(v) // 2 for v in range(g.n)]
-    start = near_balanced_orientation(g)
-    tried = 0
-    for plus in combinations(q, len(q) // 2):
-        tried += 1
-        if tried > budget:
-            raise Undecided(f"sign search over Q exceeded budget {budget}")
-        o = list(base)
-        for v in q:
-            o[v] += k // 2 if v in plus else -(k // 2)
-        try:
-            return realize_out_degrees(g, OutDegreePlan(tuple(o)), start=start)
-        except Infeasible:
-            continue
-    raise Infeasible(
+    h = k // 2
+    cand = [[d // 2 + h, d // 2 - h] if v in q else [d // 2] for v, d in enumerate(g.degrees)]
+    return _plan_search(g, range(g.n), cand, budget, (
         "no balanced orientation found for Q; the guarantee holds only under "
         "the odd-cut bound d(X) >= 3k-2"
-    )
+    ))

@@ -129,10 +129,9 @@ def three_factor_criterion(g: Multigraph, budget: int = DEFAULT_BUDGET) -> Three
                 "the floor/ceil split"
             ),
         )
-    zset = find_Z_set(g, 3)
-    if zset is None:
-        raise Infeasible("no residue-compatible Z set exists")  # unreachable when |Z0| != 1
-    report = equitable_factorize(g, EquitableRequest(k=3, Z=zset), budget=budget)
+    # the auto path's find_Z_set always succeeds here: two nonzero residues
+    # mod 3 reach every residue, and with no such vertex the empty Z works
+    report = equitable_factorize(g, EquitableRequest(k=3), budget=budget)
     return ThreeFactorResult(decomposable=True, report=report)
 
 

@@ -115,6 +115,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["orient", k7, "--k", "3", "--Z", "0,99"]) == 2
     # argparse rejection -> 2
     assert main(["factor", tri, "--k", "2", "--mode", "sideways"]) == 2
+    assert main(["oracle", tri, "--question", "whatever"]) == 2
     capsys.readouterr()
 
 
@@ -147,6 +148,20 @@ def test_cli_subcommands_take_only_the_shared_flags_they_read(capsys):
                 assert str(getattr(args, flag[2:])) == value
             else:
                 assert main(argv + [flag, value]) == 2, (name, flag)
+    capsys.readouterr()
+
+
+def test_cli_parity_budget_counts_plan_search_nodes(tmp_path, capsys):
+    """Even-k parity spends at least one plan-search node per vertex on each
+    sign choice. Here the first choice (+ at 0, - at 1) is realized; it takes
+    n + 1 nodes, because the sum cut rejects + at 1 after + at 0."""
+    g = eulerian_union(random.Random(7), 50, 3)
+    path = write_graph(tmp_path, g)
+    argv = ["factor", path, "--k", "2", "--mode", "parity", "--f", "0,1", "--budget"]
+    assert main(argv + [str(g.n - 1)]) == 3
+    assert capsys.readouterr().err.startswith("undecided:")
+    assert main(argv + [str(g.n)]) == 3
+    assert main(argv + [str(g.n + 1)]) == 0
     capsys.readouterr()
 
 

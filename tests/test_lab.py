@@ -6,7 +6,6 @@ from eqfactor.errors import InvalidInput, Undecided
 from conftest import random_multigraph
 from eqfactor.lab import (
     generate,
-    oracle,
     oracle_equitable,
     oracle_orientation,
     oracle_parity_gf,
@@ -112,10 +111,10 @@ def test_oracle_budgets():
     with pytest.raises(Undecided):
         oracle_equitable(big, 3)
     with pytest.raises(Undecided):
-        oracle(big, "orientation", p=(0,) * 7, k=3)
+        oracle_orientation(big, (0,) * 7, 3)
     wide = Multigraph(2, [(0, 1)] * 25)
     with pytest.raises(Undecided):
-        oracle(wide, "parity_gf", spec=ParitySpec(f=(0, 0), g0=(0, 0), f0=(2, 2)))
+        oracle_parity_gf(wide, ParitySpec(f=(0, 0), g0=(0, 0), f0=(2, 2)))
 
 
 def test_oracle_orientation_frozen():
@@ -123,13 +122,11 @@ def test_oracle_orientation_frozen():
     assert oracle_orientation(complete_graph(4), (0, 0, 0, 0), 2) is True
 
 
-def test_oracle_front_end_and_jobs():
+def test_oracle_jobs():
     g = complete_graph(5)
-    assert oracle(g, "equitable", k=2) is True
-    assert oracle(g, "equitable", k=2, jobs=3) is True
-    assert oracle(cycle_graph(5), "equitable", k=2, jobs=3) is False
-    with pytest.raises(InvalidInput):
-        oracle(g, "whatever")
+    assert oracle_equitable(g, 2) is True
+    assert oracle_equitable(g, 2, jobs=3) is True
+    assert oracle_equitable(cycle_graph(5), 2, jobs=3) is False
 
 
 def test_sharded_orientation_and_parity_oracles_agree():

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from conftest import random_even_multigraph, random_multigraph, random_orientation
-from cut_oracles import hakimi_violation, internal_edges
+from conftest import eulerian_union, random_even_multigraph, random_multigraph, random_orientation
+from cut_oracles import balanced_sign_enumeration, hakimi_violation, internal_edges
 from eqfactor import orientation
 from eqfactor.errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
 from eqfactor.lab import oracle_orientation
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
 from eqfactor.orientation import (
-    OutDegreePlan,
     ResidueMap,
     balanced_mod_k_orientation,
     eulerian_orientation,
@@ -42,24 +41,24 @@ def test_eulerian_rejects_odd_degree():
 
 def test_realize_triangle_cyclic():
     g = cycle_graph(3)
-    d = realize_out_degrees(g, OutDegreePlan((1, 1, 1)))
+    d = realize_out_degrees(g, (1, 1, 1))
     assert d.out_degrees == (1, 1, 1)
 
 
 def test_realize_triangle_forced():
     g = cycle_graph(3)
-    d = realize_out_degrees(g, OutDegreePlan((2, 1, 0)))
+    d = realize_out_degrees(g, (2, 1, 0))
     assert d.out_degrees == (2, 1, 0)
 
 
 def test_realize_triangle_infeasible_certificate():
     g = cycle_graph(3)
     with pytest.raises(InvalidInput):
-        realize_out_degrees(g, OutDegreePlan((3, 0, 0)))  # o > d at v0
+        realize_out_degrees(g, (3, 0, 0))  # o > d at v0
     g4 = Multigraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     # o(1)=o(2)=2 demands 4 tails among vertices of joint incident count 3
     with pytest.raises(Infeasible) as exc:
-        realize_out_degrees(g4, OutDegreePlan((0, 2, 2, 0)))
+        realize_out_degrees(g4, (0, 2, 2, 0))
     cert = exc.value.certificate
     assert sum((0, 2, 2, 0)[v] for v in cert) < internal_edges(g4, cert)
 
@@ -77,11 +76,7 @@ def test_hakimi_certificate_violates_bound():
         if sum(o) != g.m:
             continue
         try:
-            plan = OutDegreePlan(tuple(o))
-        except InvalidInput:
-            continue
-        try:
-            d = realize_out_degrees(g, plan)
+            d = realize_out_degrees(g, o)
             assert d.out_degrees == tuple(o)
         except Infeasible as exc:
             found += 1
@@ -110,7 +105,7 @@ def test_realize_agrees_with_hakimi_subset_oracle():
                 o[v] += 1
         violation = hakimi_violation(g, o)
         try:
-            d = realize_out_degrees(g, OutDegreePlan(tuple(o)))
+            d = realize_out_degrees(g, tuple(o))
         except Infeasible as exc:
             assert violation is not None
             a = exc.certificate
@@ -130,7 +125,7 @@ def test_realize_plans_that_cannot_host_their_loops():
     g = Multigraph(2, [(0, 0), (0, 1), (1, 1)])
     for o in ((0, 3), (3, 0)):
         with pytest.raises(Infeasible) as info:
-            realize_out_degrees(g, OutDegreePlan(o))
+            realize_out_degrees(g, o)
         a = info.value.certificate
         assert sum(o[v] for v in a) < internal_edges(g, a)
     rng = random.Random(37)
@@ -160,7 +155,7 @@ def test_realize_plans_that_cannot_host_their_loops():
         tried += 1
         assert hakimi_violation(g, o) is not None
         with pytest.raises(Infeasible) as info:
-            realize_out_degrees(g, OutDegreePlan(tuple(o)))
+            realize_out_degrees(g, tuple(o))
         a = info.value.certificate
         assert sum(o[x] for x in a) < internal_edges(g, a)
 
@@ -179,7 +174,7 @@ def test_realize_from_any_start_orientation():
             o[v] += 1
         violation = hakimi_violation(g, o)
         try:
-            d = realize_out_degrees(g, OutDegreePlan(tuple(o)), start=random_orientation(rng, g))
+            d = realize_out_degrees(g, tuple(o), start=random_orientation(rng, g))
         except Infeasible as exc:
             assert violation is not None
             assert sum(o[v] for v in exc.certificate) < internal_edges(g, exc.certificate)
@@ -191,7 +186,7 @@ def test_realize_from_any_start_orientation():
     assert outcomes == {True, False}
     g = cycle_graph(3)
     with pytest.raises(InvalidInput):
-        realize_out_degrees(g, OutDegreePlan((1, 1, 1)), start=eulerian_orientation(cycle_graph(4)))
+        realize_out_degrees(g, (1, 1, 1), start=eulerian_orientation(cycle_graph(4)))
 
 
 def test_balanced_even_k_agrees_with_orientation_oracle():
@@ -292,8 +287,8 @@ def test_mod_k_with_k_1_keeps_the_stored_tails():
 
 
 def test_start_orientation_is_computed_once_per_call(monkeypatch):
-    """The plan search and the even-k sign search compute the near-balanced
-    start once and hand it to every leaf they realize."""
+    """Both solvers' plan search computes the near-balanced start once per
+    call and hands it to every leaf it realizes."""
     starts, leaves = [], []
     near_balanced, realize = orientation.near_balanced_orientation, orientation.realize_out_degrees
     monkeypatch.setattr(orientation, "near_balanced_orientation", lambda g: starts.append(g) or near_balanced(g))
@@ -357,3 +352,65 @@ def test_balanced_even_k_validations():
         balanced_mod_k_orientation(cycle_graph(4), 2, q={0})
     with pytest.raises(Infeasible):
         balanced_mod_k_orientation(cycle_graph(4), 4, q={0, 1})  # degree 2 < k
+
+
+def count_leaves(monkeypatch):
+    """A list that grows by one plan each time the plan search realizes a leaf."""
+    leaves, realize = [], orientation.realize_out_degrees
+    monkeypatch.setattr(orientation, "realize_out_degrees",
+                        lambda g, o, **kw: leaves.append(o) or realize(g, o, **kw))
+    return leaves
+
+
+def test_balanced_even_k_matches_sign_enumeration(monkeypatch):
+    """The plan search returns the sign enumeration's orientation, or both
+    find none, and never realizes more plans than the enumeration."""
+    leaves = count_leaves(monkeypatch)
+    rng = random.Random(53)
+    outcomes, fewer, loops = [], 0, 0
+    while len(outcomes) < 240:
+        k = rng.choice((2, 4, 6))
+        n = rng.randint(2, 8)
+        g = random_even_multigraph(rng, n, 3 * k, 24)
+        # Q from vertices of degree >= k; smaller ones are rejected up front
+        big = [v for v in range(n) if g.degree(v) >= k]
+        if len(big) < 2:
+            continue
+        q = rng.sample(big, 2 * rng.randint(1, len(big) // 2))
+        leaves.clear()
+        try:
+            d = balanced_mod_k_orientation(g, k, q)
+        except Infeasible:
+            d = None
+        ref, flows = balanced_sign_enumeration(g, k, q)
+        if ref is None:
+            assert d is None
+        else:
+            assert d.tails == ref.tails
+        assert len(leaves) <= flows
+        fewer += len(leaves) < flows
+        loops += g.has_loops()
+        outcomes.append(d is not None)
+    assert 100 <= sum(outcomes) <= 200
+    assert fewer >= 30 and loops >= 100
+
+
+def test_balanced_even_k_skips_sign_choices_that_break_a_component(monkeypatch):
+    """Plus at both ends of the first quadruple edge asks 6 tails of its 4
+    edges; the Hakimi prefix cut skips that choice without a flow."""
+    leaves = count_leaves(monkeypatch)
+    g = Multigraph(4, [(0, 1)] * 4 + [(2, 3)] * 4)
+    d = balanced_mod_k_orientation(g, 2, {0, 1, 2, 3})
+    ref, flows = balanced_sign_enumeration(g, 2, {0, 1, 2, 3})
+    assert d.tails == ref.tails
+    assert (len(leaves), flows) == (1, 2)
+
+
+def test_scale_balanced_even_k_10k_runs_one_flow(monkeypatch):
+    g = eulerian_union(random.Random(59), 10_000, 3)
+    q = random.Random(61).sample(range(g.n), 2000)
+    leaves = count_leaves(monkeypatch)
+    d = balanced_mod_k_orientation(g, 2, q)
+    assert len(leaves) == 1
+    on_q = set(q)
+    assert all(abs(d.out_degree(v) - d.in_degree(v)) == (2 if v in on_q else 0) for v in range(g.n))

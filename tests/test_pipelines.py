@@ -86,6 +86,22 @@ def test_three_factor_k7():
     assert measured(res.report, "deviation<1") < 1
 
 
+def test_three_factor_report_equals_the_explicit_z_request():
+    """The criterion's auto path finds the same Z as find_Z_set, so its report
+    is that of the explicit-Z request (4-regular graphs: every vertex has
+    degree 1 mod 3, and |E| = 2n mod 3 needs a nonempty Z)."""
+    rng = random.Random(67)
+    for g in (complete_graph(7), eulerian_union(rng, 10, 2), eulerian_union(rng, 11, 2)):
+        res = three_factor_criterion(g)
+        assert res.decomposable
+        zset = find_Z_set(g, 3)
+        assert (g.m % 3 == 0) == (zset == frozenset())
+        rep = equitable_factorize(g, EquitableRequest(k=3, Z=zset))
+        assert res.report.factorization.assignment == rep.factorization.assignment
+        assert res.report.audit == rep.audit
+        assert res.report.warnings == rep.warnings
+
+
 def test_three_factor_impossible():
     g = Multigraph(7, list(complete_graph(7).edges) + [(0, 0)])
     res = three_factor_criterion(g)
