@@ -254,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format": dict(choices=("json", "text"), default="json"),
         "--seed": dict(type=int, default=0),
         "--budget": dict(type=int, default=DEFAULT_BUDGET,
-                         help="plan-search nodes, one per candidate out-degree tried, before exit 3 (undecided)"),
+                         help="plan-search nodes, one per candidate out-degree tried, before exit 3 (undecided); "
+                              "with a budget of at least n, a mod-k orientation first tries one least-imbalance "
+                              "plan, and a failed first plan is not charged"),
         "--jobs": dict(type=int, default=1),
     }
 

@@ -1,14 +1,18 @@
 """Orientation solvers: Eulerian, prescribed out-degrees, mod-k residues, balance.
 
-Both mod-k solvers run one plan search: an iterative depth-first search over
-per-vertex out-degree candidates (the residue-compliant values for a
-p-orientation; d(v)/2 off Q and d(v)/2 +- k/2 on Q for even-k balance) with
-sum-window and partial Hakimi pruning. Each leaf is realized exactly by a flow
-from a near-balanced (Eulerian) start, computed once per search, that reverses
-edges along paths from vertices above their planned out-degree to vertices
-below it on the n + 2 node vertex digraph; no network is built when the start
-already meets the plan. Exhaustion means infeasible; a spent node budget
-raises Undecided instead.
+A mod-k orientation is found by a first plan, then search. The first plan
+gives every vertex its residue-compliant out-degree nearest d(v)/2 and shifts
+the cheapest vertices by +-k until the plan sums to |E|; one flow realizes
+it. When that plan is not realizable, both mod-k solvers run one plan
+search: an iterative depth-first search over per-vertex out-degree candidates
+(the residue-compliant values for a p-orientation; d(v)/2 off Q and
+d(v)/2 +- k/2 on Q for even-k balance) with sum-window and partial Hakimi
+pruning. Each plan is realized exactly by a flow from a near-balanced
+(Eulerian) start, computed once per call, that reverses edges along paths
+from vertices above their planned out-degree to vertices below it on the
+n + 2 node vertex digraph; no network is built when the start already meets
+the plan. Exhaustion means infeasible; a spent node budget raises Undecided
+instead.
 """
 
 from __future__ import annotations
@@ -162,7 +166,60 @@ def _plan_candidates(g: Multigraph, v: int, residue: int, k: int) -> list:
     return vals
 
 
-def _plan_search(g: Multigraph, order, cand, budget: int, failure: str) -> Orientation:
+def _nearest_candidate(d: int, loops: int, residue: int, k: int):
+    """``_plan_candidates(...)[0]`` in O(1): the value = residue (mod k) in
+    [loops, d - loops] nearest d/2, ties to the smaller; None if there is none."""
+    half = d // 2
+    c = half - (half - residue) % k  # the largest value = residue (mod k) up to d/2
+    if 2 * (c + k) - d < d - 2 * c:
+        c += k
+    # [loops, d - loops] is symmetric about d/2: if the nearest value is out
+    # of it, so is every other
+    return c if loops <= c <= d - loops else None
+
+
+def _first_plan(g: Multigraph, rm: ResidueMap):
+    """The first plan: each vertex's nearest candidate, then (|E| - sum)/k
+    shifts by +-k, each the one that adds the least to sum |2o(v) - d(v)|
+    (ties to the smaller degree, then the larger vertex). An added cost only
+    grows as a vertex moves away from d(v)/2, so the plan has the least total
+    imbalance of all plans that sum to |E|.
+
+    Raises Infeasible when some vertex has no candidate; returns None when
+    the shifts run out of range.
+    """
+    k = rm.k
+    o = [_nearest_candidate(d, g.loops_at(v), r, k) for v, (d, r) in enumerate(zip(g.degrees, rm.p))]
+    if None in o:
+        raise Infeasible("some vertex admits no residue-compliant out-degree")
+    shifts = (g.m - sum(o)) // k
+    if not shifts:
+        return o
+    import heapq  # here, so that plans that need no shift cost no import
+
+    step = k if shifts > 0 else -k
+
+    def entry(v):
+        """Heap entry for one more shift at v, or None when out of range."""
+        c, d = o[v] + step, g.degrees[v]
+        if g.loops_at(v) <= c <= d - g.loops_at(v):
+            return (abs(2 * c - d) - abs(2 * o[v] - d), d, -v)
+        return None
+
+    heap = [e for e in map(entry, range(g.n)) if e is not None]
+    heapq.heapify(heap)
+    for _ in range(abs(shifts)):
+        if not heap:
+            return None
+        v = -heapq.heappop(heap)[2]
+        o[v] += step
+        e = entry(v)
+        if e is not None:
+            heapq.heappush(heap, e)
+    return o
+
+
+def _plan_search(g: Multigraph, order, cand, budget: int, failure: str, start=None) -> Orientation:
     """Realize the first plan, depth first, that gives vertex order[i] one of
     the out-degrees cand[i], each list tried in its own order.
 
@@ -170,14 +227,17 @@ def _plan_search(g: Multigraph, order, cand, budget: int, failure: str) -> Orien
     the next candidate index and the running out-degree sum. Every candidate
     tried counts as one node. A prefix is cut when no completion sums to |E|,
     or when its out-degrees or its in-degrees fall short of the edges inside
-    it (Hakimi's bound on the prefix set). Raises Infeasible(failure) when the
-    plans run out and Undecided when the node budget does.
+    it (Hakimi's bound on the prefix set). Every leaf is realized from
+    ``start``, by default the near-balanced orientation. Raises
+    Infeasible(failure) when the plans run out and Undecided when the node
+    budget does.
     """
     n, m = g.n, g.m
     # min_suffix[i], max_suffix[i]: the least and greatest candidate sums over order[i:]
     min_suffix = list(accumulate(map(min, reversed(cand)), initial=0))[::-1]
     max_suffix = list(accumulate(map(max, reversed(cand)), initial=0))[::-1]
-    start = near_balanced_orientation(g)  # shared by every leaf
+    if start is None:
+        start = near_balanced_orientation(g)  # shared by every leaf
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -224,10 +284,14 @@ def _plan_search(g: Multigraph, order, cand, budget: int, failure: str) -> Orien
 
 
 def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGET) -> Orientation:
-    """Orientation with d+(v) = p(v) (mod k) at every vertex.
+    """Orientation with d+(v) = p(v) (mod k) at every vertex: first plan,
+    then search.
 
-    The plan search visits vertices by decreasing degree, each vertex's
-    residue-compliant out-degrees nearest d(v)/2 first.
+    With a budget of at least n nodes, the first plan (``_first_plan``, the
+    least-imbalance plan that sums to |E|) is realized by one flow and
+    returned when it is realizable. Otherwise, and with no nodes charged for
+    that try, the plan search visits vertices by decreasing degree, each
+    vertex's residue-compliant out-degrees nearest d(v)/2 first.
 
     Raises ResidueObstruction when sum(p) != |E| (mod k), Infeasible when the
     plan search space is exhausted, and Undecided when the node budget runs out.
@@ -241,14 +305,19 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
         )
     if k == 1:
         return Orientation(g, [u for u, _ in g.edges])
+    plan = _first_plan(g, rm)
+    start = near_balanced_orientation(g)
+    if plan is not None and budget >= g.n:  # one leaf of the search costs n nodes
+        try:
+            return realize_out_degrees(g, plan, start=start)
+        except Infeasible:
+            pass
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     cand = [_plan_candidates(g, v, rm.p[v], k) for v in order]
-    if any(not c for c in cand):
-        raise Infeasible("some vertex admits no residue-compliant out-degree")
     return _plan_search(g, order, cand, budget, (
         "no residue-compliant orientation found; the guarantee holds only "
         "under (3k-3)-edge-connectivity or (2k-2)-tree-connectivity"
-    ))
+    ), start=start)
 
 
 def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFAULT_BUDGET) -> Orientation:

@@ -45,6 +45,16 @@ def eulerian_union(rng, n, cycles):
     return Multigraph(n, edges)
 
 
+def irregular_union(rng, n, cycles):
+    """Union of random Hamiltonian cycles plus n/2 random non-loop edges:
+    2*cycles-edge-connected, with about 40% odd-degree vertices."""
+    edges = list(eulerian_union(rng, n, cycles).edges)
+    for _ in range(n // 2):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    return Multigraph(n, edges)
+
+
 def random_even_multigraph(rng, n, max_degree, max_m):
     """Union of random closed walks (loops and parallel edges allowed), kept
     to degrees <= max_degree and at most max_m edges."""

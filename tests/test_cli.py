@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from conftest import eulerian_union, random_multigraph
-from eqfactor import pipelines
+from eqfactor import orientation, pipelines
 from eqfactor.cli import build_parser, main
 from eqfactor.graphio import (
     REPORT_SCHEMA,
@@ -163,6 +163,20 @@ def test_cli_parity_budget_counts_plan_search_nodes(tmp_path, capsys):
     assert main(argv + [str(g.n)]) == 3
     assert main(argv + [str(g.n + 1)]) == 0
     capsys.readouterr()
+
+
+def test_cli_factor_k2_on_three_cycles_runs_one_flow(tmp_path, capsys, monkeypatch):
+    """`factor --k 2` on a 200-vertex union of three Hamiltonian cycles (inside
+    the hypothesis) succeeds with one flow; the plan search alone ran past
+    100 s at n = 60."""
+    g = eulerian_union(random.Random(97), 200, 3)
+    leaves, realize = [], orientation.realize_out_degrees
+    monkeypatch.setattr(orientation, "realize_out_degrees",
+                        lambda g, o, **kw: leaves.append(o) or realize(g, o, **kw))
+    assert main(["factor", write_graph(tmp_path, g), "--k", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(leaves) == 1
+    assert all(entry["pass"] for entry in report["audit"].values())
 
 
 def test_cli_gen_round_trip(tmp_path, capsys):

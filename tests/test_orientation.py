@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from eqfactor.errors import Infeasible, InvalidInput, ResidueObstruction, Undeci
 from eqfactor.lab import oracle_orientation
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
 from eqfactor.orientation import (
+    DEFAULT_BUDGET,
     ResidueMap,
     balanced_mod_k_orientation,
     eulerian_orientation,
@@ -414,3 +416,124 @@ def test_scale_balanced_even_k_10k_runs_one_flow(monkeypatch):
     assert len(leaves) == 1
     on_q = set(q)
     assert all(abs(d.out_degree(v) - d.in_degree(v)) == (2 if v in on_q else 0) for v in range(g.n))
+
+
+def consistent_residues(rng, g, k):
+    """Random residues mod k whose sum is |E| (mod k)."""
+    p = [rng.randrange(k) for _ in range(g.n)]
+    p[0] = (p[0] + g.m - sum(p)) % k
+    return p
+
+
+def test_nearest_candidate_is_the_first_plan_candidate():
+    """The O(1) nearest candidate is _plan_candidates(...)[0], or both are
+    empty, for every vertex and residue."""
+    rng = random.Random(71)
+    shapes, empty = set(), set()
+    for _ in range(500):
+        g = random_multigraph(rng, max_n=8, max_m=24)
+        shapes.add((g.has_loops(), len(set(map(frozenset, g.edges))) < g.m))
+        k = rng.randint(2, 6)
+        for v in range(g.n):
+            for r in range(k):
+                cand = orientation._plan_candidates(g, v, r, k)
+                c = orientation._nearest_candidate(g.degree(v), g.loops_at(v), r, k)
+                assert c == (cand[0] if cand else None)
+                empty.add(c is None)
+    assert empty == {True, False}
+    assert (True, True) in shapes
+
+
+def test_first_plan_has_least_imbalance():
+    """The first plan sums to |E| with the least sum |2o(v) - d(v)| over all
+    residue-compliant plans, and is None exactly when no such plan exists."""
+    rng = random.Random(73)
+    checked, shifted, none = 0, 0, 0
+    while checked < 300:
+        g = random_multigraph(rng, max_n=6, max_m=10)
+        k = rng.choice((2, 3, 4))
+        p = consistent_residues(rng, g, k)
+        cand = [orientation._plan_candidates(g, v, p[v], k) for v in range(g.n)]
+        if not all(cand):
+            with pytest.raises(Infeasible):
+                orientation._first_plan(g, ResidueMap(k, p))
+            continue
+        size = 1
+        for c in cand:
+            size *= len(c)
+        if size > 20_000:
+            continue
+        checked += 1
+        deg = g.degrees
+        costs = [sum(abs(2 * c - d) for c, d in zip(plan, deg)) for plan in product(*cand) if sum(plan) == g.m]
+        plan = orientation._first_plan(g, ResidueMap(k, p))
+        if plan is None:
+            assert not costs
+            none += 1
+            continue
+        assert sum(plan) == g.m and all(plan[v] in cand[v] for v in range(g.n))
+        assert sum(abs(2 * c - d) for c, d in zip(plan, deg)) == min(costs)
+        shifted += any(plan[v] != cand[v][0] for v in range(g.n))
+    assert shifted >= 50 and none >= 5
+
+
+def test_first_plan_then_search_matches_the_plan_search(monkeypatch):
+    """mod_k_orientation agrees with the enumeration oracle. When its first
+    plan is not realized (forced here) or the budget is below n, it returns
+    the tails, or raises the exception, of the plan search alone with the
+    same order, candidates and budget."""
+    realize = orientation.realize_out_degrees
+    fail_next = []
+
+    def failing_first(g, o, **kw):
+        if fail_next:
+            fail_next.pop()
+            raise Infeasible("first plan forced infeasible")
+        return realize(g, o, **kw)
+
+    def outcome(solve, *args):
+        try:
+            return solve(*args).tails
+        except (Infeasible, Undecided) as exc:
+            return type(exc).__name__
+
+    rng = random.Random(79)
+    checked, forced, below, undecided = 0, 0, 0, 0
+    while checked < 300:
+        g = random_multigraph(rng, max_n=8, max_m=12)
+        k = rng.choice((2, 3, 4))
+        p = consistent_residues(rng, g, k)
+        rm = ResidueMap(k, p)
+        assert (outcome(mod_k_orientation, g, rm) != "Infeasible") == oracle_orientation(g, p, k)
+        order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        cand = [orientation._plan_candidates(g, v, p[v], k) for v in order]
+        if not all(cand):
+            continue
+        checked += 1
+        for budget in (rng.randrange(g.n), rng.choice((g.n, 3 * g.n, 30 * g.n, DEFAULT_BUDGET))):
+            ref = outcome(orientation._plan_search, g, order, cand, budget, "no plan")
+            fail = budget >= g.n and orientation._first_plan(g, rm) is not None
+            fail_next[:] = [True] if fail else []
+            monkeypatch.setattr(orientation, "realize_out_degrees", failing_first)
+            got = outcome(mod_k_orientation, g, rm, budget)
+            monkeypatch.setattr(orientation, "realize_out_degrees", realize)
+            assert not fail_next and got == ref
+            forced += fail
+            below += budget < g.n
+            undecided += ref == "Undecided"
+    assert forced >= 250 and below == 300 and undecided >= 100
+
+
+def test_scale_six_regular_10k_k3_first_plan_is_the_first_leaf(monkeypatch):
+    """On a 6-regular 10^4-vertex graph with k = 3 the first plan is the plan
+    search's first leaf: same tails, and no candidate list is built."""
+    g = eulerian_union(random.Random(89), 10_000, 3)
+    rm = ResidueMap(3, (0,) * g.n)
+    built = []
+    plan_candidates = orientation._plan_candidates
+    monkeypatch.setattr(orientation, "_plan_candidates", lambda *a: built.append(a) or plan_candidates(*a))
+    d = mod_k_orientation(g, rm)
+    assert built == []
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    cand = [plan_candidates(g, v, 0, 3) for v in order]
+    assert d.tails == orientation._plan_search(g, order, cand, DEFAULT_BUDGET, "no plan").tails

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from conftest import eulerian_union, random_multigraph
+from conftest import eulerian_union, irregular_union, random_multigraph
+from eqfactor import orientation
 from eqfactor.errors import Infeasible, InvalidInput
 from eqfactor.lab import oracle_equitable
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
@@ -192,3 +193,18 @@ def test_scale_parity_and_regular_factorize_10k():
     g = eulerian_union(random.Random(3), 10_000, 3)
     for rep in (parity_factorize(g, 3), regular_factorize(g, 3)):
         assert rep.audit.ok
+
+
+def test_scale_equitable_k3_irregular_10k_runs_one_flow(monkeypatch):
+    """ROADMAP item 2: on an irregular 10^4-vertex graph inside the k = 3
+    hypothesis, the first plan is realized by one flow and no search runs."""
+    g = irregular_union(random.Random(83), 10_000, 3)
+    assert len({d % 2 for d in g.degrees}) == 2
+    calls = []
+    realize, search = orientation.realize_out_degrees, orientation._plan_search
+    monkeypatch.setattr(orientation, "realize_out_degrees",
+                        lambda *a, **kw: calls.append("realize") or realize(*a, **kw))
+    monkeypatch.setattr(orientation, "_plan_search", lambda *a, **kw: calls.append("search") or search(*a, **kw))
+    rep = equitable_factorize(g, EquitableRequest(k=3))
+    assert calls == ["realize"]
+    assert rep.audit.ok and not rep.warnings

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import eqfactor
@@ -32,3 +34,36 @@ def test_only_the_oracles_enumerate_subsets():
     assert offenders == {}
     assert itertools_enumerators(ast.parse("from itertools import accumulate, combinations")) == {"combinations"}
     assert itertools_enumerators(ast.parse("import itertools\nitertools.product(a)")) == {"product"}
+
+
+# Top-level public modules that `import eqfactor.cli` loads into a bare
+# interpreter (python -S) besides the interpreter's own start-up modules,
+# recorded on Python 3.11 when the first plan of mod_k_orientation landed.
+CLI_IMPORTS = {
+    "argparse", "array", "ast", "bisect", "collections", "contextlib", "copy", "copyreg", "dataclasses", "dis",
+    "enum", "eqfactor", "errno", "functools", "genericpath", "gettext", "importlib", "inspect", "itertools", "json",
+    "keyword", "linecache", "math", "multiprocessing", "opcode", "operator", "os", "pickle", "posixpath", "random",
+    "re", "reprlib", "select", "selectors", "signal", "socket", "stat", "struct", "textwrap", "threading", "token",
+    "tokenize", "traceback", "types", "warnings", "weakref",
+}
+
+
+def cli_imports(extra=""):
+    """Top-level public modules that `import eqfactor.cli` (then ``extra``)
+    loads into a fresh interpreter started without site packages."""
+    src = str(Path(eqfactor.__file__).parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
+        f"import eqfactor.cli\n{extra}\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before if not m.startswith('_')})))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_cli_import_loads_no_new_modules():
+    """Start-up cost (the benchmark's setup_s) cannot creep: the CLI imports
+    no module beyond the recorded set; heapq, which the first plan's shift
+    step uses, is imported only when a plan needs a shift."""
+    assert cli_imports() - CLI_IMPORTS == set()
+    assert cli_imports("import heapq") - CLI_IMPORTS == {"heapq"}
