@@ -244,86 +244,116 @@ def cmd_oracle(args):
     return 0 if answer else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the shared flags; each subcommand in COMMANDS takes only those it reads
+SHARED_FLAGS = {
+    "--format": dict(choices=("json", "text"), default="json"),
+    "--seed": dict(type=int, default=0),
+    "--budget": dict(type=int, default=DEFAULT_BUDGET,
+                     help="plan-search nodes, one per candidate out-degree tried, before exit 3 (undecided); "
+                          "with a budget of at least n, a mod-k orientation first tries one least-imbalance "
+                          "plan, and a failed first plan is not charged"),
+    "--jobs": dict(type=int, default=1),
+}
+
+
+def _arg(*flags, **kwargs) -> tuple:
+    """The arguments of one add_argument call."""
+    return flags, kwargs
+
+
+GRAPH = _arg("graph", help="graph file (text format)")
+
+# name -> (help, function, shared flags, further arguments), in help order
+COMMANDS = {
+    "analyze": ("edge/odd/tree connectivity report", cmd_analyze, ("--format",), (GRAPH,)),
+    "orient": ("Eulerian or mod-k residue orientation", cmd_orient, ("--format", "--budget"), (
+        GRAPH,
+        _arg("--k", type=int),
+        _arg("--z", type=int),
+        _arg("--Z"),
+    )),
+    "factor": ("factorization pipelines", cmd_factor, ("--format", "--budget"), (
+        GRAPH,
+        _arg("--k", type=int, required=True),
+        _arg("--mode", choices=("equitable", "parity", "regular", "anstee"), default="equitable"),
+        _arg("--z", type=int),
+        _arg("--Z"),
+        _arg("--f", help="comma-separated odd-parity vertices (even-k parity mode)"),
+        _arg("--r-list", dest="r_list"),
+        _arg("--bounded", action="store_true", help="complete to a regular supergraph first"),
+    )),
+    "parity-factor": ("epsilon-parity factor search", cmd_parity_factor, ("--format",), (
+        GRAPH,
+        _arg("--f", required=True, help="comma-separated odd-parity vertices"),
+        _arg("--epsilon", type=float, required=True),
+        _arg("--z", type=int, help="vertex with a one-sided degree constraint"),
+        _arg("--side", choices=("at-least", "at-most"), default="at-least"),
+    )),
+    "even-factor": ("even factor or even factorization", cmd_even_factor, ("--format",), (
+        GRAPH,
+        _arg("--epsilon", type=float),
+        _arg("--epsilons", help="comma-separated weights summing to 1"),
+        _arg("--k", type=int),
+    )),
+    "verify": ("audit a JSON report against its graph", cmd_verify, (), (
+        GRAPH,
+        _arg("report", help="JSON factorization report"),
+        _arg("--claims", default="deviation<1,size±1"),
+    )),
+    "gen": ("seed-deterministic graph families", cmd_gen, ("--seed",), (
+        _arg("--family", required=True),
+        _arg("--n", type=int),
+        _arg("--k", type=int),
+        _arg("--r", type=int),
+        _arg("--d", type=int),
+        _arg("--c", type=int),
+        _arg("--t", type=int),
+        _arg("--base", help="base graph file for the multiplied family"),
+    )),
+    "oracle": ("exhaustive ground-truth questions", cmd_oracle, ("--jobs",), (
+        GRAPH,
+        _arg("--question", required=True, choices=("equitable", "orientation", "parity_gf")),
+        _arg("--k", type=int),
+        _arg("--z", type=int),
+        _arg("--Z"),
+        _arg("--f"),
+        _arg("--epsilon", type=float),
+    )),
+}
+
+
+def build_parser(*names) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of the named COMMANDS, or of
+    all of them when none is named."""
     parser = argparse.ArgumentParser(
         prog="eqfactor",
         description="Equitable and parity edge-factorizations of multigraphs.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    shared = {
-        "--format": dict(choices=("json", "text"), default="json"),
-        "--seed": dict(type=int, default=0),
-        "--budget": dict(type=int, default=DEFAULT_BUDGET,
-                         help="plan-search nodes, one per candidate out-degree tried, before exit 3 (undecided); "
-                              "with a budget of at least n, a mod-k orientation first tries one least-imbalance "
-                              "plan, and a failed first plan is not charged"),
-        "--jobs": dict(type=int, default=1),
-    }
-
-    def command(name, help, func, *flags, graph=True):
-        """A subcommand with the shared flags it reads, and no others."""
-        p = sub.add_parser(name, help=help)
-        if graph:
-            p.add_argument("graph", help="graph file (text format)")
-        for flag in flags:
-            p.add_argument(flag, **shared[flag])
-        p.set_defaults(func=func)
-        return p
-
-    command("analyze", "edge/odd/tree connectivity report", cmd_analyze, "--format")
-
-    p = command("orient", "Eulerian or mod-k residue orientation", cmd_orient, "--format", "--budget")
-    p.add_argument("--k", type=int)
-    p.add_argument("--z", type=int)
-    p.add_argument("--Z")
-
-    p = command("factor", "factorization pipelines", cmd_factor, "--format", "--budget")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=("equitable", "parity", "regular", "anstee"), default="equitable")
-    p.add_argument("--z", type=int)
-    p.add_argument("--Z")
-    p.add_argument("--f", help="comma-separated odd-parity vertices (even-k parity mode)")
-    p.add_argument("--r-list", dest="r_list")
-    p.add_argument("--bounded", action="store_true", help="complete to a regular supergraph first")
-
-    p = command("parity-factor", "epsilon-parity factor search", cmd_parity_factor, "--format")
-    p.add_argument("--f", required=True, help="comma-separated odd-parity vertices")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--z", type=int, help="vertex with a one-sided degree constraint")
-    p.add_argument("--side", choices=("at-least", "at-most"), default="at-least")
-
-    p = command("even-factor", "even factor or even factorization", cmd_even_factor, "--format")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--epsilons", help="comma-separated weights summing to 1")
-    p.add_argument("--k", type=int)
-
-    p = command("verify", "audit a JSON report against its graph", cmd_verify)
-    p.add_argument("report", help="JSON factorization report")
-    p.add_argument("--claims", default="deviation<1,size±1")
-
-    p = command("gen", "seed-deterministic graph families", cmd_gen, "--seed", graph=False)
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--base", help="base graph file for the multiplied family")
-
-    p = command("oracle", "exhaustive ground-truth questions", cmd_oracle, "--jobs")
-    p.add_argument("--question", required=True, choices=("equitable", "orientation", "parity_gf"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--z", type=int)
-    p.add_argument("--Z")
-    p.add_argument("--f")
-    p.add_argument("--epsilon", type=float)
-
+    # with some subparsers left out, the usage line still names them all; the
+    # full parser sets no metavar, as its errors name the argument
+    # 'subcommand' only then
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if names else None)
+    for name in names or COMMANDS:
+        text, func, shared, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag in shared:
+            p.add_argument(flag, **SHARED_FLAGS[flag])
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        # read through the module, so that a wrapper put on cmd_* after
+        # import, such as a tracer's, is the function that runs
+        p.set_defaults(func=globals()[func.__name__])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # building all eight subparsers costs more than a small solve, so a call
+    # that names its subcommand builds that one alone; any other argv gets
+    # every subparser, for the top-level help and the invalid-choice error
+    parser = build_parser(*argv[:1]) if argv and argv[0] in COMMANDS else build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

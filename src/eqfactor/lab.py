@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from multiprocessing import Pool
 
 from .errors import InvalidInput, Undecided
 from .multigraph import Factorization, Multigraph
@@ -147,10 +146,10 @@ def generate(family: str, params: dict, seed: int = 0) -> Multigraph:
     """
     rng = random.Random(seed)
     if family == "complete":
-        n = int(params["n"])
+        n, = _params(family, params, "n")
         return Multigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if family == "regular":
-        n, d = int(params["n"]), int(params["d"])
+        n, d = _params(family, params, "n", "d")
         if n < 1 or d < 0 or (n * d) % 2 != 0:
             raise InvalidInput("regular family needs n*d even")
         edges = []
@@ -164,7 +163,7 @@ def generate(family: str, params: dict, seed: int = 0) -> Multigraph:
                 edges += _random_hamiltonian_cycle(n, rng)
         return Multigraph(n, edges)
     if family == "eulerian_cycles":
-        n, c = int(params["n"]), int(params["c"])
+        n, c = _params(family, params, "n", "c")
         if n < 3 or c < 1:
             raise InvalidInput("eulerian_cycles needs n >= 3 and c >= 1")
         edges = []
@@ -172,8 +171,7 @@ def generate(family: str, params: dict, seed: int = 0) -> Multigraph:
             edges += _random_hamiltonian_cycle(n, rng)
         return Multigraph(n, edges)
     if family == "multiplied":
-        base = params["base"]
-        t = int(params["t"])
+        base, t = _params(family, params, "base", "t")
         if t < 1:
             raise InvalidInput("multiplier must be >= 1")
         return Multigraph(base.n, [e for e in base.edges for _ in range(t)])
@@ -182,11 +180,19 @@ def generate(family: str, params: dict, seed: int = 0) -> Multigraph:
     raise InvalidInput(f"unknown family {family!r}")
 
 
+def _params(family: str, params: dict, *keys) -> list:
+    """The named parameters of family, as ints (but a base graph as given)."""
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise InvalidInput(f"{family} family needs " + " and ".join(f"--{key}" for key in missing))
+    return [params[key] if key == "base" else int(params[key]) for key in keys]
+
+
 def _observation_family(params: dict, rng: random.Random) -> Multigraph:
     """Odd-order graphs with degrees k*r except k-2 vertices of degree k*r+1;
     no equitable k-factorization exists (an r-regular factor would be forced,
     impossible on odd order with r odd)."""
-    k, r = int(params["k"]), int(params["r"])
+    k, r = _params("observation", params, "k", "r")
     n = int(params.get("n", 5))
     if k < 2 or r < 1 or r % 2 == 0:
         raise InvalidInput("observation family needs k >= 2 and odd r")
@@ -379,6 +385,8 @@ def _sharded(worker, task, choices, limit, jobs):
     with jobs <= 1 the empty prefix runs the whole search in this process."""
     if jobs <= 1:
         return worker(task(()))
+    from multiprocessing import Pool  # loads pickle, socket and more: only here
+
     depth = 0
     while len(choices) ** depth < 4 * jobs and depth < limit:
         depth += 1

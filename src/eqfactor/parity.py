@@ -170,6 +170,8 @@ def epsilon_parity_factor(g: Multigraph, f, eps: float, z=None):
         zv, side = z
         if side not in ("at_least", "at_most"):
             raise InvalidInput(f"unknown steering side {side!r}")
+        if not 0 <= zv < g.n:
+            raise InvalidInput(f"vertex {zv} out of range")
         ed = eps * g.degree(zv)
         if side == "at_least" and g0[zv] < ed:
             g0[zv] += 2
@@ -323,6 +325,8 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
     eps_list = [float(x) for x in eps_list]
     if not eps_list or any(x <= 0 for x in eps_list):
         raise InvalidInput("weights must be positive")
+    if not all(map(math.isfinite, eps_list)):
+        raise InvalidInput("weights must be finite")
     if abs(sum(eps_list) - 1.0) > 1e-9:
         raise InvalidInput("weights must sum to 1")
     _check_even_degrees(g)

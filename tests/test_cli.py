@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from conftest import eulerian_union, random_multigraph
-from eqfactor import orientation, pipelines
+from eqfactor import cli, orientation, pipelines
 from eqfactor.cli import build_parser, main
 from eqfactor.graphio import (
     REPORT_SCHEMA,
@@ -128,18 +128,22 @@ SHARED_FLAGS = {
 }
 
 
+# a valid argv of each subcommand, without its shared flags
+SUBCOMMAND_ARGVS = {
+    "analyze": ["analyze", "g.txt"],
+    "orient": ["orient", "g.txt"],
+    "factor": ["factor", "g.txt", "--k", "3"],
+    "parity-factor": ["parity-factor", "g.txt", "--f", "0,1", "--epsilon", "0.5"],
+    "even-factor": ["even-factor", "g.txt", "--k", "2"],
+    "verify": ["verify", "g.txt", "r.json"],
+    "gen": ["gen", "--family", "regular"],
+    "oracle": ["oracle", "g.txt", "--question", "equitable"],
+}
+
+
 def test_cli_subcommands_take_only_the_shared_flags_they_read(capsys):
     assert main(["analyze", "g.txt", "--budget", "5"]) == 2
-    base = {
-        "analyze": ["analyze", "g.txt"],
-        "orient": ["orient", "g.txt"],
-        "factor": ["factor", "g.txt", "--k", "3"],
-        "parity-factor": ["parity-factor", "g.txt", "--f", "0,1", "--epsilon", "0.5"],
-        "even-factor": ["even-factor", "g.txt", "--k", "2"],
-        "verify": ["verify", "g.txt", "r.json"],
-        "gen": ["gen", "--family", "regular"],
-        "oracle": ["oracle", "g.txt", "--question", "equitable"],
-    }
+    base = SUBCOMMAND_ARGVS
     parser = build_parser()
     for name, argv in base.items():
         for flag, (value, readers) in SHARED_FLAGS.items():
@@ -149,6 +153,79 @@ def test_cli_subcommands_take_only_the_shared_flags_they_read(capsys):
             else:
                 assert main(argv + [flag, value]) == 2, (name, flag)
     capsys.readouterr()
+
+
+def test_one_subparser_parses_as_the_full_parser_does():
+    full = build_parser()
+    for name, argv in SUBCOMMAND_ARGVS.items():
+        one = build_parser(name)
+        assert list(one._subparsers._group_actions[0].choices) == [name]
+        for extra in [[], *([flag, value] for flag, (value, readers) in SHARED_FLAGS.items() if name in readers)]:
+            assert one.parse_args(argv + extra) == full.parse_args(argv + extra), (name, extra)
+
+
+def test_main_prints_what_the_full_parser_prints(tmp_path, capsys, monkeypatch):
+    """Every argv that reaches argparse's help or errors gives the same
+    stdout, stderr and exit code whether main builds one subparser or all."""
+    k5 = write_graph(tmp_path, complete_graph(5))
+    runs = [["analyze", k5], ["even-factor", k5, "--k", "2", "--format", "text"],
+            ["-h"], ["--help"], *([name, "-h"] for name in cli.COMMANDS)]
+    errors = [
+        [], ["frobnicate"], ["factr"], ["--bogus"], ["factor", k5, "--k", "x"],
+        ["factor", k5, "--k", "3", "--bogus"], ["analyze", k5, "extra"],
+        ["parity-factor", k5, "--f", "0,1", "--epsilon", "0.5", "--side", "up"],
+        ["analyze", k5, "--budget", "5"], ["gen", "--family", "regular", "--jobs", "2"],
+        *([name] for name in cli.COMMANDS),
+    ]
+    for argv, code in [(argv, 0) for argv in runs] + [(argv, 2) for argv in errors]:
+        one = (main(argv), *capsys.readouterr())
+        monkeypatch.setattr(cli, "build_parser", lambda *names: build_parser())
+        assert one == (main(argv), *capsys.readouterr()), argv
+        monkeypatch.undo()
+        assert one[0] == code, argv
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    k5 = write_graph(tmp_path, complete_graph(5))
+    assert main(["analyze", k5, "--format", "text"]) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["eqfactor", "analyze", k5, "--format", "text"])
+    assert main() == 0
+    assert capsys.readouterr() == expected
+    monkeypatch.setattr(sys, "argv", ["eqfactor", "factr"])
+    assert main() == 2
+    assert "invalid choice: 'factr'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, params", [
+    ("complete", {"n": "4"}),
+    ("regular", {"n": "6", "d": "3"}),
+    ("eulerian_cycles", {"n": "5", "c": "2"}),
+    ("multiplied", {"base": None, "t": "2"}),
+    ("observation", {"k": "3", "r": "1"}),
+])
+def test_gen_without_a_family_parameter_names_the_flag(tmp_path, capsys, family, params):
+    params = {key: value or write_graph(tmp_path, complete_graph(3)) for key, value in params.items()}
+    flags = [arg for key, value in params.items() for arg in (f"--{key}", value)]
+    assert main(["gen", "--family", family, *flags]) == 0
+    for key in params:
+        rest = [arg for other, value in params.items() if other != key for arg in (f"--{other}", value)]
+        assert main(["gen", "--family", family, *rest]) == 2, key
+        assert capsys.readouterr().err == f"error: {family} family needs --{key}\n"
+
+
+@pytest.mark.parametrize("z", ["999", "-1"])
+def test_parity_factor_rejects_a_steered_vertex_outside_the_graph(tmp_path, capsys, z):
+    k4 = write_graph(tmp_path, complete_graph(4))
+    assert main(["parity-factor", k4, "--f", "0,1,2,3", "--epsilon", "0.5", "--z", z]) == 2
+    assert capsys.readouterr().err == f"error: vertex {z} out of range\n"
+
+
+@pytest.mark.parametrize("weights", ["nan,0.5", "0.5,nan,0.5"])
+def test_even_factor_rejects_nan_weights(tmp_path, capsys, weights):
+    k5 = write_graph(tmp_path, complete_graph(5))
+    assert main(["even-factor", k5, "--epsilons", weights]) == 2
+    assert capsys.readouterr().err == "error: weights must be finite\n"
 
 
 def test_cli_parity_budget_counts_plan_search_nodes(tmp_path, capsys):

@@ -38,13 +38,16 @@ def test_only_the_oracles_enumerate_subsets():
 
 # Top-level public modules that `import eqfactor.cli` loads into a bare
 # interpreter (python -S) besides the interpreter's own start-up modules,
-# recorded on Python 3.11 when the first plan of mod_k_orientation landed.
+# recorded on Python 3.11 when the oracles' process pool became a lazy import.
 CLI_IMPORTS = {
-    "argparse", "array", "ast", "bisect", "collections", "contextlib", "copy", "copyreg", "dataclasses", "dis",
-    "enum", "eqfactor", "errno", "functools", "genericpath", "gettext", "importlib", "inspect", "itertools", "json",
-    "keyword", "linecache", "math", "multiprocessing", "opcode", "operator", "os", "pickle", "posixpath", "random",
-    "re", "reprlib", "select", "selectors", "signal", "socket", "stat", "struct", "textwrap", "threading", "token",
-    "tokenize", "traceback", "types", "warnings", "weakref",
+    "argparse", "ast", "bisect", "collections", "contextlib", "copy", "copyreg", "dataclasses", "dis", "enum",
+    "eqfactor", "functools", "genericpath", "gettext", "importlib", "inspect", "itertools", "json", "keyword",
+    "linecache", "math", "opcode", "operator", "os", "posixpath", "random", "re", "reprlib", "stat", "textwrap",
+    "token", "tokenize", "traceback", "types", "warnings", "weakref",
+}
+# what `import multiprocessing` adds to them
+MULTIPROCESSING_IMPORTS = {
+    "array", "errno", "multiprocessing", "pickle", "select", "selectors", "signal", "socket", "struct", "threading",
 }
 
 
@@ -64,6 +67,8 @@ def cli_imports(extra=""):
 def test_cli_import_loads_no_new_modules():
     """Start-up cost (the benchmark's setup_s) cannot creep: the CLI imports
     no module beyond the recorded set; heapq, which the first plan's shift
-    step uses, is imported only when a plan needs a shift."""
+    step uses, is imported only when a plan needs a shift, and multiprocessing
+    only when an oracle runs with jobs > 1."""
     assert cli_imports() - CLI_IMPORTS == set()
     assert cli_imports("import heapq") - CLI_IMPORTS == {"heapq"}
+    assert cli_imports("import multiprocessing") - CLI_IMPORTS == MULTIPROCESSING_IMPORTS
