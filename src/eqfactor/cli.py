@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 infeasible or impossible (or oracle answer false),
 2 invalid input, 3 undecided (budget exhausted), 4 internal error (any other
 exception, so that a crash never reads as "infeasible").
+
+Importing this module loads only errors, graphio and multigraph of the
+package. Each cmd_* imports the modules it runs when it is dispatched, so
+one call loads what its subcommand needs and nothing more.
 """
 
 from __future__ import annotations
@@ -10,14 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
-from . import connectivity, lab, parity, pipelines
-from .coloring import anstee_decomposition
-from .errors import Infeasible, InvalidInput, Undecided
+from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, Undecided
 from .graphio import check_report, dump_report, factorization_report, parse_graph, serialize_graph
 from .multigraph import Factorization, Multigraph
-from .orientation import DEFAULT_BUDGET, eulerian_orientation, mod_k_orientation, residue_map
 
 
 def _csv_ints(text: str) -> list:
@@ -52,6 +52,8 @@ def _parity_map(g: Multigraph, odd_vertices) -> tuple:
 
 
 def _residue_map(g: Multigraph, args):
+    from .orientation import residue_map
+
     zset = frozenset(_csv_ints(args.Z)) if args.Z is not None else None
     return residue_map(g, args.k, z=args.z, Z=zset)
 
@@ -74,12 +76,16 @@ def _one_factor(g: Multigraph, edge_ids, claims) -> tuple:
     """A single factor F as the 2-part factorization (F, complement), and the
     audit entries of claims measured on F alone; the complement's degrees
     follow from F's."""
+    from . import lab
+
     chosen = set(edge_ids)
     fz = Factorization(g, 2, [1 if eid in chosen else 2 for eid in range(g.m)])
     return fz, lab.measure(g, [fz.factor_degrees(1)], claims).entries
 
 
 def cmd_analyze(args):
+    from . import connectivity
+
     g = _read_graph(args.graph)
     rep = connectivity.analyze(g)
     lam = "inf" if rep.lam == float("inf") else rep.lam
@@ -97,6 +103,8 @@ def cmd_analyze(args):
 
 
 def cmd_orient(args):
+    from .orientation import eulerian_orientation, mod_k_orientation
+
     g = _read_graph(args.graph)
     if args.k is None:
         d = eulerian_orientation(g)
@@ -111,6 +119,9 @@ def cmd_orient(args):
 
 
 def cmd_factor(args):
+    from . import lab, pipelines
+    from .coloring import anstee_decomposition
+
     g = _read_graph(args.graph)
     rep, warnings, audit = None, [], []
     if args.mode == "equitable":
@@ -145,6 +156,8 @@ def cmd_factor(args):
 
 
 def cmd_parity_factor(args):
+    from . import lab, parity
+
     g = _read_graph(args.graph)
     if args.f is None or args.epsilon is None:
         raise InvalidInput("parity-factor requires --f and --epsilon")
@@ -159,6 +172,8 @@ def cmd_parity_factor(args):
 
 
 def cmd_even_factor(args):
+    from . import lab, parity
+
     g = _read_graph(args.graph)
     given = sum(x is not None for x in (args.epsilon, args.epsilons, args.k))
     if given != 1:
@@ -181,6 +196,8 @@ def cmd_even_factor(args):
 
 
 def cmd_verify(args):
+    from . import lab
+
     g = _read_graph(args.graph)
     try:
         with open(args.report) as fh:
@@ -212,6 +229,8 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
+    from . import lab
+
     params = {}
     for key in ("n", "k", "r", "d", "c", "t"):
         val = getattr(args, key, None)
@@ -225,6 +244,8 @@ def cmd_gen(args):
 
 
 def cmd_oracle(args):
+    from . import lab
+
     g = _read_graph(args.graph)
     if args.question == "equitable":
         if args.k is None:
@@ -237,6 +258,8 @@ def cmd_oracle(args):
     else:
         if args.f is None or args.epsilon is None:
             raise InvalidInput("oracle parity_gf requires --f and --epsilon")
+        from . import parity
+
         f = _parity_map(g, _csv_ints(args.f))
         g0, f0 = parity.epsilon_windows(g, f, args.epsilon)
         answer = lab.oracle_parity_gf(g, parity.ParitySpec(f=f, g0=g0, f0=f0), jobs=args.jobs)
@@ -370,6 +393,8 @@ def main(argv=None) -> int:
         print(f"undecided: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a bug, not an answer: keep it apart from exit 1
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

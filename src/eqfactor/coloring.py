@@ -30,17 +30,6 @@ class BipartiteSplit:
     in_first: list
     origin_edge: tuple
 
-    @property
-    def chunk_of(self) -> list:
-        """chunk_of[b_vertex] = (original vertex, side, chunk index), side in {"out", "in"}."""
-        ends = self.out_first[1:] + [self.b.n]  # v's in-chunks end where v + 1's begin
-        return [
-            (v, side, c - first)
-            for v, (o, i, end) in enumerate(zip(self.out_first, self.in_first, ends))
-            for side, first, stop in (("out", o, i), ("in", i, end))
-            for c in range(first, stop)
-        ]
-
 
 @dataclass
 class EdgeColoring:
@@ -117,17 +106,19 @@ def _check_bipartite(b: Multigraph) -> None:
         size[w] += size[u]
 
 
-def konig_edge_coloring(b: Multigraph, k: int) -> EdgeColoring:
+def konig_edge_coloring(b: Multigraph, k: int, check: bool = True) -> EdgeColoring:
     """Proper <=k-edge-coloring of a bipartite multigraph with max degree <= k.
 
     Each edge takes a color missing at both ends, or a two-color alternating
     path is swapped to free one (always possible in bipartite graphs). The
     color slots of all vertices live in one flat list: at[v * (k + 1) + c] is
-    the edge of color c at v, or -1.
+    the edge of color c at v, or -1. check=False skips the odd-cycle test,
+    for a graph bipartite by construction, as split_to_bipartite's is.
     """
     if b.has_loops():
         raise InvalidInput("edge coloring requires a loopless graph")
-    _check_bipartite(b)
+    if check:
+        _check_bipartite(b)
     if any(d > k for d in b.degrees):
         raise InvalidInput(f"maximum degree {max(b.degrees)} exceeds k = {k}")
     edges = b.edges
@@ -243,7 +234,9 @@ def decompose_directed(d: Orientation, k: int, mode: str = "size") -> Factorizat
     if k == 1:
         return Factorization(g, 1, [1] * g.m)
     split = split_to_bipartite(d, k, parity_mode=(mode == "parity"))
-    coloring = konig_edge_coloring(split.b, k)
+    # every chunk-graph edge, padding included, runs from an out-chunk to an
+    # in-chunk, so the split needs no odd-cycle test
+    coloring = konig_edge_coloring(split.b, k, check=False)
     if mode == "size":
         coloring = balance_color_sizes(split, coloring)
     # chunk-graph edge i is edge i of g for i < m; padding edges come after

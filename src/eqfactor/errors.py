@@ -4,6 +4,11 @@ Exit-code mapping used by the CLI: InvalidInput -> 2, Infeasible -> 1,
 Undecided -> 3, and any other exception (an internal error) -> 4.
 """
 
+# plan-search nodes a solver may spend before it raises Undecided; defined
+# here, beside Undecided, so that the CLI's --budget default costs no solver
+# import
+DEFAULT_BUDGET = 10**6
+
 
 class InvalidInput(ValueError):
     """Malformed or out-of-contract input (bad parameters, parity mismatch, ...)."""

@@ -14,7 +14,6 @@ from itertools import product
 
 from .errors import InvalidInput, Undecided
 from .multigraph import Factorization, Multigraph
-from .parity import ParitySpec
 
 EQUITABLE_BUDGET = 10**8
 PARITY_EDGE_BUDGET = 24
@@ -294,6 +293,7 @@ def _equitable_worker(args):
 def oracle_equitable(g: Multigraph, k: int, jobs: int = 1) -> bool:
     """Does an equitable k-factorization exist? Exhaustive with the first
     edge's factor fixed (symmetry)."""
+    _check_jobs(jobs)
     if k < 1:
         raise InvalidInput("k must be >= 1")
     if k == 1 or g.m == 0:
@@ -324,6 +324,7 @@ def _orientation_worker(args):
 
 def oracle_orientation(g: Multigraph, p, k: int, jobs: int = 1) -> bool:
     """Does a p-orientation modulo k exist? Exhaustive over 2^(non-loop edges)."""
+    _check_jobs(jobs)
     if k < 1:
         raise InvalidInput("k must be >= 1")
     p = tuple(int(x) % k for x in p)
@@ -366,6 +367,7 @@ def _parity_worker(args):
 
 def oracle_parity_gf(g: Multigraph, spec: ParitySpec, jobs: int = 1) -> bool:
     """Does a parity (g0,f0)-factor exist? Exhaustive over all 2^|E| subsets."""
+    _check_jobs(jobs)
     if len(spec.f) != g.n:
         raise InvalidInput("spec must cover every vertex")
     if g.m > PARITY_EDGE_BUDGET:
@@ -378,12 +380,17 @@ def oracle_parity_gf(g: Multigraph, spec: ParitySpec, jobs: int = 1) -> bool:
     return _sharded(_parity_worker, task, (0, 1), g.m, jobs)
 
 
+def _check_jobs(jobs) -> None:
+    if jobs < 1:
+        raise InvalidInput(f"jobs must be >= 1, got {jobs}")
+
+
 def _sharded(worker, task, choices, limit, jobs):
     """Is worker(task(prefix)) true for some prefix? The prefixes are every
     choice of the first d search decisions, with d the least giving 4 tasks
     per process (at most limit), shared out over a pool of jobs processes;
-    with jobs <= 1 the empty prefix runs the whole search in this process."""
-    if jobs <= 1:
+    with jobs == 1 the empty prefix runs the whole search in this process."""
+    if jobs == 1:
         return worker(task(()))
     from multiprocessing import Pool  # loads pickle, socket and more: only here
 

@@ -20,11 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
+from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, ResidueObstruction, Undecided
 from .maxflow import FlowNetwork
 from .multigraph import Multigraph, Orientation
-
-DEFAULT_BUDGET = 10**6
 
 
 @dataclass(frozen=True)

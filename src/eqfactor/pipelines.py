@@ -11,15 +11,10 @@ from dataclasses import dataclass, field
 
 from . import connectivity
 from .coloring import decompose_directed
-from .errors import Infeasible, InvalidInput
+from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput
 from .lab import VerificationReport, parity_claim, verify
 from .multigraph import Factorization, Multigraph
-from .orientation import (
-    DEFAULT_BUDGET,
-    balanced_mod_k_orientation,
-    mod_k_orientation,
-    residue_map,
-)
+from .orientation import balanced_mod_k_orientation, mod_k_orientation, residue_map
 
 
 @dataclass(frozen=True)

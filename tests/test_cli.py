@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from conftest import eulerian_union, random_multigraph
-from eqfactor import cli, orientation, pipelines
+from eqfactor import cli, lab, orientation, pipelines
 from eqfactor.cli import build_parser, main
 from eqfactor.graphio import (
     REPORT_SCHEMA,
@@ -226,6 +226,18 @@ def test_even_factor_rejects_nan_weights(tmp_path, capsys, weights):
     k5 = write_graph(tmp_path, complete_graph(5))
     assert main(["even-factor", k5, "--epsilons", weights]) == 2
     assert capsys.readouterr().err == "error: weights must be finite\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_oracle_rejects_a_job_count_below_one(tmp_path, capsys, monkeypatch, jobs):
+    """Each question exits 2 before any search starts, where a count below 1
+    used to run the search in process and exit 0."""
+    k5 = write_graph(tmp_path, complete_graph(5))
+    monkeypatch.setattr(lab, "_sharded", None)  # a search would raise TypeError: exit 4
+    for question in (["equitable", "--k", "2"], ["orientation", "--k", "2"],
+                     ["parity_gf", "--f", "0,1", "--epsilon", "0.5"]):
+        assert main(["oracle", k5, "--jobs", jobs, "--question", *question]) == 2
+        assert capsys.readouterr() == ("", f"error: jobs must be >= 1, got {jobs}\n")
 
 
 def test_cli_parity_budget_counts_plan_search_nodes(tmp_path, capsys):

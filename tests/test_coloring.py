@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import eulerian_union, proper_coloring, random_multigraph, random_orientation
+from eqfactor import coloring
 from eqfactor.coloring import (
     BipartiteSplit,
     EdgeColoring,
@@ -16,6 +17,17 @@ from eqfactor.errors import InvalidInput
 from eqfactor.lab import verify
 from eqfactor.multigraph import Multigraph, Orientation, complete_graph, cycle_graph
 from eqfactor.orientation import eulerian_orientation
+
+
+def chunk_of(split: BipartiteSplit) -> list:
+    """chunk_of(split)[b_vertex] = (original vertex, side, chunk index), side in {"out", "in"}."""
+    ends = split.out_first[1:] + [split.b.n]  # v's in-chunks end where v + 1's begin
+    return [
+        (v, side, c - first)
+        for v, (o, i, end) in enumerate(zip(split.out_first, split.in_first, ends))
+        for side, first, stop in (("out", o, i), ("in", i, end))
+        for c in range(first, stop)
+    ]
 
 
 def directed_triangle():
@@ -35,9 +47,8 @@ def test_split_chunk_degrees():
     g = Multigraph(6, [(0, i) for i in range(1, 6)])
     d = Orientation(g, (0,) * 5)
     split = split_to_bipartite(d, 2)
-    out_chunk_degs = sorted(
-        split.b.degree(b) for b in range(split.b.n) if split.chunk_of[b][:2] == (0, "out")
-    )
+    chunks = chunk_of(split)
+    out_chunk_degs = sorted(split.b.degree(b) for b in range(split.b.n) if chunks[b][:2] == (0, "out"))
     assert out_chunk_degs == [1, 2, 2]
 
 
@@ -45,7 +56,8 @@ def test_split_loop_becomes_cross_edge():
     g = Multigraph(1, [(0, 0)])
     split = split_to_bipartite(Orientation(g, (0,)), 3)
     (u, w) = split.b.edges[0]
-    assert {split.chunk_of[u][1], split.chunk_of[w][1]} == {"out", "in"}
+    chunks = chunk_of(split)
+    assert {chunks[u][1], chunks[w][1]} == {"out", "in"}
 
 
 def test_split_parity_padding():
@@ -135,6 +147,32 @@ def test_decompose_windows_random():
                     target = ((dp - dm) // k) % 2
                     for degs in fz.all_factor_degrees():
                         assert degs[v] % 2 == target
+
+
+def test_decompose_colors_the_split_without_the_odd_cycle_test(monkeypatch):
+    """Every chunk-graph edge, padding included, joins an out-chunk to an
+    in-chunk, so decompose_directed skips the odd-cycle test and gives the
+    same factors; konig_edge_coloring still runs the test on a graph passed in."""
+    rng = random.Random(43)
+    cases = []
+    for _ in range(60):
+        g = random_multigraph(rng, max_n=8, max_m=20)
+        d, k = random_orientation(rng, g), rng.choice((2, 3, 4))
+        for mode in ("size", "parity"):
+            split = split_to_bipartite(d, k, parity_mode=mode == "parity")
+            chunks = chunk_of(split)
+            assert all({chunks[u][1], chunks[w][1]} == {"out", "in"} for u, w in split.b.edges)
+            cases.append((d, k, mode, decompose_directed(d, k, mode=mode).assignment))
+
+    def refuse(b):
+        raise AssertionError("odd-cycle test")
+
+    monkeypatch.setattr(coloring, "_check_bipartite", refuse)
+    for d, k, mode, assignment in cases:
+        assert decompose_directed(d, k, mode=mode).assignment == assignment
+    assert anstee_decomposition(complete_graph(7), 3).k == 3
+    with pytest.raises(AssertionError, match="odd-cycle test"):
+        konig_edge_coloring(Multigraph(2, [(0, 1)]), 1)
 
 
 def test_decompose_k1_identity():
