@@ -3,16 +3,16 @@
 A mod-k orientation is found by a first plan, then search. The first plan
 gives every vertex its residue-compliant out-degree nearest d(v)/2 and shifts
 the cheapest vertices by +-k until the plan sums to |E|; one flow realizes
-it. When that plan is not realizable, both mod-k solvers run one plan
-search: an iterative depth-first search over per-vertex out-degree candidates
-(the residue-compliant values for a p-orientation; d(v)/2 off Q and
-d(v)/2 +- k/2 on Q for even-k balance) with sum-window and partial Hakimi
-pruning. Each plan is realized exactly by a flow from a near-balanced
-(Eulerian) start, computed once per call, that reverses edges along paths
-from vertices above their planned out-degree to vertices below it on the
-n + 2 node vertex digraph; no network is built when the start already meets
-the plan. Exhaustion means infeasible; a spent node budget raises Undecided
-instead.
+it. When that plan is not realizable, a plan search runs: an iterative
+depth-first search over per-vertex residue-compliant out-degrees with
+sum-window and partial Hakimi pruning. Each plan is realized exactly by a
+flow from a near-balanced (Eulerian) start, computed once per call, that
+reverses edges along paths from vertices above their planned out-degree to
+vertices below it on the n + 2 node vertex digraph; no network is built when
+the start already meets the plan. Exhaustion means infeasible; a spent node
+budget raises Undecided instead. Balanced orientations, for odd k and for
+even k with a vertex set Q, are mod-k orientations for a residue map read off
+the degrees, so they take the same route.
 """
 
 from __future__ import annotations
@@ -189,7 +189,10 @@ def _first_plan(g: Multigraph, rm: ResidueMap):
     k = rm.k
     o = [_nearest_candidate(d, g.loops_at(v), r, k) for v, (d, r) in enumerate(zip(g.degrees, rm.p))]
     if None in o:
-        raise Infeasible("some vertex admits no residue-compliant out-degree")
+        v = o.index(None)
+        raise Infeasible(
+            f"vertex {v} of degree {g.degree(v)} admits no out-degree = {rm.p[v]} (mod k = {k})"
+        )
     shifts = (g.m - sum(o)) // k
     if not shifts:
         return o
@@ -217,7 +220,7 @@ def _first_plan(g: Multigraph, rm: ResidueMap):
     return o
 
 
-def _plan_search(g: Multigraph, order, cand, budget: int, failure: str, start=None) -> Orientation:
+def _plan_search(g: Multigraph, order, cand, budget: int, start=None) -> Orientation:
     """Realize the first plan, depth first, that gives vertex order[i] one of
     the out-degrees cand[i], each list tried in its own order.
 
@@ -226,9 +229,8 @@ def _plan_search(g: Multigraph, order, cand, budget: int, failure: str, start=No
     tried counts as one node. A prefix is cut when no completion sums to |E|,
     or when its out-degrees or its in-degrees fall short of the edges inside
     it (Hakimi's bound on the prefix set). Every leaf is realized from
-    ``start``, by default the near-balanced orientation. Raises
-    Infeasible(failure) when the plans run out and Undecided when the node
-    budget does.
+    ``start``, by default the near-balanced orientation. Raises Infeasible
+    when the plans run out and Undecided when the node budget does.
     """
     n, m = g.n, g.m
     # min_suffix[i], max_suffix[i]: the least and greatest candidate sums over order[i:]
@@ -278,7 +280,7 @@ def _plan_search(g: Multigraph, order, cand, budget: int, failure: str, start=No
             continue
         sum_o[i + 1] = so
         i += 1
-    raise Infeasible(failure)
+    raise Infeasible("no residue-compliant orientation found")
 
 
 def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGET) -> Orientation:
@@ -291,8 +293,9 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
     that try, the plan search visits vertices by decreasing degree, each
     vertex's residue-compliant out-degrees nearest d(v)/2 first.
 
-    Raises ResidueObstruction when sum(p) != |E| (mod k), Infeasible when the
-    plan search space is exhausted, and Undecided when the node budget runs out.
+    Raises ResidueObstruction when sum(p) != |E| (mod k), Infeasible when a
+    vertex has no residue-compliant out-degree or the plan search space is
+    exhausted, and Undecided when the node budget runs out.
     """
     k = rm.k
     if len(rm.p) != g.n:
@@ -312,22 +315,18 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
             pass
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     cand = [_plan_candidates(g, v, rm.p[v], k) for v in order]
-    return _plan_search(g, order, cand, budget, (
-        "no residue-compliant orientation found; the guarantee holds only "
-        "under (3k-3)-edge-connectivity or (2k-2)-tree-connectivity"
-    ), start=start)
+    return _plan_search(g, order, cand, budget, start=start)
 
 
 def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFAULT_BUDGET) -> Orientation:
-    """Balanced orientations modulo k.
+    """Balanced orientations modulo k, each a p-orientation.
 
-    Odd k (q must be None): d+(v) = d-(v) (mod k) at every vertex, via a
-    p-orientation with p(v) = d(v) * inv(2) mod k.
+    Odd k (q must be None): d+(v) = d-(v) (mod k) at every vertex, with
+    p(v) = d(v) * inv(2) mod k.
 
-    Even k (even-degree graph, |q| even): d+(v) = d-(v) off q and
-    |d+(v) - d-(v)| = k on q. The plan search runs over vertices 0..n-1 with
-    out-degree d(v)/2 off q and d(v)/2 + k/2, then d(v)/2 - k/2, on q, so it
-    meets the sign choices over q in lexicographic order of their plus sets.
+    Even k (even-degree graph, |q| even): d+(v) - d-(v) = k [v in q] (mod 2k),
+    with p(v) = d(v)/2 + (k/2) [v in q] mod k. This is what parity mode of
+    ``decompose_directed`` needs for the parity targets of ``parity_factorize``.
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")
@@ -335,22 +334,15 @@ def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFA
         if q is not None:
             raise InvalidInput("Q is only meaningful for even k")
         inv2 = (k + 1) // 2
-        p = tuple((g.degree(v) * inv2) % k for v in range(g.n))
-        return mod_k_orientation(g, ResidueMap(k, p), budget=budget)
-    q = set(q or ())
-    for v in range(g.n):
-        if g.degree(v) % 2 == 1:
-            raise InvalidInput(f"even-k balance needs even degrees; vertex {v} has degree {g.degree(v)}")
-    if len(q) % 2 == 1:
-        raise InvalidInput("|Q| must be even")
-    if not q:
-        return eulerian_orientation(g)
-    for v in sorted(q):
-        if g.degree(v) < k:
-            raise Infeasible(f"vertex {v} in Q has degree {g.degree(v)} < k = {k}")
-    h = k // 2
-    cand = [[d // 2 + h, d // 2 - h] if v in q else [d // 2] for v, d in enumerate(g.degrees)]
-    return _plan_search(g, range(g.n), cand, budget, (
-        "no balanced orientation found for Q; the guarantee holds only under "
-        "the odd-cut bound d(X) >= 3k-2"
-    ))
+        p = [(d * inv2) % k for d in g.degrees]
+    else:
+        q = set(q or ())
+        for v, d in enumerate(g.degrees):
+            if d % 2 == 1:
+                raise InvalidInput(f"even-k balance needs even degrees; vertex {v} has degree {d}")
+        if len(q) % 2 == 1:
+            raise InvalidInput("|Q| must be even")
+        if not q <= set(range(g.n)):
+            raise InvalidInput("Q has a vertex out of range")
+        p = [(d // 2 + (k // 2 if v in q else 0)) % k for v, d in enumerate(g.degrees)]
+    return mod_k_orientation(g, ResidueMap(k, p), budget=budget)

@@ -135,7 +135,8 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
     deviates from d(v)/k by less than 2.
 
     Odd k: targets are d(v) mod 2 (f must be absent). Even k: f given with
-    even total, graph degrees even; Q = {v : f(v) = 1}.
+    even total, graph degrees even; Q = {v : f(v) = 1}, and the orientation
+    has d+(v) - d-(v) = k [v in Q] (mod 2k).
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")

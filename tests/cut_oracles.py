@@ -5,17 +5,15 @@ out-degree condition, partition enumeration (Bell(n)) for tree connectivity
 through the Tutte/Nash-Williams formula, and pair enumeration (3^n) for
 Lovasz's parity (g, f)-factor condition, with the component finder it
 uses. They share no code with eqfactor.connectivity, eqfactor.orientation
-or eqfactor.parity. The one reference solver here, the sign enumeration for
-even-k balanced orientations, realizes its plans with eqfactor.orientation.
+or eqfactor.parity.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
-from eqfactor.errors import Infeasible, InvalidInput, Undecided
+from eqfactor.errors import InvalidInput, Undecided
 from eqfactor.multigraph import Multigraph, cut_size
-from eqfactor.orientation import eulerian_orientation, near_balanced_orientation, realize_out_degrees
 from eqfactor.parity import ParitySpec
 
 CONDITION_VERTEX_BUDGET = 12
@@ -51,40 +49,6 @@ def hakimi_violation(g, o):
         if sum(o[v] for v in a) < internal_edges(g, a):
             return a
     return None
-
-
-def balanced_sign_enumeration(g, k, q, budget=10**6):
-    """Even-k balanced orientation by enumerating the sign choices over Q:
-    every plus set of |Q|/2 vertices, in the order of combinations(sorted(Q)),
-    realized by flow from one near-balanced start. Returns (orientation,
-    flows) with flows the realize_out_degrees calls made, or (None, flows)
-    when no sign choice is realizable."""
-    q = sorted(set(q or ()))
-    for v in range(g.n):
-        if g.degree(v) % 2 == 1:
-            raise InvalidInput(f"even-k balance needs even degrees; vertex {v} has degree {g.degree(v)}")
-    if len(q) % 2 == 1:
-        raise InvalidInput("|Q| must be even")
-    if not q:
-        return eulerian_orientation(g), 0
-    for v in q:
-        if g.degree(v) < k:
-            raise Infeasible(f"vertex {v} in Q has degree {g.degree(v)} < k = {k}")
-    base = [g.degree(v) // 2 for v in range(g.n)]
-    start = near_balanced_orientation(g)
-    tried = 0
-    for plus in combinations(q, len(q) // 2):
-        tried += 1
-        if tried > budget:
-            raise Undecided(f"sign search over Q exceeded budget {budget}")
-        o = list(base)
-        for v in q:
-            o[v] += k // 2 if v in plus else -(k // 2)
-        try:
-            return realize_out_degrees(g, tuple(o), start=start), tried
-        except Infeasible:
-            continue
-    return None, tried
 
 
 def odd_degree_set(g):

@@ -240,17 +240,16 @@ def test_oracle_rejects_a_job_count_below_one(tmp_path, capsys, monkeypatch, job
         assert capsys.readouterr() == ("", f"error: jobs must be >= 1, got {jobs}\n")
 
 
-def test_cli_parity_budget_counts_plan_search_nodes(tmp_path, capsys):
-    """Even-k parity spends at least one plan-search node per vertex on each
-    sign choice. Here the first choice (+ at 0, - at 1) is realized; it takes
-    n + 1 nodes, because the sum cut rejects + at 1 after + at 0."""
+def test_cli_parity_budget_of_n_admits_the_first_plan(tmp_path, capsys):
+    """Even-k parity tries the first plan, uncharged, with a budget of at
+    least n, and it is realized here; below n the plan search takes over and
+    runs out before its first leaf, which costs n nodes."""
     g = eulerian_union(random.Random(7), 50, 3)
     path = write_graph(tmp_path, g)
     argv = ["factor", path, "--k", "2", "--mode", "parity", "--f", "0,1", "--budget"]
     assert main(argv + [str(g.n - 1)]) == 3
     assert capsys.readouterr().err.startswith("undecided:")
-    assert main(argv + [str(g.n)]) == 3
-    assert main(argv + [str(g.n + 1)]) == 0
+    assert main(argv + [str(g.n)]) == 0
     capsys.readouterr()
 
 

@@ -4,10 +4,11 @@ from itertools import product
 import pytest
 
 from conftest import eulerian_union, random_even_multigraph, random_multigraph, random_orientation
-from cut_oracles import balanced_sign_enumeration, hakimi_violation, internal_edges
+from cut_oracles import hakimi_violation, internal_edges
 from eqfactor import orientation
 from eqfactor.errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
-from eqfactor.lab import oracle_orientation
+from eqfactor.coloring import decompose_directed
+from eqfactor.lab import ORIENTATION_EDGE_BUDGET, oracle_orientation, parity_claim, verify
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
 from eqfactor.orientation import (
     DEFAULT_BUDGET,
@@ -191,35 +192,46 @@ def test_realize_from_any_start_orientation():
         realize_out_degrees(g, (1, 1, 1), start=eulerian_orientation(cycle_graph(4)))
 
 
+def assert_parity_orientation(g, k, q, d):
+    """d meets the even-k contract d+(v) - d-(v) = k [v in Q] (mod 2k), and
+    parity mode of decompose_directed splits it into k factors that pass the
+    deviation<2 and parity:Q audit."""
+    on_q = set(q)
+    assert all((d.out_degree(v) - d.in_degree(v) - k * (v in on_q)) % (2 * k) == 0 for v in range(g.n))
+    fz = decompose_directed(d, k, mode="parity")
+    assert verify(g, fz, ["deviation<2", parity_claim([int(v in on_q) for v in range(g.n)])]).ok
+
+
 def test_balanced_even_k_agrees_with_orientation_oracle():
-    """With every degree below 2k, the out-degrees congruent to
-    d(v)/2 + [v in Q] k/2 (mod k) are d(v)/2 off Q and d(v)/2 +- k/2 on Q,
-    so a balanced orientation for Q exists exactly when that mod-k
-    orientation does."""
+    """An orientation for Q exists exactly when a p-orientation with
+    p(v) = d(v)/2 + [v in Q] k/2 (mod k) does, with degrees up to 3k; the
+    oracle is skipped above its edge budget. Every orientation found meets
+    the mod-2k contract and passes the parity-mode audit."""
     rng = random.Random(37)
-    outcomes = []
-    while len(outcomes) < 150:
-        k = rng.choice((4, 6))
-        n = rng.randint(2, 7)
-        g = random_even_multigraph(rng, n, 2 * k - 2, 16)
-        # Q from vertices of degree >= k; smaller ones are rejected up front
+    outcomes, checked, wide, loops = [], 0, 0, 0
+    while len(outcomes) < 240:
+        k = rng.choice((2, 4, 6))
+        n = rng.randint(2, 8)
+        g = random_even_multigraph(rng, n, 3 * k, 24)
         big = [v for v in range(n) if g.degree(v) >= k]
         if len(big) < 2:
             continue
         q = set(rng.sample(big, 2 * rng.randint(1, len(big) // 2)))
-        p = [(g.degree(v) // 2 + (k // 2 if v in q else 0)) % k for v in range(n)]
-        truth = oracle_orientation(g, p, k)
         try:
             d = balanced_mod_k_orientation(g, k, q)
         except Infeasible:
-            assert not truth
-            outcomes.append(False)
+            d = None
         else:
-            assert truth
-            for v in range(n):
-                assert abs(d.out_degree(v) - d.in_degree(v)) == (k if v in q else 0)
-            outcomes.append(True)
-    assert 30 <= sum(outcomes) <= 120
+            assert_parity_orientation(g, k, q, d)
+        if g.m <= ORIENTATION_EDGE_BUDGET:
+            p = [(g.degree(v) // 2 + (k // 2 if v in q else 0)) % k for v in range(n)]
+            assert oracle_orientation(g, p, k) == (d is not None)
+            checked += 1
+        wide += max(g.degrees) >= 2 * k
+        loops += g.has_loops()
+        outcomes.append(d is not None)
+    assert 100 <= sum(outcomes) <= 200
+    assert checked >= 150 and wide >= 150 and loops >= 150
 
 
 def test_mod_k_residue_obstruction():
@@ -289,8 +301,9 @@ def test_mod_k_with_k_1_keeps_the_stored_tails():
 
 
 def test_start_orientation_is_computed_once_per_call(monkeypatch):
-    """Both solvers' plan search computes the near-balanced start once per
-    call and hands it to every leaf it realizes."""
+    """The plan search computes the near-balanced start once per call and
+    hands it to every leaf it realizes, for a residue map and for even-k
+    balance alike."""
     starts, leaves = [], []
     near_balanced, realize = orientation.near_balanced_orientation, orientation.realize_out_degrees
     monkeypatch.setattr(orientation, "near_balanced_orientation", lambda g: starts.append(g) or near_balanced(g))
@@ -352,7 +365,9 @@ def test_balanced_even_k_validations():
         balanced_mod_k_orientation(Multigraph(2, [(0, 1)]), 2, q=set())
     with pytest.raises(InvalidInput):
         balanced_mod_k_orientation(cycle_graph(4), 2, q={0})
-    with pytest.raises(Infeasible):
+    with pytest.raises(InvalidInput, match="out of range"):
+        balanced_mod_k_orientation(cycle_graph(4), 2, q={0, 4})
+    with pytest.raises(Infeasible, match=r"^vertex 0 of degree 2 .*k = 4\)$"):
         balanced_mod_k_orientation(cycle_graph(4), 4, q={0, 1})  # degree 2 < k
 
 
@@ -364,50 +379,6 @@ def count_leaves(monkeypatch):
     return leaves
 
 
-def test_balanced_even_k_matches_sign_enumeration(monkeypatch):
-    """The plan search returns the sign enumeration's orientation, or both
-    find none, and never realizes more plans than the enumeration."""
-    leaves = count_leaves(monkeypatch)
-    rng = random.Random(53)
-    outcomes, fewer, loops = [], 0, 0
-    while len(outcomes) < 240:
-        k = rng.choice((2, 4, 6))
-        n = rng.randint(2, 8)
-        g = random_even_multigraph(rng, n, 3 * k, 24)
-        # Q from vertices of degree >= k; smaller ones are rejected up front
-        big = [v for v in range(n) if g.degree(v) >= k]
-        if len(big) < 2:
-            continue
-        q = rng.sample(big, 2 * rng.randint(1, len(big) // 2))
-        leaves.clear()
-        try:
-            d = balanced_mod_k_orientation(g, k, q)
-        except Infeasible:
-            d = None
-        ref, flows = balanced_sign_enumeration(g, k, q)
-        if ref is None:
-            assert d is None
-        else:
-            assert d.tails == ref.tails
-        assert len(leaves) <= flows
-        fewer += len(leaves) < flows
-        loops += g.has_loops()
-        outcomes.append(d is not None)
-    assert 100 <= sum(outcomes) <= 200
-    assert fewer >= 30 and loops >= 100
-
-
-def test_balanced_even_k_skips_sign_choices_that_break_a_component(monkeypatch):
-    """Plus at both ends of the first quadruple edge asks 6 tails of its 4
-    edges; the Hakimi prefix cut skips that choice without a flow."""
-    leaves = count_leaves(monkeypatch)
-    g = Multigraph(4, [(0, 1)] * 4 + [(2, 3)] * 4)
-    d = balanced_mod_k_orientation(g, 2, {0, 1, 2, 3})
-    ref, flows = balanced_sign_enumeration(g, 2, {0, 1, 2, 3})
-    assert d.tails == ref.tails
-    assert (len(leaves), flows) == (1, 2)
-
-
 def test_scale_balanced_even_k_10k_runs_one_flow(monkeypatch):
     g = eulerian_union(random.Random(59), 10_000, 3)
     q = random.Random(61).sample(range(g.n), 2000)
@@ -416,6 +387,27 @@ def test_scale_balanced_even_k_10k_runs_one_flow(monkeypatch):
     assert len(leaves) == 1
     on_q = set(q)
     assert all(abs(d.out_degree(v) - d.in_degree(v)) == (2 if v in on_q else 0) for v in range(g.n))
+
+
+def k4_probe(seed):
+    """n = 200: two shuffled Hamiltonian cycles, then 20 cycles through 3-20
+    random vertices; Q is 40 random vertices."""
+    rng = random.Random(seed)
+    n = 200
+    edges = list(eulerian_union(rng, n, 2).edges)
+    for _ in range(20):
+        cycle = rng.sample(range(n), rng.randint(3, 20))
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+    return Multigraph(n, edges), rng.sample(range(n), 40)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5])
+def test_balanced_even_k_finds_the_k4_probes(seed):
+    """Probes on which the former search over sign choices on Q gave up
+    after 2 * 10^5 nodes; the residue route finds each with the default
+    budget."""
+    g, q = k4_probe(seed)
+    assert_parity_orientation(g, 4, q, balanced_mod_k_orientation(g, 4, q))
 
 
 def consistent_residues(rng, g, k):
@@ -511,7 +503,7 @@ def test_first_plan_then_search_matches_the_plan_search(monkeypatch):
             continue
         checked += 1
         for budget in (rng.randrange(g.n), rng.choice((g.n, 3 * g.n, 30 * g.n, DEFAULT_BUDGET))):
-            ref = outcome(orientation._plan_search, g, order, cand, budget, "no plan")
+            ref = outcome(orientation._plan_search, g, order, cand, budget)
             fail = budget >= g.n and orientation._first_plan(g, rm) is not None
             fail_next[:] = [True] if fail else []
             monkeypatch.setattr(orientation, "realize_out_degrees", failing_first)
@@ -536,4 +528,4 @@ def test_scale_six_regular_10k_k3_first_plan_is_the_first_leaf(monkeypatch):
     assert built == []
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     cand = [plan_candidates(g, v, 0, 3) for v in order]
-    assert d.tails == orientation._plan_search(g, order, cand, DEFAULT_BUDGET, "no plan").tails
+    assert d.tails == orientation._plan_search(g, order, cand, DEFAULT_BUDGET).tails
