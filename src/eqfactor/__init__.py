@@ -12,18 +12,18 @@ only for what the CLI itself needs.
 
 # public name -> the module that defines it
 _HOME = {
-    **dict.fromkeys(("anstee_decomposition", "decompose_directed", "konig_edge_coloring"), "coloring"),
-    **dict.fromkeys(("CutReport", "analyze", "edge_connectivity", "odd_edge_connectivity",
+    **dict.fromkeys(("anstee_decomposition", "decompose_directed"), "coloring"),
+    **dict.fromkeys(("analyze", "edge_connectivity", "odd_edge_connectivity",
                      "tree_connectivity"), "connectivity"),
     **dict.fromkeys(("Infeasible", "InvalidInput", "ResidueObstruction", "Undecided"), "errors"),
     **dict.fromkeys(("parse_graph", "serialize_graph"), "graphio"),
     **dict.fromkeys(("Factorization", "Multigraph", "Orientation", "complete_graph", "cut_size",
                      "cycle_graph", "subgraph"), "multigraph"),
-    **dict.fromkeys(("ResidueMap", "balanced_mod_k_orientation", "eulerian_orientation",
+    **dict.fromkeys(("balanced_mod_k_orientation", "eulerian_orientation",
                      "mod_k_orientation", "realize_out_degrees"), "orientation"),
     **dict.fromkeys(("ParitySpec", "epsilon_parity_factor", "even_factor_eps", "find_parity_factor",
                      "hilton_even_factorization", "weighted_even_factorization"), "parity"),
-    **dict.fromkeys(("EquitableRequest", "FactorReport", "equitable_factorize", "find_Z_set",
+    **dict.fromkeys(("FactorReport", "equitable_factorize", "find_Z_set",
                      "parity_factorize", "regular_factorize", "regular_split",
                      "three_factor_criterion"), "pipelines"),
 }

@@ -1,8 +1,9 @@
 """Command line surface: parse graphs, run pipelines and oracles, emit reports.
 
-Exit codes: 0 success, 1 infeasible or impossible (or oracle answer false),
-2 invalid input, 3 undecided (budget exhausted), 4 internal error (any other
-exception, so that a crash never reads as "infeasible").
+Exit codes: 0 success, 1 proven infeasible (or oracle answer false), 2
+invalid input, 3 undecided (a budget ran out, or a sufficient construction
+did not apply), 4 internal error (any other exception, so that a crash never
+reads as "infeasible").
 
 Importing this module loads only errors, graphio and multigraph of the
 package. Each cmd_* imports the modules it runs when it is dispatched, so
@@ -51,11 +52,14 @@ def _parity_map(g: Multigraph, odd_vertices) -> tuple:
     return tuple(f)
 
 
-def _residue_map(g: Multigraph, args):
+def _zset(args):
+    return frozenset(_csv_ints(args.Z)) if args.Z is not None else None
+
+
+def _residue_map(g: Multigraph, args) -> tuple:
     from .orientation import residue_map
 
-    zset = frozenset(_csv_ints(args.Z)) if args.Z is not None else None
-    return residue_map(g, args.k, z=args.z, Z=zset)
+    return residue_map(g, z=args.z, Z=_zset(args))
 
 
 def _emit(args, fz: Factorization, audit, text_lines):
@@ -80,25 +84,25 @@ def _one_factor(g: Multigraph, edge_ids, claims) -> tuple:
 
     chosen = set(edge_ids)
     fz = Factorization(g, 2, [1 if eid in chosen else 2 for eid in range(g.m)])
-    return fz, lab.measure(g, [fz.factor_degrees(1)], claims).entries
+    return fz, lab.measure(g, [fz.factor_degrees(1)], claims)
 
 
 def cmd_analyze(args):
     from . import connectivity
 
     g = _read_graph(args.graph)
-    rep = connectivity.analyze(g)
-    lam = "inf" if rep.lam == float("inf") else rep.lam
-    odd = "inf" if rep.odd_lam == float("inf") else rep.odd_lam
+    lam, odd, tree_conn = connectivity.analyze(g)
+    lam = "inf" if lam == float("inf") else lam
+    odd = "inf" if odd == float("inf") else odd
     if args.format == "json":
         sys.stdout.write(json.dumps(
-            {"n": g.n, "m": g.m, "lambda": lam, "odd_lambda": odd, "tree_connectivity": rep.tree_conn},
+            {"n": g.n, "m": g.m, "lambda": lam, "odd_lambda": odd, "tree_connectivity": tree_conn},
             indent=2, sort_keys=True) + "\n")
     else:
         print(f"n = {g.n}, m = {g.m}")
         print(f"lambda = {lam}")
         print(f"odd lambda = {odd}")
-        print(f"tree connectivity = {rep.tree_conn}")
+        print(f"tree connectivity = {tree_conn}")
     return 0
 
 
@@ -107,9 +111,11 @@ def cmd_orient(args):
 
     g = _read_graph(args.graph)
     if args.k is None:
+        if args.z is not None or args.Z is not None:
+            raise InvalidInput("--z and --Z need --k")
         d = eulerian_orientation(g)
     else:
-        d = mod_k_orientation(g, _residue_map(g, args), budget=args.budget)
+        d = mod_k_orientation(g, args.k, _residue_map(g, args), budget=args.budget)
     if args.format == "json":
         sys.stdout.write(json.dumps({"tails": list(d.tails)}, sort_keys=True) + "\n")
     else:
@@ -125,12 +131,7 @@ def cmd_factor(args):
     g = _read_graph(args.graph)
     rep, warnings, audit = None, [], []
     if args.mode == "equitable":
-        req = pipelines.EquitableRequest(
-            k=args.k,
-            z=args.z,
-            Z=frozenset(_csv_ints(args.Z)) if args.Z is not None else None,
-        )
-        rep = pipelines.equitable_factorize(g, req, budget=args.budget)
+        rep = pipelines.equitable_factorize(g, args.k, z=args.z, Z=_zset(args), budget=args.budget)
     elif args.mode == "parity":
         f = _parity_map(g, _csv_ints(args.f)) if args.f is not None else None
         rep = pipelines.parity_factorize(g, args.k, f=f, budget=args.budget)
@@ -144,11 +145,11 @@ def cmd_factor(args):
             rep = pipelines.regular_factorize(g, args.k, budget=args.budget)
     elif args.mode == "anstee":
         fz = anstee_decomposition(g, args.k)
-        audit = lab.verify(g, fz, ["deviation<2", "size±1"]).entries
+        audit = lab.verify(g, fz, ["deviation<2", "size±1"])
     else:
         raise InvalidInput(f"unknown mode {args.mode!r}")
     if rep is not None:
-        fz, warnings, audit = rep.factorization, rep.warnings, rep.audit.entries
+        fz, warnings, audit = rep.factorization, rep.warnings, rep.audit
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     _emit(args, fz, audit, lambda: [f"k = {fz.k}", *_factor_lines(fz)])
@@ -190,7 +191,7 @@ def cmd_even_factor(args):
         eps_list = _csv_floats(args.epsilons)
         fz = parity.weighted_even_factorization(g, eps_list)
         claims = ["even", "deviation<6:" + ";".join(repr(e) for e in eps_list)]
-    audit = lab.verify(g, fz, claims).entries
+    audit = lab.verify(g, fz, claims)
     _emit(args, fz, audit, lambda: _factor_lines(fz))
     return 0
 
@@ -222,10 +223,10 @@ def cmd_verify(args):
         raise InvalidInput("factors do not cover every edge")
     fz = Factorization(g, k, assignment)
     claims = [c.strip() for c in args.claims.split(",") if c.strip()]
-    rep = lab.verify(g, fz, claims)
-    for claim, bound, measured, passed in rep.entries:
+    entries = lab.verify(g, fz, claims)
+    for claim, bound, measured, passed in entries:
         print(f"{claim}: bound {bound}, measured {measured}, {'pass' if passed else 'FAIL'}")
-    return 0 if rep.ok else 1
+    return 0 if all(passed for *_, passed in entries) else 1
 
 
 def cmd_gen(args):
@@ -254,7 +255,7 @@ def cmd_oracle(args):
     elif args.question == "orientation":
         if args.k is None:
             raise InvalidInput("oracle orientation requires --k")
-        answer = lab.oracle_orientation(g, _residue_map(g, args).p, args.k, jobs=args.jobs)
+        answer = lab.oracle_orientation(g, _residue_map(g, args), args.k, jobs=args.jobs)
     else:
         if args.f is None or args.epsilon is None:
             raise InvalidInput("oracle parity_gf requires --f and --epsilon")

@@ -4,6 +4,8 @@ A directed multigraph is split into a loopless bipartite graph of maximum
 degree <= k (out-chunks vs in-chunks), properly k-edge-colored by alternating
 path swaps, optionally rebalanced so color-class sizes differ by at most one,
 and the colors are pulled back to a factorization of the original edges.
+A coloring is a plain tuple of colors 1..k, one per chunk-graph edge. The
+chunk graph is bipartite by construction, so no odd-cycle test runs.
 """
 
 from __future__ import annotations
@@ -21,22 +23,12 @@ class BipartiteSplit:
 
     Chunks are numbered vertex by vertex: the out-chunks of v from
     out_first[v], then its in-chunks from in_first[v]. Edge i of b is edge i
-    of the orientation for i < m, so origin_edge[i] = i there; the artificial
-    parity-padding edges follow, with origin_edge None.
+    of the orientation for i < m; the artificial parity-padding edges follow.
     """
 
     b: Multigraph
     out_first: list
     in_first: list
-    origin_edge: tuple
-
-
-@dataclass
-class EdgeColoring:
-    """Proper edge coloring of a bipartite chunk graph, colors 1..k."""
-
-    k: int
-    color: tuple
 
 
 def split_to_bipartite(d: Orientation, k: int, parity_mode: bool = False) -> BipartiteSplit:
@@ -69,56 +61,27 @@ def split_to_bipartite(d: Orientation, k: int, parity_mode: bool = False) -> Bip
         b_edges.append((out_slot[t] // k, in_slot[h] // k))
         out_slot[t] += 1
         in_slot[h] += 1
-    origin = list(range(g.m))
     if parity_mode:
         for u in range(g.n):
             r = outd[u] % k
             if r and r == ind[u] % k:
                 pad = k - r
                 b_edges += [(out_first[u] + outd[u] // k, in_first[u] + ind[u] // k)] * pad
-                origin += [None] * pad
-    return BipartiteSplit(Multigraph(chunks, b_edges), out_first, in_first, tuple(origin))
+    return BipartiteSplit(Multigraph(chunks, b_edges), out_first, in_first)
 
 
-def _check_bipartite(b: Multigraph) -> None:
-    """Raise on an odd cycle: a union-find over the edge list that keeps each
-    vertex's side relative to its parent, so no incidence lists are needed."""
-    parent = list(range(b.n))
-    flip = [0] * b.n  # side of x relative to parent[x]
-    size = [1] * b.n
-    for u, w in b.edges:
-        su = sw = 0  # sides of u and w relative to their roots
-        while parent[u] != u:
-            su ^= flip[u]
-            u = parent[u]
-        while parent[w] != w:
-            sw ^= flip[w]
-            w = parent[w]
-        if u == w:
-            if su == sw:
-                raise InvalidInput("graph is not bipartite (odd cycle detected)")
-            continue
-        if size[u] > size[w]:
-            u, w = w, u
-        # union by size keeps every root path O(log n) long
-        parent[u] = w
-        flip[u] = su ^ sw ^ 1
-        size[w] += size[u]
-
-
-def konig_edge_coloring(b: Multigraph, k: int, check: bool = True) -> EdgeColoring:
-    """Proper <=k-edge-coloring of a bipartite multigraph with max degree <= k.
+def konig_edge_coloring(b: Multigraph, k: int) -> tuple:
+    """Proper <=k-edge-coloring of a bipartite multigraph with max degree <= k:
+    the color of each edge, in 1..k.
 
     Each edge takes a color missing at both ends, or a two-color alternating
     path is swapped to free one (always possible in bipartite graphs). The
     color slots of all vertices live in one flat list: at[v * (k + 1) + c] is
-    the edge of color c at v, or -1. check=False skips the odd-cycle test,
-    for a graph bipartite by construction, as split_to_bipartite's is.
+    the edge of color c at v, or -1. The caller vouches that b is bipartite,
+    as split_to_bipartite's chunk graph is by construction.
     """
     if b.has_loops():
         raise InvalidInput("edge coloring requires a loopless graph")
-    if check:
-        _check_bipartite(b)
     if any(d > k for d in b.degrees):
         raise InvalidInput(f"maximum degree {max(b.degrees)} exceeds k = {k}")
     edges = b.edges
@@ -163,10 +126,10 @@ def konig_edge_coloring(b: Multigraph, k: int, check: bool = True) -> EdgeColori
         color[eid] = chosen
         at[bu + chosen] = eid
         at[bw + chosen] = eid
-    return EdgeColoring(k=k, color=tuple(color))
+    return tuple(color)
 
 
-def balance_color_sizes(split: BipartiteSplit, coloring: EdgeColoring) -> EdgeColoring:
+def balance_color_sizes(b: Multigraph, color, k: int) -> tuple:
     """Swap alternating paths until color-class sizes differ by at most 1.
 
     Each round takes the largest class hi and the smallest lo, builds their
@@ -175,12 +138,8 @@ def balance_color_sizes(split: BipartiteSplit, coloring: EdgeColoring) -> EdgeCo
     one. Each swap moves one edge from a class to one at least two smaller,
     so the sum of squared sizes drops and the rounds end.
     """
-    b = split.b
-    k = coloring.k
-    if any(o is None for o in split.origin_edge):
-        raise InvalidInput("size balancing needs a split without parity padding edges")
     edges = b.edges
-    color = list(coloring.color)
+    color = list(color)
     sizes = [0] * (k + 1)
     for c in color:
         sizes[c] += 1
@@ -188,7 +147,7 @@ def balance_color_sizes(split: BipartiteSplit, coloring: EdgeColoring) -> EdgeCo
         hi = max(range(1, k + 1), key=lambda c: (sizes[c], -c))
         lo = min(range(1, k + 1), key=lambda c: (sizes[c], c))
         if sizes[hi] - sizes[lo] <= 1:
-            return EdgeColoring(k=k, color=tuple(color))
+            return tuple(color)
         sub_adj = [[] for _ in range(b.n)]
         for eid, c in enumerate(color):
             if c == hi or c == lo:
@@ -235,12 +194,12 @@ def decompose_directed(d: Orientation, k: int, mode: str = "size") -> Factorizat
         return Factorization(g, 1, [1] * g.m)
     split = split_to_bipartite(d, k, parity_mode=(mode == "parity"))
     # every chunk-graph edge, padding included, runs from an out-chunk to an
-    # in-chunk, so the split needs no odd-cycle test
-    coloring = konig_edge_coloring(split.b, k, check=False)
-    if mode == "size":
-        coloring = balance_color_sizes(split, coloring)
+    # in-chunk, so the split is bipartite
+    color = konig_edge_coloring(split.b, k)
+    if mode == "size":  # no padding: only parity mode pads
+        color = balance_color_sizes(split.b, color, k)
     # chunk-graph edge i is edge i of g for i < m; padding edges come after
-    return Factorization(g, k, coloring.color[: g.m])
+    return Factorization(g, k, color[: g.m])
 
 
 def anstee_decomposition(g: Multigraph, k: int) -> Factorization:

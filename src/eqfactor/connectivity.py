@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import InvalidInput
 from .maxflow import FlowNetwork
@@ -184,16 +183,12 @@ def _min_t_odd_cut(g: Multigraph, t: set):
     return best, witness
 
 
-def odd_edge_connectivity_witness(g: Multigraph):
-    """(min d(A) over A with d(A) odd, witness); (math.inf, None) if none exists.
+def odd_edge_connectivity(g: Multigraph):
+    """min d(A) over A with d(A) odd; math.inf if none exists.
 
     d(A) is odd exactly when A holds an odd number of odd-degree vertices.
     """
-    return _min_t_odd_cut(g, {v for v in range(g.n) if g.degree(v) % 2 == 1})
-
-
-def odd_edge_connectivity(g: Multigraph):
-    return odd_edge_connectivity_witness(g)[0]
+    return _min_t_odd_cut(g, {v for v in range(g.n) if g.degree(v) % 2 == 1})[0]
 
 
 class _ForestPacking:
@@ -337,17 +332,9 @@ def f_odd_cut_bound(g: Multigraph, f, lam: int):
     return True, None
 
 
-@dataclass
-class CutReport:
-    """Connectivity statistics: lambda, odd lambda and tree connectivity."""
-
-    lam: object
-    odd_lam: object
-    tree_conn: int
-
-
-def analyze(g: Multigraph) -> CutReport:
+def analyze(g: Multigraph) -> tuple:
+    """(lambda, odd lambda, tree connectivity)."""
     lam = edge_connectivity(g)
     odd_lam = odd_edge_connectivity(g)
     tree_conn = _tree_connectivity(g, lam) if g.n >= 2 else 0
-    return CutReport(lam=lam, odd_lam=odd_lam, tree_conn=tree_conn)
+    return lam, odd_lam, tree_conn

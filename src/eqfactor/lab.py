@@ -1,15 +1,15 @@
 """Verifiers, graph generators, and brute-force oracles.
 
 Every verifier recomputes its statistics from raw edges; no solver-reported
-numbers are trusted. Oracles answer existence questions by exhaustive
-enumeration within hard budgets and are used as ground truth in tests;
-enumeration can be sharded across processes (pure exists-reduction).
+numbers are trusted. A verdict is a list of (claim, bound, measured, passed)
+entries. Oracles answer existence questions by exhaustive enumeration within
+hard budgets and are used as ground truth in tests; enumeration can be
+sharded across processes (pure exists-reduction).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import InvalidInput, Undecided
@@ -25,19 +25,7 @@ CLAIM_BOUNDS = {"deviation<1": 1, "deviation<2": 2, "deviation<6": 6, "eps-windo
                 "size±1": 1, "parity": 0, "even": 0, "regular": 0}
 
 
-@dataclass
-class VerificationReport:
-    """Per-claim measured values with pass/fail judgments."""
-
-    entries: list = field(default_factory=list)  # (claim, bound, measured, passed)
-    ok: bool = True
-
-    def add(self, claim, bound, measured, passed):
-        self.entries.append((claim, bound, measured, bool(passed)))
-        self.ok = self.ok and passed
-
-
-def verify(g: Multigraph, fz: Factorization, claims) -> VerificationReport:
+def verify(g: Multigraph, fz: Factorization, claims) -> list:
     """Judge each claim against degrees and sizes recomputed from the edges."""
     if fz.base is not g and fz.base != g:
         raise InvalidInput("factorization is not defined on this graph")
@@ -49,12 +37,13 @@ def parity_claim(f) -> str:
     return "parity:" + ";".join(str(v) for v, bit in enumerate(f) if bit % 2)
 
 
-def measure(g: Multigraph, degree_vectors, claims) -> VerificationReport:
-    """Judge each claim against per-vertex degree vectors, one per factor.
+def measure(g: Multigraph, degree_vectors, claims) -> list:
+    """Judge each claim against per-vertex degree vectors, one per factor:
+    one (claim, bound, measured, passed) entry per claim.
 
     With k vectors, a claim is ``name`` or ``name:args``; the args are
     separated by ';', so that a claim survives the ',' split of a claim list,
-    and the report keys the entry by ``name``:
+    and the entry is keyed by ``name``:
 
     - ``deviation<B`` (B in 1, 2, 6): max |d_i(v) - c_i(v)| < B, centred at
       c_i(v) = d(v)/k, or at eps_i * d(v) given ``:eps_1;...;eps_k``;
@@ -65,7 +54,7 @@ def measure(g: Multigraph, degree_vectors, claims) -> VerificationReport:
     - ``even``: number of odd d_i(v); ``regular``: number of d_i(v) != d(v)/k.
     """
     k = len(degree_vectors)
-    report = VerificationReport()
+    entries = []
     for claim in claims:
         name, has_args, text = claim.partition(":")
         if name not in CLAIM_BOUNDS:
@@ -94,8 +83,8 @@ def measure(g: Multigraph, degree_vectors, claims) -> VerificationReport:
                 targets = [d % 2 for d in g.degrees]
             measured = sum(x % 2 != t for degs in degree_vectors for x, t in zip(degs, targets))
         bound = CLAIM_BOUNDS[name]
-        report.add(name, bound, measured, measured < bound if bound else measured == 0)
-    return report
+        entries.append((name, bound, measured, measured < bound if bound else measured == 0))
+    return entries
 
 
 def _claim_values(claim: str, args, kind, count) -> list:

@@ -143,12 +143,6 @@ class Orientation:
     def in_degrees(self) -> tuple:
         return self._in
 
-    def out_degree(self, v: int) -> int:
-        return self._out[v]
-
-    def in_degree(self, v: int) -> int:
-        return self._in[v]
-
     def __repr__(self):
         return f"Orientation(m={self.base.m})"
 

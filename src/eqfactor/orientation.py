@@ -10,14 +10,15 @@ flow from a near-balanced (Eulerian) start, computed once per call, that
 reverses edges along paths from vertices above their planned out-degree to
 vertices below it on the n + 2 node vertex digraph; no network is built when
 the start already meets the plan. Exhaustion means infeasible; a spent node
-budget raises Undecided instead. Balanced orientations, for odd k and for
-even k with a vertex set Q, are mod-k orientations for a residue map read off
-the degrees, so they take the same route.
+budget raises Undecided instead. The residue map p is a plain tuple, read
+modulo k; residue_map builds it for a special vertex z or a vertex set Z.
+Balanced orientations, for odd k and for even k with a vertex set Q, are
+mod-k orientations for a residue map read off the degrees, so they take the
+same route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, ResidueObstruction, Undecided
@@ -25,22 +26,12 @@ from .maxflow import FlowNetwork
 from .multigraph import Multigraph, Orientation
 
 
-@dataclass(frozen=True)
-class ResidueMap:
-    """Per-vertex out-degree residue targets in Z_k."""
-
-    k: int
-    p: tuple
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidInput("modulus k must be >= 1")
-        object.__setattr__(self, "p", tuple(int(x) % self.k for x in self.p))
-
-
-def residue_map(g: Multigraph, k: int, z=None, Z=None) -> ResidueMap:
-    """p(v) = d(v) mod k on the vertex set Z, else |E| mod k at the single
-    vertex z, and 0 everywhere else (everywhere when both are None)."""
+def residue_map(g: Multigraph, z=None, Z=None) -> tuple:
+    """Out-degree targets, read modulo k by their consumer: p(v) = d(v) on the
+    vertex set Z, else |E| at the single vertex z, and 0 everywhere else
+    (everywhere when both are None). At most one of z and Z may be given."""
+    if z is not None and Z is not None:
+        raise InvalidInput("at most one of z and Z may be given")
     if Z is not None:
         chosen = set(Z)
     else:
@@ -49,8 +40,8 @@ def residue_map(g: Multigraph, k: int, z=None, Z=None) -> ResidueMap:
         if not 0 <= v < g.n:
             raise InvalidInput(f"vertex {v} out of range")
     if Z is not None:
-        return ResidueMap(k, tuple(g.degree(v) if v in chosen else 0 for v in range(g.n)))
-    return ResidueMap(k, tuple(g.m if v == z else 0 for v in range(g.n)))
+        return tuple(g.degree(v) if v in chosen else 0 for v in range(g.n))
+    return tuple(g.m if v == z else 0 for v in range(g.n))
 
 
 def eulerian_orientation(g: Multigraph) -> Orientation:
@@ -176,7 +167,7 @@ def _nearest_candidate(d: int, loops: int, residue: int, k: int):
     return c if loops <= c <= d - loops else None
 
 
-def _first_plan(g: Multigraph, rm: ResidueMap):
+def _first_plan(g: Multigraph, k: int, p):
     """The first plan: each vertex's nearest candidate, then (|E| - sum)/k
     shifts by +-k, each the one that adds the least to sum |2o(v) - d(v)|
     (ties to the smaller degree, then the larger vertex). An added cost only
@@ -186,12 +177,11 @@ def _first_plan(g: Multigraph, rm: ResidueMap):
     Raises Infeasible when some vertex has no candidate; returns None when
     the shifts run out of range.
     """
-    k = rm.k
-    o = [_nearest_candidate(d, g.loops_at(v), r, k) for v, (d, r) in enumerate(zip(g.degrees, rm.p))]
+    o = [_nearest_candidate(d, g.loops_at(v), r, k) for v, (d, r) in enumerate(zip(g.degrees, p))]
     if None in o:
         v = o.index(None)
         raise Infeasible(
-            f"vertex {v} of degree {g.degree(v)} admits no out-degree = {rm.p[v]} (mod k = {k})"
+            f"vertex {v} of degree {g.degree(v)} admits no out-degree = {p[v]} (mod k = {k})"
         )
     shifts = (g.m - sum(o)) // k
     if not shifts:
@@ -283,7 +273,7 @@ def _plan_search(g: Multigraph, order, cand, budget: int, start=None) -> Orienta
     raise Infeasible("no residue-compliant orientation found")
 
 
-def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGET) -> Orientation:
+def mod_k_orientation(g: Multigraph, k: int, p, budget: int = DEFAULT_BUDGET) -> Orientation:
     """Orientation with d+(v) = p(v) (mod k) at every vertex: first plan,
     then search.
 
@@ -297,16 +287,18 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
     vertex has no residue-compliant out-degree or the plan search space is
     exhausted, and Undecided when the node budget runs out.
     """
-    k = rm.k
-    if len(rm.p) != g.n:
+    if k < 1:
+        raise InvalidInput("modulus k must be >= 1")
+    p = tuple(int(x) % k for x in p)
+    if len(p) != g.n:
         raise InvalidInput("residue map must cover every vertex")
-    if (sum(rm.p) - g.m) % k != 0:
+    if (sum(p) - g.m) % k != 0:
         raise ResidueObstruction(
-            f"sum of residues {sum(rm.p) % k} != |E| mod k = {g.m % k}"
+            f"sum of residues {sum(p) % k} != |E| mod k = {g.m % k}"
         )
     if k == 1:
         return Orientation(g, [u for u, _ in g.edges])
-    plan = _first_plan(g, rm)
+    plan = _first_plan(g, k, p)
     start = near_balanced_orientation(g)
     if plan is not None and budget >= g.n:  # one leaf of the search costs n nodes
         try:
@@ -314,7 +306,7 @@ def mod_k_orientation(g: Multigraph, rm: ResidueMap, budget: int = DEFAULT_BUDGE
         except Infeasible:
             pass
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    cand = [_plan_candidates(g, v, rm.p[v], k) for v in order]
+    cand = [_plan_candidates(g, v, p[v], k) for v in order]
     return _plan_search(g, order, cand, budget, start=start)
 
 
@@ -345,4 +337,4 @@ def balanced_mod_k_orientation(g: Multigraph, k: int, q=None, budget: int = DEFA
         if not q <= set(range(g.n)):
             raise InvalidInput("Q has a vertex out of range")
         p = [(d // 2 + (k // 2 if v in q else 0)) % k for v, d in enumerate(g.degrees)]
-    return mod_k_orientation(g, ResidueMap(k, p), budget=budget)
+    return mod_k_orientation(g, k, p, budget=budget)

@@ -1,8 +1,11 @@
 """Theorem pipelines: equitable, parity, and regular factorizations.
 
-Connectivity hypotheses are advisory: they are checked and reported as
-warnings, never used as gates, since the solvers may succeed below the
-published thresholds.
+Each pipeline is one sufficient construction: a residue orientation, a
+bipartite split, a Konig coloring. Connectivity hypotheses are advisory:
+they are checked and reported as warnings, never used as gates, since the
+solvers may succeed below the published thresholds. As the construction is
+only sufficient, an orientation step that finds nothing proves nothing: the
+pipeline raises Undecided, with the warnings that name the unmet hypothesis.
 """
 
 from __future__ import annotations
@@ -11,38 +14,32 @@ from dataclasses import dataclass, field
 
 from . import connectivity
 from .coloring import decompose_directed
-from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput
-from .lab import VerificationReport, parity_claim, verify
+from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, Undecided
+from .lab import parity_claim, verify
 from .multigraph import Factorization, Multigraph
 from .orientation import balanced_mod_k_orientation, mod_k_orientation, residue_map
 
 
-@dataclass(frozen=True)
-class EquitableRequest:
-    """Parameters of an equitable factorization run.
-
-    At most one of z (special vertex) and Z (residue vertex set); with
-    neither, ``equitable_factorize`` searches for a Z set.
-    """
-
-    k: int
-    z: int = None
-    Z: frozenset = None
-
-    def __post_init__(self):
-        if self.z is not None and self.Z is not None:
-            raise InvalidInput("at most one of z and Z may be given")
-        if self.k < 1:
-            raise InvalidInput("k must be >= 1")
-
-
 @dataclass
 class FactorReport:
-    """A factorization plus the audit of its pipeline's claims by ``lab.verify``."""
+    """A factorization plus the audit of its pipeline's claims by ``lab.verify``:
+    a list of (claim, bound, measured, passed) entries."""
 
     factorization: Factorization
-    audit: VerificationReport
+    audit: list
     warnings: list = field(default_factory=list)
+
+
+def _orient(warnings, solve, *args, **kwargs):
+    """solve(*args, **kwargs), the pipeline's orientation step. The
+    construction is only sufficient, so its Infeasible is no proof: it becomes
+    Undecided, with the warnings, which name the hypothesis that is not met."""
+    try:
+        return solve(*args, **kwargs)
+    except Infeasible as exc:
+        raise Undecided(
+            f"the residue construction does not apply: {exc}" + "".join(f"; {w}" for w in warnings)
+        ) from None
 
 
 def _equitable_hypothesis_warnings(g: Multigraph, k: int) -> list:
@@ -77,37 +74,35 @@ def find_Z_set(g: Multigraph, k: int):
     return frozenset(dp[target]) if target in dp else None
 
 
-def equitable_factorize(g: Multigraph, req: EquitableRequest, budget: int = DEFAULT_BUDGET) -> FactorReport:
+def equitable_factorize(g: Multigraph, k: int, z=None, Z=None, budget: int = DEFAULT_BUDGET) -> FactorReport:
     """Equitable factorization via a residue orientation plus size-mode split.
 
-    Z variant: deviation < 1 everywhere. z variant: deviation < 2 at z,
-    < 1 elsewhere. Auto: find a Z set, falling back to z = max-degree vertex.
+    At most one of z (special vertex) and Z (residue vertex set). Z variant:
+    deviation < 1 everywhere. z variant: deviation < 2 at z, < 1 elsewhere;
+    its audit claims deviation < 2. Auto (neither): find a Z set, falling
+    back to z = max-degree vertex.
     """
-    k = req.k
+    if k < 1:
+        raise InvalidInput("k must be >= 1")
     warnings = _equitable_hypothesis_warnings(g, k)
-    z, zset = req.z, req.Z
-    if z is None and zset is None:
-        zset = find_Z_set(g, k)
-        if zset is None:
+    if z is None and Z is None:
+        Z = find_Z_set(g, k)
+        if Z is None:
             z = max(range(g.n), key=lambda v: (g.degree(v), -v))
             warnings.append(f"no Z set attains |E| mod k; fell back to special vertex z = {z}")
-    p = residue_map(g, k, z=z, Z=zset)
-    if zset is not None and (g.m - sum(g.degree(v) for v in zset)) % k != 0:
+    p = residue_map(g, z=z, Z=Z)
+    if Z is not None and (g.m - sum(g.degree(v) for v in Z)) % k != 0:
         raise InvalidInput("Z does not satisfy |E| = sum of Z degrees (mod k)")
-    orientation = mod_k_orientation(g, p, budget=budget)
+    orientation = _orient(warnings, mod_k_orientation, g, k, p, budget=budget)
     fz = decompose_directed(orientation, k, mode="size")
-    return FactorReport(fz, verify(g, fz, ["deviation<1", "size±1"]), warnings)
+    claims = ["deviation<1" if z is None else "deviation<2", "size±1"]
+    return FactorReport(fz, verify(g, fz, claims), warnings)
 
 
-@dataclass
-class ThreeFactorResult:
-    decomposable: bool
-    report: FactorReport = None
-    explanation: str = None
-
-
-def three_factor_criterion(g: Multigraph, budget: int = DEFAULT_BUDGET) -> ThreeFactorResult:
-    """Equitable 3-factorization criterion.
+def three_factor_criterion(g: Multigraph, budget: int = DEFAULT_BUDGET) -> FactorReport:
+    """Equitable 3-factorization criterion: Infeasible with its proof, or
+    else the auto equitable report (Undecided where that construction does
+    not apply).
 
     Impossible exactly when one single vertex has degree not divisible by 3:
     the two factors that differ at z would have to agree everywhere else, so
@@ -115,19 +110,15 @@ def three_factor_criterion(g: Multigraph, budget: int = DEFAULT_BUDGET) -> Three
     """
     z0 = [v for v in range(g.n) if g.degree(v) % 3 != 0]
     if len(z0) == 1:
-        return ThreeFactorResult(
-            decomposable=False,
-            explanation=(
-                f"exactly one vertex ({z0[0]}) has degree not divisible by 3: two of "
-                "the three factors would match everywhere else, so by the handshake "
-                "argument their degrees at that vertex share a parity, contradicting "
-                "the floor/ceil split"
-            ),
+        raise Infeasible(
+            f"exactly one vertex ({z0[0]}) has degree not divisible by 3: two of "
+            "the three factors would match everywhere else, so by the handshake "
+            "argument their degrees at that vertex share a parity, contradicting "
+            "the floor/ceil split"
         )
     # the auto path's find_Z_set always succeeds here: two nonzero residues
     # mod 3 reach every residue, and with no such vertex the empty Z works
-    report = equitable_factorize(g, EquitableRequest(k=3), budget=budget)
-    return ThreeFactorResult(decomposable=True, report=report)
+    return equitable_factorize(g, 3, budget=budget)
 
 
 def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET) -> FactorReport:
@@ -152,7 +143,7 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
                     f"hypothesis not met: graph is neither odd-({3 * k - 2})-edge-connected "
                     f"nor ({2 * k - 2})-tree-connected"
                 )
-        orientation = balanced_mod_k_orientation(g, k, budget=budget)
+        orientation = _orient(warnings, balanced_mod_k_orientation, g, k, budget=budget)
     else:
         if f is None:
             raise InvalidInput("even k requires a parity map f")
@@ -167,7 +158,7 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
             ok, witness = connectivity.f_odd_cut_bound(g, targets, 3 * k - 2)
             if not ok:
                 warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at f-odd set {sorted(witness)}")
-        orientation = balanced_mod_k_orientation(g, k, q, budget=budget)
+        orientation = _orient(warnings, balanced_mod_k_orientation, g, k, q, budget=budget)
     fz = decompose_directed(orientation, k, mode="parity")
     return FactorReport(fz, verify(g, fz, ["deviation<2", parity]), warnings)
 
@@ -188,10 +179,10 @@ def regular_factorize(g: Multigraph, k: int, budget: int = DEFAULT_BUDGET) -> Fa
         ok, witness = connectivity.f_odd_cut_bound(g, q_parity, 3 * k - 2)
         if not ok:
             warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at Q-odd set {sorted(witness)}")
-    orientation = mod_k_orientation(g, residue_map(g, k), budget=budget)
+    orientation = _orient(warnings, mod_k_orientation, g, k, (0,) * g.n, budget=budget)
     fz = decompose_directed(orientation, k, mode="size")
     report = FactorReport(fz, verify(g, fz, ["regular"]), warnings)
-    if not report.audit.ok:
+    if not all(passed for *_, passed in report.audit):
         raise AssertionError("regular factorization produced a non-regular factor")
     return report
 
@@ -231,7 +222,7 @@ def regular_split(g: Multigraph, r_list, k: int, bounded_mode: bool = False, bud
     if any(d != r for d in g.degrees):
         raise InvalidInput(f"graph is not {r}-regular")
     if any(ri % qq != 0 for ri in r_list):
-        raise Infeasible(
+        raise InvalidInput(
             f"grouping whole {qq}-regular base factors cannot realize r_list {r_list}"
         )
     base = regular_factorize(g, k, budget=budget).factorization

@@ -72,12 +72,17 @@ def random_even_multigraph(rng, n, max_degree, max_m):
     return Multigraph(n, edges)
 
 
-def proper_coloring(b, coloring):
+def proper_coloring(b, color):
     seen = [set() for _ in range(b.n)]
     for eid, (u, w) in enumerate(b.edges):
-        c = coloring.color[eid]
+        c = color[eid]
         if c in seen[u] or c in seen[w]:
             return False
         seen[u].add(c)
         seen[w].add(c)
     return True
+
+
+def audit_passes(entries):
+    """Whether every (claim, bound, measured, passed) entry of an audit passed."""
+    return all(passed for *_, passed in entries)

@@ -9,8 +9,9 @@ import random
 import time
 
 import jsonschema
+import pytest
 
-from conftest import eulerian_union, random_multigraph, random_orientation, random_two_edge_connected
+from conftest import audit_passes, eulerian_union, random_multigraph, random_orientation, random_two_edge_connected
 from cut_oracles import check_lovasz
 from eqfactor import lab, parity, pipelines
 from eqfactor.cli import main as cli_main
@@ -18,7 +19,7 @@ from eqfactor.coloring import decompose_directed
 from eqfactor.errors import Infeasible, ResidueObstruction
 from eqfactor.graphio import REPORT_SCHEMA, parse_graph, serialize_graph
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph, subgraph
-from eqfactor.orientation import ResidueMap, mod_k_orientation
+from eqfactor.orientation import mod_k_orientation
 
 
 class Criterion:
@@ -65,13 +66,13 @@ def test_acceptance_01_directed_decomposition():
                     ins[i][d.head(eid)] += 1
                 for v in range(g.n):
                     for i in range(k):
-                        assert d.out_degree(v) // k <= outs[i][v] <= -(-d.out_degree(v) // k)
-                        assert d.in_degree(v) // k <= ins[i][v] <= -(-d.in_degree(v) // k)
+                        assert d.out_degrees[v] // k <= outs[i][v] <= -(-d.out_degrees[v] // k)
+                        assert d.in_degrees[v] // k <= ins[i][v] <= -(-d.in_degrees[v] // k)
                 if mode == "size":
                     assert all(abs(s - g.m / k) < 1 for s in fz.factor_sizes())
                 else:
                     for v in range(g.n):
-                        dp, dm = d.out_degree(v), d.in_degree(v)
+                        dp, dm = d.out_degrees[v], d.in_degrees[v]
                         if dp % k != dm % k:
                             continue
                         target = ((dp - dm) // k) % 2
@@ -94,23 +95,23 @@ def test_acceptance_02_equitable_z_pipeline():
             c = 3 if k == 3 else rng.choice((2, 3))
             cases.append((eulerian_union(rng, n, c), k))
         for g, k in cases:
-            rep = pipelines.equitable_factorize(g, pipelines.EquitableRequest(k=k))
-            vr = lab.verify(g, rep.factorization, ["deviation<1", "size±1"])
-            assert vr.ok, (g, k, vr.entries)
+            rep = pipelines.equitable_factorize(g, k)
+            entries = lab.verify(g, rep.factorization, ["deviation<1", "size±1"])
+            assert audit_passes(entries), (g, k, entries)
 
 
 def test_acceptance_03_three_factor_criterion():
     with Criterion(3, "3-factor criterion with oracle agreement", 30):
-        res = pipelines.three_factor_criterion(complete_graph(7))
-        assert res.decomposable
-        degs = res.report.factorization.all_factor_degrees()
+        rep = pipelines.three_factor_criterion(complete_graph(7))
+        degs = rep.factorization.all_factor_degrees()
         assert all(d == 2 for row in degs for d in row)
         loopy = Multigraph(7, list(complete_graph(7).edges) + [(0, 0)])
-        res = pipelines.three_factor_criterion(loopy)
-        assert not res.decomposable
+        with pytest.raises(Infeasible):
+            pipelines.three_factor_criterion(loopy)
         # <= 12 edge analogue: K4 + loop has exactly one vertex != 0 (mod 3)
         analogue = Multigraph(4, list(complete_graph(4).edges) + [(0, 0)])
-        assert not pipelines.three_factor_criterion(analogue).decomposable
+        with pytest.raises(Infeasible):
+            pipelines.three_factor_criterion(analogue)
         assert lab.oracle_equitable(analogue, 3) is False
 
 
@@ -133,8 +134,8 @@ def test_acceptance_05_parity_odd_k():
             n = rng.choice((5, 7, 9))
             g = eulerian_union(rng, n, 3)  # 6-regular, odd order
             rep = pipelines.parity_factorize(g, 3)
-            vr = lab.verify(g, rep.factorization, ["parity", "deviation<2"])
-            assert vr.ok, vr.entries
+            entries = lab.verify(g, rep.factorization, ["parity", "deviation<2"])
+            assert audit_passes(entries), entries
 
 
 def test_acceptance_06_lovasz_oracle_equivalence():
@@ -225,7 +226,7 @@ def test_acceptance_10_mod_k_solver_vs_enumeration():
                 p = tuple(rng.randrange(k) for _ in range(g.n))
                 truth = lab.oracle_orientation(g, p, k)
                 try:
-                    d = mod_k_orientation(g, ResidueMap(k, p))
+                    d = mod_k_orientation(g, k, p)
                     assert truth
                     assert all(d.out_degrees[v] % k == p[v] for v in range(g.n))
                 except (Infeasible, ResidueObstruction):

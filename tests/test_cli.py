@@ -119,6 +119,73 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# K4 splits into three perfect matchings, so exit 1 would be a false proof:
+# the residue construction does not apply there (no out-degree plan = 0 mod 3
+# is realizable), and each mode names its unmet hypothesis
+K4_K3_UNDECIDED = [
+    (["factor", "K4", "--k", "3"], "graph is neither (6)-edge-connected nor (4)-tree-connected"),
+    (["factor", "K4", "--k", "3", "--mode", "parity"], "graph is neither odd-(7)-edge-connected"),
+    (["factor", "K4", "--k", "3", "--mode", "regular"], "d(X) < 7 at Q-odd set"),
+]
+
+
+@pytest.mark.parametrize("argv, hypothesis", K4_K3_UNDECIDED, ids=[" ".join(a) for a, _ in K4_K3_UNDECIDED])
+def test_cli_k4_k3_is_undecided_not_infeasible(tmp_path, capsys, argv, hypothesis):
+    k4 = write_graph(tmp_path, complete_graph(4))
+    assert lab.oracle_equitable(complete_graph(4), 3)
+    assert main([k4 if a == "K4" else a for a in argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("undecided: the residue construction does not apply: ")
+    assert f"; hypothesis not met: {hypothesis}" in err
+
+
+def test_cli_regular_split_grouping_is_invalid_input(tmp_path, capsys):
+    """On K4,4 (4-regular) r_list 1,3 needs base factors of degree dividing
+    1 and 3: k = 2 gives 2-regular ones, an invalid request (exit 2), and
+    k = 4 gives perfect matchings, which group into the split."""
+    k44 = write_graph(tmp_path, Multigraph(8, [(i, 4 + j) for i in range(4) for j in range(4)]))
+    argv = ["factor", k44, "--mode", "regular", "--r-list", "1,3", "--k"]
+    assert main(argv + ["2"]) == 2
+    assert capsys.readouterr() == ("", "error: grouping whole 2-regular base factors cannot realize r_list [1, 3]\n")
+    assert main(argv + ["4"]) == 0
+    assert sorted(len(f["edges"]) for f in json.loads(capsys.readouterr().out)["factors"]) == [4, 12]
+
+
+Z_ARGVS = [
+    ["orient", "K4", "--k", "3", "--z", "0", "--Z", "1,2"],
+    ["oracle", "K4", "--question", "orientation", "--k", "3", "--z", "0", "--Z", "1,2"],
+    ["factor", "K4", "--k", "3", "--z", "0", "--Z", "1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", Z_ARGVS, ids=[" ".join(a) for a in Z_ARGVS])
+def test_cli_z_and_big_z_together_are_invalid_input(tmp_path, capsys, argv):
+    k4 = write_graph(tmp_path, complete_graph(4))
+    assert main([k4 if a == "K4" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: at most one of z and Z may be given\n")
+
+
+@pytest.mark.parametrize("flag", [["--z", "0"], ["--Z", "0,1"]])
+def test_cli_orient_z_without_k_is_invalid_input(tmp_path, capsys, flag):
+    """An Eulerian orientation takes no residue targets: K4's odd degrees
+    made `orient --z 0` exit 1 as if the flag were absent."""
+    k4 = write_graph(tmp_path, complete_graph(4))
+    assert main(["orient", k4, *flag]) == 2
+    assert capsys.readouterr() == ("", "error: --z and --Z need --k\n")
+
+
+def test_cli_z_fallback_audits_deviation_below_two(tmp_path, capsys):
+    """A triangle has no Z set for k = 2, so the pipeline falls back to a
+    special vertex, whose guarantee is deviation < 2 there: the audit claims
+    that and passes."""
+    tri = write_graph(tmp_path, cycle_graph(3))
+    assert main(["factor", tri, "--k", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert "fell back to special vertex z = 0" in err
+    audit = json.loads(out)["audit"]
+    assert sorted(audit) == ["deviation<2", "size±1"] and all(e["pass"] for e in audit.values())
+
+
 # the shared flags, with the subcommands that read each
 SHARED_FLAGS = {
     "--format": ("text", {"analyze", "orient", "factor", "parity-factor", "even-factor"}),

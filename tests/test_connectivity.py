@@ -104,7 +104,7 @@ def test_exact_algorithms_match_oracles():
             assert 0 < len(a) < g.n and cut_size(g, a) == lam
 
         odd = cut_oracles.odd_degree_set(g)
-        odd_lam, a = connectivity.odd_edge_connectivity_witness(g)
+        odd_lam, a = connectivity._min_t_odd_cut(g, odd)
         assert odd_lam == cut_oracles.min_t_odd_cut(g, odd)
         if odd_lam != math.inf:
             assert cut_size(g, a) == odd_lam and cut_size(g, a) % 2 == 1 and len(a & odd) % 2 == 1
@@ -131,10 +131,7 @@ def test_exact_algorithms_match_oracles():
 
 
 def test_analyze_k4():
-    rep = connectivity.analyze(complete_graph(4))
-    assert rep.lam == 3
-    assert rep.odd_lam == 3
-    assert rep.tree_conn == 2
+    assert connectivity.analyze(complete_graph(4)) == (3, 3, 2)
 
 
 def test_eulerian_union_connectivity():
@@ -205,7 +202,7 @@ def test_t_odd_cuts_match_gomory_hu_padberg_rao():
         f[0] ^= sum(f) % 2
         t = frozenset(v for v in range(g.n) if f[v])
         expected = gomory_hu_t_odd_cut(g, cut_oracles.odd_degree_set(g))
-        value, x = connectivity.odd_edge_connectivity_witness(g)
+        value, x = connectivity._min_t_odd_cut(g, cut_oracles.odd_degree_set(g))
         assert value == expected
         if value != math.inf:
             assert cut_size(g, x) == value and cut_size(g, x) % 2 == 1

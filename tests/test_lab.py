@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eqfactor.errors import InvalidInput, Undecided
-from conftest import random_multigraph
+from conftest import audit_passes, random_multigraph
 from eqfactor.lab import (
     generate,
     oracle_equitable,
@@ -13,26 +13,25 @@ from eqfactor.lab import (
 )
 from eqfactor.multigraph import Factorization, Multigraph, complete_graph, cycle_graph, subgraph
 from eqfactor.parity import ParitySpec
-from eqfactor.pipelines import EquitableRequest, equitable_factorize
+from eqfactor.pipelines import equitable_factorize
 
 
 def test_verify_k7_three_factors():
-    rep = equitable_factorize(complete_graph(7), EquitableRequest(k=3))
-    vr = verify(complete_graph(7), rep.factorization, ["deviation<1", "size±1"])
-    assert vr.ok
+    rep = equitable_factorize(complete_graph(7), 3)
+    entries = verify(complete_graph(7), rep.factorization, ["deviation<1", "size±1"])
+    assert audit_passes(entries)
 
 
 def test_verify_c5_split_fails_deviation():
     g = cycle_graph(5)
     fz = Factorization(g, 2, [1, 1, 1, 2, 2])
-    vr = verify(g, fz, ["deviation<1"])
-    assert not vr.ok
+    assert verify(g, fz, ["deviation<1"]) == [("deviation<1", 1, 1.0, False)]
 
 
 def test_verify_empty_claims_vacuous():
     g = cycle_graph(3)
     fz = Factorization(g, 2, [1, 1, 2])
-    assert verify(g, fz, []).ok
+    assert verify(g, fz, []) == []
 
 
 def test_verify_unknown_claim():
@@ -49,12 +48,11 @@ def test_verify_parity_even_regular_claims():
     fz = Factorization(g, 2, [1, 1, 1, 1, 2, 2, 2, 2])
     claims = ["even", "regular", "parity", "deviation<2",
               "parity:", "deviation<1:0.5;0.5", "deviation<6:0.25;0.75", "eps-window:0.5"]
-    vr = verify(g, fz, claims)
-    assert vr.ok
-    assert [c for c, _, _, _ in vr.entries] == [c.partition(":")[0] for c in claims]
-    vr = verify(g, fz, ["parity:0;1", "deviation<1:0.25;0.75"])
-    assert [m for _, _, m, _ in vr.entries] == [4, 1.0]
-    assert not vr.ok
+    entries = verify(g, fz, claims)
+    assert audit_passes(entries)
+    assert [c for c, _, _, _ in entries] == [c.partition(":")[0] for c in claims]
+    entries = verify(g, fz, ["parity:0;1", "deviation<1:0.25;0.75"])
+    assert [(m, passed) for _, _, m, passed in entries] == [(4, False), (1.0, False)]
 
 
 def test_generate_observation_c5():

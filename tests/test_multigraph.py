@@ -40,8 +40,8 @@ def test_components_path_removal():
 def test_orientation_loop_counts_once_each_way():
     g = Multigraph(1, [(0, 0)])
     d = Orientation(g, (0,))
-    assert d.out_degree(0) == 1
-    assert d.in_degree(0) == 1
+    assert d.out_degrees[0] == 1
+    assert d.in_degrees[0] == 1
 
 
 def test_factorization_bounds_checked():

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from conftest import eulerian_union, random_even_multigraph, random_multigraph, random_orientation
+from conftest import audit_passes, eulerian_union, random_even_multigraph, random_multigraph, random_orientation
 from cut_oracles import hakimi_violation, internal_edges
 from eqfactor import orientation
 from eqfactor.errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
@@ -12,11 +12,11 @@ from eqfactor.lab import ORIENTATION_EDGE_BUDGET, oracle_orientation, parity_cla
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
 from eqfactor.orientation import (
     DEFAULT_BUDGET,
-    ResidueMap,
     balanced_mod_k_orientation,
     eulerian_orientation,
     mod_k_orientation,
     realize_out_degrees,
+    residue_map,
 )
 
 
@@ -28,8 +28,8 @@ def test_eulerian_c4():
 
 def test_eulerian_loops_balance():
     d = eulerian_orientation(Multigraph(1, [(0, 0), (0, 0)]))
-    assert d.out_degree(0) == 2
-    assert d.in_degree(0) == 2
+    assert d.out_degrees[0] == 2
+    assert d.in_degrees[0] == 2
 
 
 def test_eulerian_k5():
@@ -197,9 +197,9 @@ def assert_parity_orientation(g, k, q, d):
     parity mode of decompose_directed splits it into k factors that pass the
     deviation<2 and parity:Q audit."""
     on_q = set(q)
-    assert all((d.out_degree(v) - d.in_degree(v) - k * (v in on_q)) % (2 * k) == 0 for v in range(g.n))
+    assert all((d.out_degrees[v] - d.in_degrees[v] - k * (v in on_q)) % (2 * k) == 0 for v in range(g.n))
     fz = decompose_directed(d, k, mode="parity")
-    assert verify(g, fz, ["deviation<2", parity_claim([int(v in on_q) for v in range(g.n)])]).ok
+    assert audit_passes(verify(g, fz, ["deviation<2", parity_claim([int(v in on_q) for v in range(g.n)])]))
 
 
 def test_balanced_even_k_agrees_with_orientation_oracle():
@@ -236,49 +236,61 @@ def test_balanced_even_k_agrees_with_orientation_oracle():
 
 def test_mod_k_residue_obstruction():
     with pytest.raises(ResidueObstruction):
-        mod_k_orientation(cycle_graph(3), ResidueMap(2, (0, 0, 0)))
+        mod_k_orientation(cycle_graph(3), 2, (0, 0, 0))
+
+
+def test_mod_k_validations():
+    g = complete_graph(4)
+    with pytest.raises(InvalidInput, match="modulus k must be >= 1"):
+        mod_k_orientation(g, 0, (0,) * 4)
+    with pytest.raises(InvalidInput, match="cover every vertex"):
+        mod_k_orientation(g, 2, (0,) * 3)
+    # targets are read mod k: |E| = 21 at z is 0 mod 3
+    k7 = complete_graph(7)
+    assert mod_k_orientation(k7, 3, residue_map(k7, z=0)).tails == mod_k_orientation(k7, 3, (0,) * 7).tails
 
 
 def test_mod_k_k4():
     g = complete_graph(4)
-    d = mod_k_orientation(g, ResidueMap(2, (0, 0, 0, 0)))
+    d = mod_k_orientation(g, 2, (0, 0, 0, 0))
     assert all(o % 2 == 0 for o in d.out_degrees)
 
 
 def test_mod_k_k7():
     g = complete_graph(7)
-    d = mod_k_orientation(g, ResidueMap(3, (0,) * 7))
+    d = mod_k_orientation(g, 3, (0,) * 7)
     assert all(o % 3 == 0 for o in d.out_degrees)
 
 
 def test_mod_k_budget_undecided():
     g = complete_graph(7)
     with pytest.raises(Undecided):
-        mod_k_orientation(g, ResidueMap(3, (1, 2, 0, 0, 0, 0, 0)), budget=1)
+        mod_k_orientation(g, 3, (1, 2, 0, 0, 0, 0, 0), budget=1)
 
 
 def circulant(n, steps, offset=0):
     return [(offset + i, offset + (i + s) % n) for s in steps for i in range(n)]
 
 
-# (graph, residue map, smallest node budget with which the plan search
+# (graph, (k, residue map), smallest node budget with which the plan search
 # succeeds); recorded with the earlier recursive search, so a change to the
 # order in which plans are visited shows here
 SEARCH_ORDER_CASES = [
-    (complete_graph(7), ResidueMap(3, (1, 2, 0, 0, 0, 0, 0)), 7),
-    (Multigraph(12, circulant(12, (1, 3))), ResidueMap(3, (0,) * 12), 166),
+    (complete_graph(7), (3, (1, 2, 0, 0, 0, 0, 0)), 7),
+    (Multigraph(12, circulant(12, (1, 3))), (3, (0,) * 12), 166),
     (Multigraph(8, [(5, 6), (2, 3), (6, 5), (4, 6), (5, 7), (7, 0), (7, 3), (0, 2), (0, 5), (4, 1),
                     (3, 3), (7, 4), (7, 6), (1, 0)]),
-     ResidueMap(3, (1, 2, 0, 2, 0, 1, 0, 2)), 49),
+     (3, (1, 2, 0, 2, 0, 1, 0, 2)), 49),
 ]
 
 
 @pytest.mark.parametrize("g, rm, budget", SEARCH_ORDER_CASES)
 def test_plan_search_order_is_pinned(g, rm, budget):
-    d = mod_k_orientation(g, rm, budget=budget)
-    assert all(d.out_degree(v) % rm.k == rm.p[v] for v in range(g.n))
+    k, p = rm
+    d = mod_k_orientation(g, k, p, budget=budget)
+    assert all(d.out_degrees[v] % k == p[v] for v in range(g.n))
     with pytest.raises(Undecided):
-        mod_k_orientation(g, rm, budget=budget - 1)
+        mod_k_orientation(g, k, p, budget=budget - 1)
 
 
 def test_plan_search_backtracks_deep_at_default_recursion_limit():
@@ -288,16 +300,16 @@ def test_plan_search_backtracks_deep_at_default_recursion_limit():
     below depth 2000."""
     bulk = 2000
     g = Multigraph(bulk + 12, circulant(bulk, (1, 3)) + circulant(12, (1, 3), offset=bulk))
-    rm = ResidueMap(3, (2,) * bulk + (0,) * 12)
-    d = mod_k_orientation(g, rm, budget=bulk + 166)
-    assert all(d.out_degree(v) % 3 == rm.p[v] for v in range(g.n))
+    p = (2,) * bulk + (0,) * 12
+    d = mod_k_orientation(g, 3, p, budget=bulk + 166)
+    assert all(d.out_degrees[v] % 3 == p[v] for v in range(g.n))
     with pytest.raises(Undecided):
-        mod_k_orientation(g, rm, budget=bulk + 165)
+        mod_k_orientation(g, 3, p, budget=bulk + 165)
 
 
 def test_mod_k_with_k_1_keeps_the_stored_tails():
     g = Multigraph(3, [(0, 1), (2, 1), (1, 1)])
-    assert mod_k_orientation(g, ResidueMap(1, (0, 0, 0))).tails == (0, 2, 1)
+    assert mod_k_orientation(g, 1, (0, 0, 0)).tails == (0, 2, 1)
 
 
 def test_start_orientation_is_computed_once_per_call(monkeypatch):
@@ -309,8 +321,8 @@ def test_start_orientation_is_computed_once_per_call(monkeypatch):
     monkeypatch.setattr(orientation, "near_balanced_orientation", lambda g: starts.append(g) or near_balanced(g))
     monkeypatch.setattr(orientation, "realize_out_degrees",
                         lambda g, plan, **kw: leaves.append(plan) or realize(g, plan, **kw))
-    g, rm, budget = SEARCH_ORDER_CASES[1]
-    mod_k_orientation(g, rm, budget=budget)
+    g, (k, p), budget = SEARCH_ORDER_CASES[1]
+    mod_k_orientation(g, k, p, budget=budget)
     assert len(starts) == 1 and len(leaves) >= 2
     starts.clear()
     leaves.clear()
@@ -329,7 +341,7 @@ def test_mod_k_agrees_with_enumeration():
         p = tuple(rng.randrange(k) for _ in range(g.n))
         truth = oracle_orientation(g, p, k)
         try:
-            d = mod_k_orientation(g, ResidueMap(k, p))
+            d = mod_k_orientation(g, k, p)
             assert truth
             assert all(d.out_degrees[v] % k == p[v] % k for v in range(g.n))
         except (Infeasible, ResidueObstruction):
@@ -386,7 +398,7 @@ def test_scale_balanced_even_k_10k_runs_one_flow(monkeypatch):
     d = balanced_mod_k_orientation(g, 2, q)
     assert len(leaves) == 1
     on_q = set(q)
-    assert all(abs(d.out_degree(v) - d.in_degree(v)) == (2 if v in on_q else 0) for v in range(g.n))
+    assert all(abs(d.out_degrees[v] - d.in_degrees[v]) == (2 if v in on_q else 0) for v in range(g.n))
 
 
 def k4_probe(seed):
@@ -448,7 +460,7 @@ def test_first_plan_has_least_imbalance():
         cand = [orientation._plan_candidates(g, v, p[v], k) for v in range(g.n)]
         if not all(cand):
             with pytest.raises(Infeasible):
-                orientation._first_plan(g, ResidueMap(k, p))
+                orientation._first_plan(g, k, p)
             continue
         size = 1
         for c in cand:
@@ -458,7 +470,7 @@ def test_first_plan_has_least_imbalance():
         checked += 1
         deg = g.degrees
         costs = [sum(abs(2 * c - d) for c, d in zip(plan, deg)) for plan in product(*cand) if sum(plan) == g.m]
-        plan = orientation._first_plan(g, ResidueMap(k, p))
+        plan = orientation._first_plan(g, k, p)
         if plan is None:
             assert not costs
             none += 1
@@ -495,8 +507,7 @@ def test_first_plan_then_search_matches_the_plan_search(monkeypatch):
         g = random_multigraph(rng, max_n=8, max_m=12)
         k = rng.choice((2, 3, 4))
         p = consistent_residues(rng, g, k)
-        rm = ResidueMap(k, p)
-        assert (outcome(mod_k_orientation, g, rm) != "Infeasible") == oracle_orientation(g, p, k)
+        assert (outcome(mod_k_orientation, g, k, p) != "Infeasible") == oracle_orientation(g, p, k)
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         cand = [orientation._plan_candidates(g, v, p[v], k) for v in order]
         if not all(cand):
@@ -504,10 +515,10 @@ def test_first_plan_then_search_matches_the_plan_search(monkeypatch):
         checked += 1
         for budget in (rng.randrange(g.n), rng.choice((g.n, 3 * g.n, 30 * g.n, DEFAULT_BUDGET))):
             ref = outcome(orientation._plan_search, g, order, cand, budget)
-            fail = budget >= g.n and orientation._first_plan(g, rm) is not None
+            fail = budget >= g.n and orientation._first_plan(g, k, p) is not None
             fail_next[:] = [True] if fail else []
             monkeypatch.setattr(orientation, "realize_out_degrees", failing_first)
-            got = outcome(mod_k_orientation, g, rm, budget)
+            got = outcome(mod_k_orientation, g, k, p, budget)
             monkeypatch.setattr(orientation, "realize_out_degrees", realize)
             assert not fail_next and got == ref
             forced += fail
@@ -520,11 +531,10 @@ def test_scale_six_regular_10k_k3_first_plan_is_the_first_leaf(monkeypatch):
     """On a 6-regular 10^4-vertex graph with k = 3 the first plan is the plan
     search's first leaf: same tails, and no candidate list is built."""
     g = eulerian_union(random.Random(89), 10_000, 3)
-    rm = ResidueMap(3, (0,) * g.n)
     built = []
     plan_candidates = orientation._plan_candidates
     monkeypatch.setattr(orientation, "_plan_candidates", lambda *a: built.append(a) or plan_candidates(*a))
-    d = mod_k_orientation(g, rm)
+    d = mod_k_orientation(g, 3, (0,) * g.n)
     assert built == []
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     cand = [plan_candidates(g, v, 0, 3) for v in order]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import eulerian_union, random_even_multigraph, random_multigraph, random_two_edge_connected
+from conftest import audit_passes, eulerian_union, random_even_multigraph, random_multigraph, random_two_edge_connected
 from cut_oracles import ConditionCertificate, check_lovasz, omega_f
 from eqfactor import maxflow
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
@@ -99,7 +99,7 @@ def test_scale_epsilon_parity_factor_10k():
     for eps, z in ((0.5, None), (0.34, None), (0.5, (3, "at_most"))):
         factor = epsilon_parity_factor(g, f, eps, z=z)
         degs = subgraph(g, factor).degrees
-        assert measure(g, [degs], ["parity:17;5017", f"eps-window:{eps!r}"]).ok
+        assert audit_passes(measure(g, [degs], ["parity:17;5017", f"eps-window:{eps!r}"]))
         if z is not None:
             assert degs[3] < eps * g.degree(3)
 
@@ -222,9 +222,9 @@ WEIGHTS = ((0.5, 0.5), (0.7, 0.3), (0.5, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1))
 
 def audit_factorizations(g, k, weights):
     """Hilton's k even factors and the weighted split of g, each audited on its window."""
-    assert verify(g, hilton_even_factorization(g, k), ["even", "deviation<2"]).ok
+    assert audit_passes(verify(g, hilton_even_factorization(g, k), ["even", "deviation<2"]))
     claim = "deviation<6:" + ";".join(map(repr, weights))
-    assert verify(g, weighted_even_factorization(g, weights), ["even", claim]).ok
+    assert audit_passes(verify(g, weighted_even_factorization(g, weights), ["even", claim]))
 
 
 def test_even_factors_audited_on_small_multigraphs(network_builds):
@@ -241,7 +241,7 @@ def test_even_factors_audited_on_small_multigraphs(network_builds):
         before = network_builds[0]
         factor = even_factor_eps(g, eps)
         calls_by_builds[network_builds[0] - before] += 1
-        assert measure(g, [subgraph(g, factor).degrees], ["even", f"eps-window:{eps!r}"]).ok
+        assert audit_passes(measure(g, [subgraph(g, factor).degrees], ["even", f"eps-window:{eps!r}"]))
         audit_factorizations(g, rng.randint(1, 4), rng.choice(WEIGHTS))
     assert min(calls_by_builds) >= 30, calls_by_builds
     assert (True, True) in shapes
@@ -257,6 +257,6 @@ def test_scale_even_factors_shuffled_edges_10k(network_builds):
     g = Multigraph(10_000, edges)
     for eps in (0.5, 1 / 3):
         factor = even_factor_eps(g, eps)
-        assert measure(g, [subgraph(g, factor).degrees], ["even", f"eps-window:{eps!r}"]).ok
+        assert audit_passes(measure(g, [subgraph(g, factor).degrees], ["even", f"eps-window:{eps!r}"]))
     assert network_builds[0] == 2
     audit_factorizations(g, 3, (0.5, 0.25, 0.25))

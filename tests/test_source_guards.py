@@ -25,6 +25,16 @@ def itertools_enumerators(tree):
     return found
 
 
+# the line count of src/eqfactor/*.py; a change that grows the package raises
+# it and says why in CHANGES.md
+SOURCE_LINES = 2964
+
+
+def test_source_stays_within_its_line_count():
+    modules = Path(eqfactor.__file__).parent.glob("*.py")
+    assert sum(path.read_text().count("\n") for path in modules) <= SOURCE_LINES
+
+
 def test_only_the_oracles_enumerate_subsets():
     """Subset and partition enumeration lives in lab.py's oracles and in the
     tests, not as a second production path."""
@@ -104,8 +114,8 @@ COMMAND_MODULES = [
 
 def command_modules(argv):
     """(eqfactor modules after `import eqfactor.cli`, exit code of main(argv),
-    eqfactor modules after it, whether multiprocessing got loaded), in a
-    fresh interpreter started without site packages."""
+    eqfactor modules after it, whether multiprocessing got loaded, whether
+    dataclasses did), in a fresh interpreter started without site packages."""
     src = str(Path(eqfactor.__file__).parent.parent)
     probe = (
         f"import contextlib, io, sys; sys.path.insert(0, {src!r})\n"
@@ -114,22 +124,34 @@ def command_modules(argv):
         "loaded = ours()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = eqfactor.cli.main({argv!r})\n"
-        "print(repr((loaded, code, ours(), 'multiprocessing' in sys.modules)))"
+        "print(repr((loaded, code, ours(), 'multiprocessing' in sys.modules, 'dataclasses' in sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True).stdout
     return ast.literal_eval(out)
 
 
+# one-shot calls whose modules declare no dataclass, so that they do not pay
+# for `import dataclasses`, which loads inspect, ast, dis and tokenize and
+# costs about as much as a small solve
+NO_DATACLASSES = {
+    "analyze K5", "orient K5 --k 2", "verify K5 REPORT --claims size±1", "gen --family complete --n 4",
+    "oracle K5 --question equitable --k 2", "oracle K5 --question orientation --k 2",
+}
+
+
 @pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[" ".join(a) for a, _ in COMMAND_MODULES])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, modules):
     """A subcommand imports the modules it runs when it is dispatched; a
-    one-shot call pays for nothing else, and none loads multiprocessing."""
+    one-shot call pays for nothing else, none loads multiprocessing, and
+    those in NO_DATACLASSES do not load dataclasses."""
+    name = " ".join(argv)
     k5 = tmp_path / "k5.txt"
     k5.write_text(serialize_graph(complete_graph(5)))
     fz = Factorization(complete_graph(5), 2, [1, 2] * 5)
     report = tmp_path / "report.json"
     report.write_text(dump_report(factorization_report(fz, [])))
     argv = [{"K5": str(k5), "REPORT": str(report)}.get(arg, arg) for arg in argv]
-    loaded, code, after, multiprocessing = command_modules(argv)
+    loaded, code, after, multiprocessing, dataclasses = command_modules(argv)
     assert set(loaded) == CLI_MODULES
     assert (code, set(after), multiprocessing) == (0, CLI_MODULES | modules, False)
+    assert not (dataclasses and name in NO_DATACLASSES)
