@@ -23,9 +23,8 @@ _HOME = {
                      "mod_k_orientation", "realize_out_degrees"), "orientation"),
     **dict.fromkeys(("ParitySpec", "epsilon_parity_factor", "even_factor_eps", "find_parity_factor",
                      "hilton_even_factorization", "weighted_even_factorization"), "parity"),
-    **dict.fromkeys(("FactorReport", "equitable_factorize", "find_Z_set",
-                     "parity_factorize", "regular_factorize", "regular_split",
-                     "three_factor_criterion"), "pipelines"),
+    **dict.fromkeys(("equitable_factorize", "find_Z_set", "parity_factorize", "regular_factorize",
+                     "regular_split", "three_factor_criterion"), "pipelines"),
 }
 
 __all__ = sorted(_HOME)

@@ -84,7 +84,7 @@ def _one_factor(g: Multigraph, edge_ids, claims) -> tuple:
 
     chosen = set(edge_ids)
     fz = Factorization(g, 2, [1 if eid in chosen else 2 for eid in range(g.m)])
-    return fz, lab.measure(g, [fz.factor_degrees(1)], claims)
+    return fz, lab.measure(g, fz.all_factor_degrees()[:1], claims)
 
 
 def cmd_analyze(args):
@@ -124,32 +124,44 @@ def cmd_orient(args):
     return 0
 
 
+def _reject_unread(args, option, readers):
+    """Reject the first flag given that the chosen value of option, --mode or
+    --question, does not read: readers maps a flag's dest to its readers."""
+    choice = getattr(args, option[2:])
+    for dest, chosen_by in readers.items():
+        given = getattr(args, dest)  # --bounded is False when absent; --z 0 is given
+        if given is not None and given is not False and choice not in chosen_by:
+            raise InvalidInput(f"--{dest.replace('_', '-')} does not apply to {option} {choice}")
+
+
+# flag dest -> the --mode or --question values that read the flag
+FACTOR_READERS = {"z": ("equitable",), "Z": ("equitable",), "f": ("parity",),
+                  "r_list": ("regular",), "bounded": ("regular",)}
+ORACLE_READERS = {"k": ("equitable", "orientation"), "z": ("orientation",), "Z": ("orientation",),
+                  "f": ("parity_gf",), "epsilon": ("parity_gf",)}
+
+
 def cmd_factor(args):
     from . import lab, pipelines
     from .coloring import anstee_decomposition
 
+    _reject_unread(args, "--mode", FACTOR_READERS)
+    if args.bounded and args.r_list is None:
+        raise InvalidInput("--bounded needs --r-list")
     g = _read_graph(args.graph)
-    rep, warnings, audit = None, [], []
     if args.mode == "equitable":
-        rep = pipelines.equitable_factorize(g, args.k, z=args.z, Z=_zset(args), budget=args.budget)
+        fz, audit, warnings = pipelines.equitable_factorize(g, args.k, z=args.z, Z=_zset(args), budget=args.budget)
     elif args.mode == "parity":
         f = _parity_map(g, _csv_ints(args.f)) if args.f is not None else None
-        rep = pipelines.parity_factorize(g, args.k, f=f, budget=args.budget)
-    elif args.mode == "regular":
-        if args.r_list is not None:
-            fz = pipelines.regular_split(
-                g, _csv_ints(args.r_list), args.k,
-                bounded_mode=args.bounded, budget=args.budget,
-            )
-        else:
-            rep = pipelines.regular_factorize(g, args.k, budget=args.budget)
+        fz, audit, warnings = pipelines.parity_factorize(g, args.k, f=f, budget=args.budget)
     elif args.mode == "anstee":
         fz = anstee_decomposition(g, args.k)
-        audit = lab.verify(g, fz, ["deviation<2", "size±1"])
+        audit, warnings = lab.verify(g, fz, ["deviation<2", "size±1"]), []
+    elif args.r_list is None:
+        fz, audit, warnings = pipelines.regular_factorize(g, args.k, budget=args.budget)
     else:
-        raise InvalidInput(f"unknown mode {args.mode!r}")
-    if rep is not None:
-        fz, warnings, audit = rep.factorization, rep.warnings, rep.audit
+        fz, audit, warnings = pipelines.regular_split(
+            g, _csv_ints(args.r_list), args.k, bounded_mode=args.bounded, budget=args.budget)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     _emit(args, fz, audit, lambda: [f"k = {fz.k}", *_factor_lines(fz)])
@@ -247,6 +259,7 @@ def cmd_gen(args):
 def cmd_oracle(args):
     from . import lab
 
+    _reject_unread(args, "--question", ORACLE_READERS)
     g = _read_graph(args.graph)
     if args.question == "equitable":
         if args.k is None:

@@ -4,41 +4,37 @@ A directed multigraph is split into a loopless bipartite graph of maximum
 degree <= k (out-chunks vs in-chunks), properly k-edge-colored by alternating
 path swaps, optionally rebalanced so color-class sizes differ by at most one,
 and the colors are pulled back to a factorization of the original edges.
-A coloring is a plain tuple of colors 1..k, one per chunk-graph edge. The
-chunk graph is bipartite by construction, so no odd-cycle test runs.
+The split holds only its chunk graph, a plain Multigraph, and a coloring is
+a plain tuple of colors 1..k, one per chunk-graph edge. The chunk graph is
+bipartite by construction, so no odd-cycle test runs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InvalidInput
 from .multigraph import Factorization, Multigraph, Orientation
 from .orientation import near_balanced_orientation
 
 
-@dataclass
 class BipartiteSplit:
-    """Bipartite chunk graph of an orientation.
+    """The chunk graph b of an orientation. bench/tracer.py reads the result
+    of split_to_bipartite as .b, so the chunk graph keeps this holder."""
 
-    Chunks are numbered vertex by vertex: the out-chunks of v from
-    out_first[v], then its in-chunks from in_first[v]. Edge i of b is edge i
-    of the orientation for i < m; the artificial parity-padding edges follow.
-    """
+    __slots__ = ("b",)
 
-    b: Multigraph
-    out_first: list
-    in_first: list
+    def __init__(self, b: Multigraph):
+        self.b = b
 
 
 def split_to_bipartite(d: Orientation, k: int, parity_mode: bool = False) -> BipartiteSplit:
     """Split each vertex side into chunks of degree k (plus one deficient chunk).
 
-    Chunks are numbered vertex by vertex, out-chunks before in-chunks, so the
-    chunks of one side of v are consecutive from a per-vertex offset. Edges
-    fill chunks contiguously in edge-id order. In parity mode, for each
-    vertex u with d+(u) = d-(u) != 0 (mod k), the two deficient chunks are
-    padded to degree k with artificial parallel edges between them.
+    Chunks are numbered vertex by vertex: the ceil(d+(v)/k) out-chunks of v,
+    then its ceil(d-(v)/k) in-chunks, then those of v + 1. Edges fill chunks
+    contiguously in edge-id order, so edge i of b is edge i of the
+    orientation for i < m. In parity mode, for each vertex u with d+(u) =
+    d-(u) != 0 (mod k), the two deficient chunks are padded to degree k with
+    artificial parallel edges between them, numbered after the m edges.
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")
@@ -67,7 +63,7 @@ def split_to_bipartite(d: Orientation, k: int, parity_mode: bool = False) -> Bip
             if r and r == ind[u] % k:
                 pad = k - r
                 b_edges += [(out_first[u] + outd[u] // k, in_first[u] + ind[u] // k)] * pad
-    return BipartiteSplit(Multigraph(chunks, b_edges), out_first, in_first)
+    return BipartiteSplit(Multigraph(chunks, b_edges))
 
 
 def konig_edge_coloring(b: Multigraph, k: int) -> tuple:

@@ -300,8 +300,8 @@ def tree_connectivity(g: Multigraph) -> int:
     return _tree_connectivity(g, edge_connectivity(g))
 
 
-def tree_connected(g: Multigraph, k: int) -> bool:
-    """True iff g has k edge-disjoint spanning trees.
+def tree_connected(g: Multigraph, k: int, lam: int) -> bool:
+    """True iff g has k edge-disjoint spanning trees, given lam = lambda(g).
 
     The counting bound and then the Nash-Williams-Tutte bounds decide most
     inputs; otherwise exactly k forests are packed once.
@@ -310,7 +310,6 @@ def tree_connected(g: Multigraph, k: int) -> bool:
         return True
     if _forest_count_bound(g) < k:
         return False
-    lam = edge_connectivity(g)
     if lam < k or lam // 2 >= k:
         return lam >= k
     return _ForestPacking(g).grow(k) == k * (g.n - 1)

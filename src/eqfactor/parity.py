@@ -5,32 +5,29 @@ The finder is exact at every size: it reduces to perfect matching through the
 classical degree-gadget construction (padding loops encode the allowed parity
 window) and solves that with the in-house cardinality blossom of
 ``matching``, warm-started from a greedy factor. It stays fully independent
-of the brute-force subset oracle used for cross-checking.
+of the brute-force subset oracle used for cross-checking. Both take a
+ParitySpec, a plain record whose constructor enforces the window condition:
+g0(v) <= f0(v), both of f(v)'s parity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import Infeasible, InvalidInput
 from .matching import maximum_matching
 from .multigraph import Factorization, Multigraph
 
 
-@dataclass(frozen=True)
 class ParitySpec:
     """Per-vertex parity targets f with degree window [g0, f0], all congruent."""
 
-    f: tuple
-    g0: tuple
-    f0: tuple
+    __slots__ = ("f", "g0", "f0")
 
-    def __post_init__(self):
-        f = tuple(int(x) % 2 for x in self.f)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g0", tuple(int(x) for x in self.g0))
-        object.__setattr__(self, "f0", tuple(int(x) for x in self.f0))
+    def __init__(self, f, g0, f0):
+        self.f = tuple(int(x) % 2 for x in f)
+        self.g0 = tuple(int(x) for x in g0)
+        self.f0 = tuple(int(x) for x in f0)
         if not len(self.f) == len(self.g0) == len(self.f0):
             raise InvalidInput("f, g0, f0 must have equal length")
         for v, (fv, lo, hi) in enumerate(zip(self.f, self.g0, self.f0)):

@@ -1,16 +1,18 @@
 """Theorem pipelines: equitable, parity, and regular factorizations.
 
 Each pipeline is one sufficient construction: a residue orientation, a
-bipartite split, a Konig coloring. Connectivity hypotheses are advisory:
-they are checked and reported as warnings, never used as gates, since the
-solvers may succeed below the published thresholds. As the construction is
-only sufficient, an orientation step that finds nothing proves nothing: the
-pipeline raises Undecided, with the warnings that name the unmet hypothesis.
+bipartite split, a Konig coloring. Each returns one plain triple
+(factorization, audit, warnings): the audit is ``lab.verify``'s list of
+(claim, bound, measured, passed) entries for the pipeline's claims, and the
+warnings are the messages the CLI prints to stderr. Connectivity hypotheses
+are advisory: they are checked and reported as warnings, never used as
+gates, since the solvers may succeed below the published thresholds. As the
+construction is only sufficient, an orientation step that finds nothing
+proves nothing: the pipeline raises Undecided, with the warnings that name
+the unmet hypothesis.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from . import connectivity
 from .coloring import decompose_directed
@@ -18,16 +20,6 @@ from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, Undecided
 from .lab import parity_claim, verify
 from .multigraph import Factorization, Multigraph
 from .orientation import balanced_mod_k_orientation, mod_k_orientation, residue_map
-
-
-@dataclass
-class FactorReport:
-    """A factorization plus the audit of its pipeline's claims by ``lab.verify``:
-    a list of (claim, bound, measured, passed) entries."""
-
-    factorization: Factorization
-    audit: list
-    warnings: list = field(default_factory=list)
 
 
 def _orient(warnings, solve, *args, **kwargs):
@@ -46,7 +38,7 @@ def _equitable_hypothesis_warnings(g: Multigraph, k: int) -> list:
     warnings = []
     if g.n >= 2 and k >= 2:
         lam = connectivity.edge_connectivity(g)
-        if lam < 3 * k - 3 and not connectivity.tree_connected(g, 2 * k - 2):
+        if lam < 3 * k - 3 and not connectivity.tree_connected(g, 2 * k - 2, lam):
             warnings.append(
                 f"hypothesis not met: graph is neither ({3 * k - 3})-edge-connected "
                 f"nor ({2 * k - 2})-tree-connected (lambda = {lam})"
@@ -74,7 +66,7 @@ def find_Z_set(g: Multigraph, k: int):
     return frozenset(dp[target]) if target in dp else None
 
 
-def equitable_factorize(g: Multigraph, k: int, z=None, Z=None, budget: int = DEFAULT_BUDGET) -> FactorReport:
+def equitable_factorize(g: Multigraph, k: int, z=None, Z=None, budget: int = DEFAULT_BUDGET) -> tuple:
     """Equitable factorization via a residue orientation plus size-mode split.
 
     At most one of z (special vertex) and Z (residue vertex set). Z variant:
@@ -96,12 +88,12 @@ def equitable_factorize(g: Multigraph, k: int, z=None, Z=None, budget: int = DEF
     orientation = _orient(warnings, mod_k_orientation, g, k, p, budget=budget)
     fz = decompose_directed(orientation, k, mode="size")
     claims = ["deviation<1" if z is None else "deviation<2", "size±1"]
-    return FactorReport(fz, verify(g, fz, claims), warnings)
+    return fz, verify(g, fz, claims), warnings
 
 
-def three_factor_criterion(g: Multigraph, budget: int = DEFAULT_BUDGET) -> FactorReport:
+def three_factor_criterion(g: Multigraph, budget: int = DEFAULT_BUDGET) -> tuple:
     """Equitable 3-factorization criterion: Infeasible with its proof, or
-    else the auto equitable report (Undecided where that construction does
+    else the auto equitable triple (Undecided where that construction does
     not apply).
 
     Impossible exactly when one single vertex has degree not divisible by 3:
@@ -121,7 +113,7 @@ def three_factor_criterion(g: Multigraph, budget: int = DEFAULT_BUDGET) -> Facto
     return equitable_factorize(g, 3, budget=budget)
 
 
-def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET) -> FactorReport:
+def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET) -> tuple:
     """Parity factorization: every factor degree matches a parity target and
     deviates from d(v)/k by less than 2.
 
@@ -138,7 +130,9 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
         parity = "parity"
         if k >= 3 and g.n >= 2:
             odd_lam = connectivity.odd_edge_connectivity(g)
-            if odd_lam < 3 * k - 2 and not connectivity.tree_connected(g, 2 * k - 2):
+            if odd_lam < 3 * k - 2 and not connectivity.tree_connected(
+                g, 2 * k - 2, connectivity.edge_connectivity(g)
+            ):
                 warnings.append(
                     f"hypothesis not met: graph is neither odd-({3 * k - 2})-edge-connected "
                     f"nor ({2 * k - 2})-tree-connected"
@@ -160,10 +154,10 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
                 warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at f-odd set {sorted(witness)}")
         orientation = _orient(warnings, balanced_mod_k_orientation, g, k, q, budget=budget)
     fz = decompose_directed(orientation, k, mode="parity")
-    return FactorReport(fz, verify(g, fz, ["deviation<2", parity]), warnings)
+    return fz, verify(g, fz, ["deviation<2", parity]), warnings
 
 
-def regular_factorize(g: Multigraph, k: int, budget: int = DEFAULT_BUDGET) -> FactorReport:
+def regular_factorize(g: Multigraph, k: int, budget: int = DEFAULT_BUDGET) -> tuple:
     """Split a graph with size and degrees divisible by k into k factors that
     are exactly d(v)/k-regular at every vertex."""
     if k < 1:
@@ -181,19 +175,23 @@ def regular_factorize(g: Multigraph, k: int, budget: int = DEFAULT_BUDGET) -> Fa
             warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at Q-odd set {sorted(witness)}")
     orientation = _orient(warnings, mod_k_orientation, g, k, (0,) * g.n, budget=budget)
     fz = decompose_directed(orientation, k, mode="size")
-    report = FactorReport(fz, verify(g, fz, ["regular"]), warnings)
-    if not all(passed for *_, passed in report.audit):
+    audit = verify(g, fz, ["regular"])
+    if not all(passed for *_, passed in audit):
         raise AssertionError("regular factorization produced a non-regular factor")
-    return report
+    return fz, audit, warnings
 
 
-def regular_split(g: Multigraph, r_list, k: int, bounded_mode: bool = False, budget: int = DEFAULT_BUDGET) -> Factorization:
-    """Regroup a k-fold regular factorization into factors of degrees r_i.
+def regular_split(g: Multigraph, r_list, k: int, bounded_mode: bool = False, budget: int = DEFAULT_BUDGET) -> tuple:
+    """Regroup a k-fold regular factorization into factors of degrees r_i,
+    with the base split's warnings.
 
     Exact mode: G is r-regular (r = sum r_i) and each r_i is a multiple of
-    r/k; the base factors are grouped greedily by descending r_i. Bounded
-    mode: G is completed to an r-regular supergraph (loops first, then
-    parallel edges), split exactly, and restricted, giving max degree <= r_i.
+    r/k; the base factors are grouped greedily by descending r_i. The audit
+    claims deviation < 1 from (r_i / r) * d(v) = r_i: factor i is exactly
+    r_i-regular, up to the float rounding of r_i / r. Bounded mode: G is completed to an r-regular
+    supergraph (loops first, then parallel edges), split exactly, and
+    restricted, giving max degree <= r_i. No audit claim states that bound,
+    so the bounded audit is empty.
     """
     r_list = [int(r) for r in r_list]
     if not r_list or any(r <= 0 for r in r_list):
@@ -217,15 +215,15 @@ def regular_split(g: Multigraph, r_list, k: int, bounded_mode: bool = False, bud
         for a, b in zip(ones[::2], ones[1::2]):
             extra.append((a, b))
         sup = Multigraph(g.n, list(g.edges) + extra)
-        split = regular_split(sup, r_list, k, bounded_mode=False, budget=budget)
-        return Factorization(g, split.k, split.assignment[: g.m])
+        split, _, warnings = regular_split(sup, r_list, k, budget=budget)
+        return Factorization(g, split.k, split.assignment[: g.m]), [], warnings
     if any(d != r for d in g.degrees):
         raise InvalidInput(f"graph is not {r}-regular")
     if any(ri % qq != 0 for ri in r_list):
         raise InvalidInput(
             f"grouping whole {qq}-regular base factors cannot realize r_list {r_list}"
         )
-    base = regular_factorize(g, k, budget=budget).factorization
+    base, _, warnings = regular_factorize(g, k, budget=budget)
     order = sorted(range(len(r_list)), key=lambda i: (-r_list[i], i))
     group_of_base = {}
     nxt = 1
@@ -233,5 +231,5 @@ def regular_split(g: Multigraph, r_list, k: int, bounded_mode: bool = False, bud
         for _ in range(r_list[i] // qq):
             group_of_base[nxt] = i + 1
             nxt += 1
-    assignment = [group_of_base[a] for a in base.assignment]
-    return Factorization(g, len(r_list), assignment)
+    fz = Factorization(g, len(r_list), [group_of_base[a] for a in base.assignment])
+    return fz, verify(g, fz, ["deviation<1:" + ";".join(repr(ri / r) for ri in r_list)]), warnings

@@ -95,15 +95,15 @@ def test_acceptance_02_equitable_z_pipeline():
             c = 3 if k == 3 else rng.choice((2, 3))
             cases.append((eulerian_union(rng, n, c), k))
         for g, k in cases:
-            rep = pipelines.equitable_factorize(g, k)
-            entries = lab.verify(g, rep.factorization, ["deviation<1", "size±1"])
+            fz, _, _ = pipelines.equitable_factorize(g, k)
+            entries = lab.verify(g, fz, ["deviation<1", "size±1"])
             assert audit_passes(entries), (g, k, entries)
 
 
 def test_acceptance_03_three_factor_criterion():
     with Criterion(3, "3-factor criterion with oracle agreement", 30):
-        rep = pipelines.three_factor_criterion(complete_graph(7))
-        degs = rep.factorization.all_factor_degrees()
+        fz, _, _ = pipelines.three_factor_criterion(complete_graph(7))
+        degs = fz.all_factor_degrees()
         assert all(d == 2 for row in degs for d in row)
         loopy = Multigraph(7, list(complete_graph(7).edges) + [(0, 0)])
         with pytest.raises(Infeasible):
@@ -126,15 +126,15 @@ def test_acceptance_04_observation_family():
 
 def test_acceptance_05_parity_odd_k():
     with Criterion(5, "odd-k parity factorization", 60):
-        rep = pipelines.parity_factorize(complete_graph(7), 3)
-        degs = rep.factorization.all_factor_degrees()
+        fz, _, _ = pipelines.parity_factorize(complete_graph(7), 3)
+        degs = fz.all_factor_degrees()
         assert all(d == 2 for row in degs for d in row)  # three 2-factors
         rng = random.Random(105)
         for _ in range(20):
             n = rng.choice((5, 7, 9))
             g = eulerian_union(rng, n, 3)  # 6-regular, odd order
-            rep = pipelines.parity_factorize(g, 3)
-            entries = lab.verify(g, rep.factorization, ["parity", "deviation<2"])
+            fz, _, _ = pipelines.parity_factorize(g, 3)
+            entries = lab.verify(g, fz, ["parity", "deviation<2"])
             assert audit_passes(entries), entries
 
 

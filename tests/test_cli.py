@@ -139,16 +139,74 @@ def test_cli_k4_k3_is_undecided_not_infeasible(tmp_path, capsys, argv, hypothesi
     assert f"; hypothesis not met: {hypothesis}" in err
 
 
+K44 = Multigraph(8, [(i, 4 + j) for i in range(4) for j in range(4)])
+
+
 def test_cli_regular_split_grouping_is_invalid_input(tmp_path, capsys):
     """On K4,4 (4-regular) r_list 1,3 needs base factors of degree dividing
     1 and 3: k = 2 gives 2-regular ones, an invalid request (exit 2), and
     k = 4 gives perfect matchings, which group into the split."""
-    k44 = write_graph(tmp_path, Multigraph(8, [(i, 4 + j) for i in range(4) for j in range(4)]))
+    k44 = write_graph(tmp_path, K44)
     argv = ["factor", k44, "--mode", "regular", "--r-list", "1,3", "--k"]
     assert main(argv + ["2"]) == 2
     assert capsys.readouterr() == ("", "error: grouping whole 2-regular base factors cannot realize r_list [1, 3]\n")
     assert main(argv + ["4"]) == 0
     assert sorted(len(f["edges"]) for f in json.loads(capsys.readouterr().out)["factors"]) == [4, 12]
+
+
+# an exact --r-list split, the claim its audit makes, and its base split's warnings
+R_LISTS = [
+    (complete_graph(5), ["--k", "2", "--r-list", "2,2"], "deviation<1:0.5;0.5", ""),
+    (K44, ["--k", "4", "--r-list", "1,3"], "deviation<1:0.25;0.75",
+     "warning: hypothesis not met: d(X) < 10 at Q-odd set [1]\n"),
+]
+
+
+@pytest.mark.parametrize("g, flags, claim, warnings", R_LISTS, ids=["K5 2,2", "K4,4 1,3"])
+def test_cli_r_list_reports_are_audited(tmp_path, capsys, g, flags, claim, warnings):
+    """An exact split claims that factor i is r_i-regular, as deviation < 1
+    from (r_i / r) * d(v) on the r-regular graph; the report carries that
+    audit, verify accepts the same claim, and the base split's warnings are
+    printed."""
+    path = write_graph(tmp_path, g)
+    assert main(["factor", path, "--mode", "regular", *flags]) == 0
+    out, err = capsys.readouterr()
+    assert err == warnings
+    assert json.loads(out)["audit"] == {"deviation<1": {"bound": 1.0, "measured": 0.0, "pass": True}}
+    report = tmp_path / "rep.json"
+    report.write_text(out)
+    assert main(["verify", path, str(report), "--claims", claim]) == 0
+    assert capsys.readouterr().out == "deviation<1: bound 1, measured 0.0, pass\n"
+
+
+# a flag that the chosen --mode or --question does not read, and its error
+UNREAD_FLAGS = [
+    (["factor", "K5", "--k", "2", "--mode", "anstee", "--z", "0"], "--z does not apply to --mode anstee"),
+    (["factor", "K5", "--k", "3", "--mode", "parity", "--Z", "0,1"], "--Z does not apply to --mode parity"),
+    (["factor", "K5", "--k", "2", "--mode", "anstee", "--f", "0,1"], "--f does not apply to --mode anstee"),
+    (["factor", "K5", "--k", "2", "--r-list", "2,2"], "--r-list does not apply to --mode equitable"),
+    (["factor", "K5", "--k", "2", "--mode", "anstee", "--bounded"], "--bounded does not apply to --mode anstee"),
+    (["factor", "K5", "--k", "2", "--mode", "regular", "--bounded"], "--bounded needs --r-list"),
+    (["oracle", "K5", "--question", "equitable", "--k", "2", "--z", "0"],
+     "--z does not apply to --question equitable"),
+    (["oracle", "K5", "--question", "parity_gf", "--f", "0,1", "--epsilon", "0.5", "--Z", "0,1"],
+     "--Z does not apply to --question parity_gf"),
+    (["oracle", "K5", "--question", "orientation", "--k", "2", "--f", "0,1"],
+     "--f does not apply to --question orientation"),
+    (["oracle", "K5", "--question", "equitable", "--k", "2", "--epsilon", "0.5"],
+     "--epsilon does not apply to --question equitable"),
+    (["oracle", "K5", "--question", "parity_gf", "--f", "0,1", "--epsilon", "0.5", "--k", "2"],
+     "--k does not apply to --question parity_gf"),
+]
+
+
+@pytest.mark.parametrize("argv, error", UNREAD_FLAGS, ids=[" ".join(a) for a, _ in UNREAD_FLAGS])
+def test_cli_rejects_flags_the_choice_does_not_read(tmp_path, capsys, argv, error):
+    """Each of these exited 0 with the flag ignored, so a user who meant to
+    steer the result was not told that nothing was steered."""
+    k5 = write_graph(tmp_path, complete_graph(5))
+    assert main([k5 if a == "K5" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 Z_ARGVS = [

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import audit_passes, eulerian_union, proper_coloring, random_multigraph, random_orientation
 from eqfactor.coloring import (
-    BipartiteSplit,
     anstee_decomposition,
     balance_color_sizes,
     decompose_directed,
@@ -17,14 +16,15 @@ from eqfactor.multigraph import Multigraph, Orientation, complete_graph, cycle_g
 from eqfactor.orientation import eulerian_orientation
 
 
-def chunk_of(split: BipartiteSplit) -> list:
-    """chunk_of(split)[b_vertex] = (original vertex, side, chunk index), side in {"out", "in"}."""
-    ends = split.out_first[1:] + [split.b.n]  # v's in-chunks end where v + 1's begin
+def chunk_of(d: Orientation, k: int) -> list:
+    """chunk_of(d, k)[b_vertex] = (original vertex, side, chunk index), side in
+    {"out", "in"}, in split_to_bipartite's numbering: the ceil(d+(v)/k)
+    out-chunks of v, then its ceil(d-(v)/k) in-chunks, then those of v + 1."""
     return [
-        (v, side, c - first)
-        for v, (o, i, end) in enumerate(zip(split.out_first, split.in_first, ends))
-        for side, first, stop in (("out", o, i), ("in", i, end))
-        for c in range(first, stop)
+        (v, side, c)
+        for v in range(d.base.n)
+        for side, deg in (("out", d.out_degrees[v]), ("in", d.in_degrees[v]))
+        for c in range(-(-deg // k))
     ]
 
 
@@ -45,16 +45,18 @@ def test_split_chunk_degrees():
     g = Multigraph(6, [(0, i) for i in range(1, 6)])
     d = Orientation(g, (0,) * 5)
     split = split_to_bipartite(d, 2)
-    chunks = chunk_of(split)
+    chunks = chunk_of(d, 2)
+    assert len(chunks) == split.b.n
     out_chunk_degs = sorted(split.b.degree(b) for b in range(split.b.n) if chunks[b][:2] == (0, "out"))
     assert out_chunk_degs == [1, 2, 2]
 
 
 def test_split_loop_becomes_cross_edge():
     g = Multigraph(1, [(0, 0)])
-    split = split_to_bipartite(Orientation(g, (0,)), 3)
+    d = Orientation(g, (0,))
+    split = split_to_bipartite(d, 3)
     (u, w) = split.b.edges[0]
-    chunks = chunk_of(split)
+    chunks = chunk_of(d, 3)
     assert {chunks[u][1], chunks[w][1]} == {"out", "in"}
 
 
@@ -153,7 +155,8 @@ def test_decompose_colors_the_split_without_the_odd_cycle_test():
         d, k = random_orientation(rng, g), rng.choice((2, 3, 4))
         for mode in ("size", "parity"):
             split = split_to_bipartite(d, k, parity_mode=mode == "parity")
-            chunks = chunk_of(split)
+            chunks = chunk_of(d, k)
+            assert len(chunks) == split.b.n
             assert all({chunks[u][1], chunks[w][1]} == {"out", "in"} for u, w in split.b.edges)
             assert proper_coloring(split.b, konig_edge_coloring(split.b, k))
 

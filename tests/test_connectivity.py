@@ -126,7 +126,7 @@ def test_exact_algorithms_match_oracles():
         tau = cut_oracles.tree_connectivity(g)
         assert connectivity.tree_connectivity(g) == tau
         for k in range(tau + 3):
-            assert connectivity.tree_connected(g, k) == (k <= tau)
+            assert connectivity.tree_connected(g, k, lam) == (k <= tau)
     assert min(seen.values()) >= 20, seen
 
 

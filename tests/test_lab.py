@@ -17,8 +17,8 @@ from eqfactor.pipelines import equitable_factorize
 
 
 def test_verify_k7_three_factors():
-    rep = equitable_factorize(complete_graph(7), 3)
-    entries = verify(complete_graph(7), rep.factorization, ["deviation<1", "size±1"])
+    fz, _, _ = equitable_factorize(complete_graph(7), 3)
+    entries = verify(complete_graph(7), fz, ["deviation<1", "size±1"])
     assert audit_passes(entries)
 
 

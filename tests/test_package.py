@@ -11,7 +11,7 @@ from eqfactor import connectivity
 def test_every_export_is_its_defining_modules_object():
     star = {}
     exec("from eqfactor import *", star)
-    assert len(eqfactor.__all__) == 36
+    assert len(eqfactor.__all__) == 35
     for name in eqfactor.__all__:
         obj = getattr(eqfactor, name)
         assert getattr(sys.modules[obj.__module__], name) is obj, name

@@ -21,9 +21,9 @@ def doubled(g):
     return Multigraph(g.n, [e for e in g.edges for _ in range(2)])
 
 
-def measured(rep, claim):
-    """The measured value of one claim in a pipeline report's audit."""
-    return {c: m for c, _, m, _ in rep.audit}[claim]
+def measured(audit, claim):
+    """The measured value of one claim in a pipeline's audit."""
+    return {c: m for c, _, m, _ in audit}[claim]
 
 
 def test_find_z_set_frozen():
@@ -37,25 +37,25 @@ def test_find_z_set_frozen():
 
 
 def test_equitable_k7():
-    rep = equitable_factorize(complete_graph(7), 3, Z=frozenset())
-    assert measured(rep, "deviation<1") == 0
-    assert rep.factorization.factor_sizes() == [7, 7, 7]
-    assert all(d == 2 for degs in rep.factorization.all_factor_degrees() for d in degs)
+    fz, audit, _ = equitable_factorize(complete_graph(7), 3, Z=frozenset())
+    assert measured(audit, "deviation<1") == 0
+    assert fz.factor_sizes() == [7, 7, 7]
+    assert all(d == 2 for degs in fz.all_factor_degrees() for d in degs)
 
 
 def test_equitable_k4():
-    rep = equitable_factorize(complete_graph(4), 2, Z=frozenset())
-    assert measured(rep, "deviation<1") < 1
-    assert sorted(rep.factorization.factor_sizes()) == [3, 3]
-    for degs in rep.factorization.all_factor_degrees():
+    fz, audit, _ = equitable_factorize(complete_graph(4), 2, Z=frozenset())
+    assert measured(audit, "deviation<1") < 1
+    assert sorted(fz.factor_sizes()) == [3, 3]
+    for degs in fz.all_factor_degrees():
         assert all(1 <= d <= 2 for d in degs)
 
 
 def test_equitable_z_variant():
     g = complete_graph(4)
-    rep = equitable_factorize(g, 2, z=0)
-    assert [c for c, *_ in rep.audit] == ["deviation<2", "size±1"] and audit_passes(rep.audit)
-    for degs in rep.factorization.all_factor_degrees():
+    fz, audit, _ = equitable_factorize(g, 2, z=0)
+    assert [c for c, *_ in audit] == ["deviation<2", "size±1"] and audit_passes(audit)
+    for degs in fz.all_factor_degrees():
         assert abs(degs[0] - 1.5) < 2
         assert all(abs(degs[v] - 1.5) < 1 for v in range(1, 4))
 
@@ -81,14 +81,14 @@ def test_equitable_auto_matches_oracle():
         g = eulerian_union(rng, rng.choice((5, 7)), rng.randint(1, 2))
         k = rng.choice((2, 3))
         try:
-            rep = equitable_factorize(g, k)
+            _, audit, warnings = equitable_factorize(g, k)
         except Undecided:
             assert oracle_equitable(g, k)
             undecided += 1
             continue
-        assert audit_passes(rep.audit)
-        if not any("fell back" in w for w in rep.warnings):
-            assert measured(rep, "deviation<1") < 1 and oracle_equitable(g, k)
+        assert audit_passes(audit)
+        if not any("fell back" in w for w in warnings):
+            assert measured(audit, "deviation<1") < 1 and oracle_equitable(g, k)
     assert undecided == 5
     with pytest.raises(Undecided, match="hypothesis not met"):
         equitable_factorize(complete_graph(4), 3)
@@ -96,22 +96,21 @@ def test_equitable_auto_matches_oracle():
 
 
 def test_three_factor_k7():
-    assert measured(three_factor_criterion(complete_graph(7)), "deviation<1") < 1
+    assert measured(three_factor_criterion(complete_graph(7))[1], "deviation<1") < 1
 
 
 def test_three_factor_report_equals_the_explicit_z_request():
-    """The criterion's auto path finds the same Z as find_Z_set, so its report
+    """The criterion's auto path finds the same Z as find_Z_set, so its triple
     is that of the explicit-Z request (4-regular graphs: every vertex has
     degree 1 mod 3, and |E| = 2n mod 3 needs a nonempty Z)."""
     rng = random.Random(67)
     for g in (complete_graph(7), eulerian_union(rng, 10, 2), eulerian_union(rng, 11, 2)):
-        res = three_factor_criterion(g)
+        fz, audit, warnings = three_factor_criterion(g)
         zset = find_Z_set(g, 3)
         assert (g.m % 3 == 0) == (zset == frozenset())
-        rep = equitable_factorize(g, 3, Z=zset)
-        assert res.factorization.assignment == rep.factorization.assignment
-        assert res.audit == rep.audit
-        assert res.warnings == rep.warnings
+        z_fz, z_audit, z_warnings = equitable_factorize(g, 3, Z=zset)
+        assert fz.assignment == z_fz.assignment
+        assert (audit, warnings) == (z_audit, z_warnings)
 
 
 def test_three_factor_impossible():
@@ -129,10 +128,10 @@ def test_three_factor_impossible_matches_oracle():
 
 
 def test_parity_odd_k_k7():
-    rep = parity_factorize(complete_graph(7), 3)
-    assert measured(rep, "parity") == 0
-    assert measured(rep, "deviation<2") < 2
-    assert all(d == 2 for degs in rep.factorization.all_factor_degrees() for d in degs)
+    fz, audit, _ = parity_factorize(complete_graph(7), 3)
+    assert measured(audit, "parity") == 0
+    assert measured(audit, "deviation<2") < 2
+    assert all(d == 2 for degs in fz.all_factor_degrees() for d in degs)
 
 
 def test_parity_odd_k_rejects_f():
@@ -143,9 +142,9 @@ def test_parity_odd_k_rejects_f():
 def test_parity_even_k():
     g = eulerian_union(random.Random(5), 6, 3)  # 6-regular on 6 vertices
     f = (1, 1, 1, 1, 0, 0)
-    rep = parity_factorize(g, 2, f=f)
-    assert measured(rep, "parity") == 0
-    for degs in rep.factorization.all_factor_degrees():
+    fz, audit, _ = parity_factorize(g, 2, f=f)
+    assert measured(audit, "parity") == 0
+    for degs in fz.all_factor_degrees():
         for v in range(6):
             assert degs[v] % 2 == f[v]
             assert abs(degs[v] - 3) < 2
@@ -156,20 +155,22 @@ def test_parity_even_k():
 
 
 def test_regular_factorize():
-    rep = regular_factorize(complete_graph(7), 3)
-    assert measured(rep, "regular") == 0
-    rep = regular_factorize(doubled(cycle_graph(4)), 2)
-    assert all(d == 2 for degs in rep.factorization.all_factor_degrees() for d in degs)
+    _, audit, _ = regular_factorize(complete_graph(7), 3)
+    assert measured(audit, "regular") == 0
+    fz, _, _ = regular_factorize(doubled(cycle_graph(4)), 2)
+    assert all(d == 2 for degs in fz.all_factor_degrees() for d in degs)
     with pytest.raises(InvalidInput):
         regular_factorize(complete_graph(4), 2)  # degrees 3 not divisible
 
 
 def test_regular_split_exact():
-    fz = regular_split(complete_graph(7), (2, 2, 2), 3)
-    assert all(d == 2 for i in range(1, 4) for d in fz.factor_degrees(i))
-    fz = regular_split(complete_graph(7), (4, 2), 3)
-    assert all(d == 4 for d in fz.factor_degrees(1))
-    assert all(d == 2 for d in fz.factor_degrees(2))
+    fz, audit, _ = regular_split(complete_graph(7), (2, 2, 2), 3)
+    assert all(d == 2 for degs in fz.all_factor_degrees() for d in degs)
+    assert [c for c, *_ in audit] == ["deviation<1"] and audit_passes(audit)
+    fz, audit, _ = regular_split(complete_graph(7), (4, 2), 3)
+    four, two = fz.all_factor_degrees()
+    assert all(d == 4 for d in four) and all(d == 2 for d in two)
+    assert measured(audit, "deviation<1") == 0
 
 
 def test_regular_split_infeasible_grouping():
@@ -179,14 +180,11 @@ def test_regular_split_infeasible_grouping():
 
 def test_regular_split_bounded():
     g = Multigraph(7, list(complete_graph(7).edges)[:-1])  # K7 minus one edge
-    fz = regular_split(g, (2, 2, 2), 3, bounded_mode=True)
-    for i in range(1, 4):
-        assert max(fz.factor_degrees(i)) <= 2
-    totals = [0] * 7
-    for i in range(1, 4):
-        for v in range(7):
-            totals[v] += fz.factor_degrees(i)[v]
-    assert tuple(totals) == g.degrees
+    fz, audit, _ = regular_split(g, (2, 2, 2), 3, bounded_mode=True)
+    degs = fz.all_factor_degrees()
+    assert all(max(row) <= 2 for row in degs)
+    assert tuple(map(sum, zip(*degs))) == g.degrees
+    assert audit == []  # no claim states d_i(v) <= r_i
 
 
 def test_regular_split_validations():
@@ -201,8 +199,8 @@ def test_regular_split_validations():
 def test_scale_parity_and_regular_factorize_10k():
     """ROADMAP item 3 at n = 10^4, at the default recursion limit."""
     g = eulerian_union(random.Random(3), 10_000, 3)
-    for rep in (parity_factorize(g, 3), regular_factorize(g, 3)):
-        assert audit_passes(rep.audit)
+    for _, audit, _ in (parity_factorize(g, 3), regular_factorize(g, 3)):
+        assert audit_passes(audit)
 
 
 def test_scale_equitable_k3_irregular_10k_runs_one_flow(monkeypatch):
@@ -215,6 +213,6 @@ def test_scale_equitable_k3_irregular_10k_runs_one_flow(monkeypatch):
     monkeypatch.setattr(orientation, "realize_out_degrees",
                         lambda *a, **kw: calls.append("realize") or realize(*a, **kw))
     monkeypatch.setattr(orientation, "_plan_search", lambda *a, **kw: calls.append("search") or search(*a, **kw))
-    rep = equitable_factorize(g, 3)
+    _, audit, warnings = equitable_factorize(g, 3)
     assert calls == ["realize"]
-    assert audit_passes(rep.audit) and not rep.warnings
+    assert audit_passes(audit) and not warnings

@@ -27,7 +27,7 @@ def itertools_enumerators(tree):
 
 # the line count of src/eqfactor/*.py; a change that grows the package raises
 # it and says why in CHANGES.md
-SOURCE_LINES = 2964
+SOURCE_LINES = 2962
 
 
 def test_source_stays_within_its_line_count():
@@ -130,21 +130,12 @@ def command_modules(argv):
     return ast.literal_eval(out)
 
 
-# one-shot calls whose modules declare no dataclass, so that they do not pay
-# for `import dataclasses`, which loads inspect, ast, dis and tokenize and
-# costs about as much as a small solve
-NO_DATACLASSES = {
-    "analyze K5", "orient K5 --k 2", "verify K5 REPORT --claims size±1", "gen --family complete --n 4",
-    "oracle K5 --question equitable --k 2", "oracle K5 --question orientation --k 2",
-}
-
-
 @pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[" ".join(a) for a, _ in COMMAND_MODULES])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, modules):
     """A subcommand imports the modules it runs when it is dispatched; a
-    one-shot call pays for nothing else, none loads multiprocessing, and
-    those in NO_DATACLASSES do not load dataclasses."""
-    name = " ".join(argv)
+    one-shot call pays for nothing else, and none loads multiprocessing or
+    dataclasses (which loads inspect, ast, dis and tokenize and costs about
+    as much as a small solve)."""
     k5 = tmp_path / "k5.txt"
     k5.write_text(serialize_graph(complete_graph(5)))
     fz = Factorization(complete_graph(5), 2, [1, 2] * 5)
@@ -153,5 +144,4 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv, modules):
     argv = [{"K5": str(k5), "REPORT": str(report)}.get(arg, arg) for arg in argv]
     loaded, code, after, multiprocessing, dataclasses = command_modules(argv)
     assert set(loaded) == CLI_MODULES
-    assert (code, set(after), multiprocessing) == (0, CLI_MODULES | modules, False)
-    assert not (dataclasses and name in NO_DATACLASSES)
+    assert (code, set(after), multiprocessing, dataclasses) == (0, CLI_MODULES | modules, False, False)
