@@ -287,8 +287,8 @@ SHARED_FLAGS = {
     "--seed": dict(type=int, default=0),
     "--budget": dict(type=int, default=DEFAULT_BUDGET,
                      help="plan-search nodes, one per candidate out-degree tried, before exit 3 (undecided); "
-                          "with a budget of at least n, a mod-k orientation first tries one least-imbalance "
-                          "plan, and a failed first plan is not charged"),
+                          "with a budget of at least n, a mod-k orientation with k >= 3 first tries one "
+                          "least-imbalance plan, and a failed first plan is not charged; k = 2 spends none"),
     "--jobs": dict(type=int, default=1),
 }
 

@@ -13,6 +13,11 @@ One exact polynomial algorithm per quantity, at every input size:
   min(lambda, floor(m/(n-1))); matroid-union forest packing runs only when
   they differ, growing one forest at a time.
 
+The advisory checks only ask threshold questions ("is every f-odd cut at
+least 3k - 2?"), so edge connectivity and the T-odd cut take a limit: each
+is exact below it and reports some value >= limit otherwise. ``analyze``
+passes none and stays exact.
+
 Infinity is represented by math.inf, never by a sentinel integer.
 """
 
@@ -36,8 +41,12 @@ def _merged_edges(g: Multigraph) -> dict:
     return weights
 
 
-def edge_connectivity_witness(g: Multigraph):
+def edge_connectivity_witness(g: Multigraph, limit=None):
     """(lambda, witness A) with d(A) = lambda minimal over proper nonempty A.
+
+    With a limit, the search starts from best = min(delta, limit), so the
+    pair is exact when lambda < limit, and is (limit, None) or a cut of
+    value limit otherwise.
 
     Scans the vertices in maximum-adjacency order t_1, t_2, ..., t_n (any
     order is exact; this one makes most steps free, see below). With
@@ -66,6 +75,8 @@ def edge_connectivity_witness(g: Multigraph):
     degree = [sum(cap[a] for a in out[v]) for v in range(n)]
     best = min(degree)
     witness = [degree.index(best)]
+    if limit is not None and limit < best:
+        best, witness = limit, None
     flow = [0] * len(head)
     in_s = [False] * n
     r = [0] * n
@@ -136,7 +147,7 @@ def edge_connectivity_witness(g: Multigraph):
         if value < best:
             # no key changes: every vertex outside S has r <= r(x) <= value
             best, witness = value, reach
-    return best, frozenset(witness)
+    return best, None if witness is None else frozenset(witness)
 
 
 def edge_connectivity(g: Multigraph):
@@ -144,7 +155,7 @@ def edge_connectivity(g: Multigraph):
     return edge_connectivity_witness(g)[0]
 
 
-def _min_t_odd_cut(g: Multigraph, t: set):
+def _min_t_odd_cut(g: Multigraph, t: set, limit=None):
     """Minimum d(A) over A with |A & t| odd, with a witness A.
 
     Gusfield's non-contracting cut construction over the terminals ("Very
@@ -160,6 +171,14 @@ def _min_t_odd_cut(g: Multigraph, t: set):
     whose capacities are reset before each. |t| must be even (it is whenever
     t comes from degree or parity sums). Returns (math.inf, None) when t is
     empty or no T-odd cut is found.
+
+    With a limit, the answer is exact below it and some value >= limit
+    otherwise (a partial cut tree, as in Hariharan, Kavitha and Panigrahi,
+    SODA 2007): each flow stops at limit units. A capped flow's cut is at
+    least limit, so it never holds the answer; its side is read only when a
+    later terminal shares s's parent, and then the flow first continues,
+    uncapped, on the same residual network, so that the re-parenting follows
+    a true minimum cut.
     """
     if not t:
         return math.inf, None
@@ -173,22 +192,28 @@ def _min_t_odd_cut(g: Multigraph, t: set):
     best, witness = math.inf, None
     for i, s in enumerate(terminals[1:], 1):
         net.cap[:] = full
-        value = net.max_flow(s, parent[s])
+        value = net.max_flow(s, parent[s], limit)
+        later = [u for u in terminals[i + 1 :] if parent[u] == parent[s]]
+        if value == limit:
+            if not later:
+                continue
+            value += net.max_flow(s, parent[s])
         side = net.residual_reachable(s)
-        for u in terminals[i + 1 :]:
-            if parent[u] == parent[s] and u in side:
+        for u in later:
+            if u in side:
                 parent[u] = s
         if value < best and len(side.intersection(t)) % 2 == 1:
             best, witness = value, frozenset(side)
     return best, witness
 
 
-def odd_edge_connectivity(g: Multigraph):
-    """min d(A) over A with d(A) odd; math.inf if none exists.
+def odd_edge_connectivity(g: Multigraph, limit=None):
+    """min d(A) over A with d(A) odd; math.inf if none exists. With a limit,
+    exact below it and some value >= limit otherwise.
 
     d(A) is odd exactly when A holds an odd number of odd-degree vertices.
     """
-    return _min_t_odd_cut(g, {v for v in range(g.n) if g.degree(v) % 2 == 1})[0]
+    return _min_t_odd_cut(g, {v for v in range(g.n) if g.degree(v) % 2 == 1}, limit)[0]
 
 
 class _ForestPacking:
@@ -318,14 +343,21 @@ def tree_connected(g: Multigraph, k: int, lam: int) -> bool:
 def f_odd_cut_bound(g: Multigraph, f, lam: int):
     """Check d(X) >= lam for every X with sum of f over X odd.
 
-    Returns (True, None) or (False, witness X). f maps vertices to Z_2.
+    Returns (True, None) or (False, witness X). f maps vertices to Z_2. The
+    answer is exact; the work stops at the threshold. Every f-odd set is a
+    cut, so with four or more f-odd vertices edge connectivity, capped at
+    lam, is tried first, and when it reaches lam no T-odd flow runs. Each
+    T-odd flow is capped at lam.
     """
     f = tuple(int(x) % 2 for x in f)
     if len(f) != g.n:
         raise InvalidInput("f must assign a parity to every vertex")
     if sum(f) % 2 == 1:
         raise InvalidInput("sum of f over V must be even")
-    value, witness = _min_t_odd_cut(g, {v for v in range(g.n) if f[v] == 1})
+    t = {v for v in range(g.n) if f[v] == 1}
+    if len(t) >= 4 and edge_connectivity_witness(g, lam)[0] >= lam:
+        return True, None
+    value, witness = _min_t_odd_cut(g, t, lam)
     if value < lam:
         return False, witness
     return True, None

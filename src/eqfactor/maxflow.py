@@ -1,4 +1,6 @@
-"""Small integer-capacity Dinic max-flow, with residual reachability access."""
+"""Small integer-capacity Dinic max-flow, with residual reachability access.
+
+A flow may stop at a limit: it then answers "is the cut at least limit?"."""
 
 from __future__ import annotations
 
@@ -26,8 +28,12 @@ class FlowNetwork:
     def flow_on(self, idx: int) -> int:
         return self.cap[idx + 1]
 
-    def max_flow(self, s: int, t: int) -> int:
+    def max_flow(self, s: int, t: int, limit=None) -> int:
         """Dinic: BFS levels, then blocking flows found by an iterative DFS.
+
+        With a limit, pushing stops once limit units are pushed, so the value
+        is min(max flow, limit); the residual network then holds that flow,
+        and a later call continues from it.
 
         The DFS keeps its path on an explicit stack, so the depth of the
         level graph is not limited by the interpreter's recursion limit.
@@ -36,7 +42,7 @@ class FlowNetwork:
         """
         graph, to, cap = self.graph, self.to, self.cap
         total = 0
-        while True:
+        while limit is None or total < limit:
             level = [-1] * self.n
             level[s] = 0
             queue = deque([s])
@@ -55,6 +61,8 @@ class FlowNetwork:
             while True:
                 if x == t:
                     pushed = min(cap[idx] for idx in path)
+                    if limit is not None:
+                        pushed = min(pushed, limit - total)
                     first_saturated = None
                     for i, idx in enumerate(path):
                         cap[idx] -= pushed
@@ -62,6 +70,8 @@ class FlowNetwork:
                         if first_saturated is None and cap[idx] == 0:
                             first_saturated = i
                     total += pushed
+                    if total == limit:
+                        return total
                     # resume from the tail of the first saturated arc, which
                     # is where the search would be after restarting at s
                     del path[first_saturated:]
@@ -86,6 +96,7 @@ class FlowNetwork:
                     it[x] += 1
                 else:
                     break
+        return total
 
     def residual_reachable(self, s: int) -> set:
         seen = {s}

@@ -1,9 +1,14 @@
 """Orientation solvers: Eulerian, prescribed out-degrees, mod-k residues, balance.
 
-A mod-k orientation is found by a first plan, then search. The first plan
-gives every vertex its residue-compliant out-degree nearest d(v)/2 and shifts
-the cheapest vertices by +-k until the plan sums to |E|; one flow realizes
-it. When that plan is not realizable, a plan search runs: an iterative
+A mod-2 orientation is a T-join: from the near-balanced start, the edges of
+one spanning forest that lie above an odd number of wrong-parity vertices
+are reversed, in O(n + m) with no flow and no search, and a component with
+an odd number of them proves that none exists. No budget is spent.
+
+For k >= 3 a mod-k orientation is found by a first plan, then search. The
+first plan gives every vertex its residue-compliant out-degree nearest d(v)/2
+and shifts the cheapest vertices by +-k until the plan sums to |E|; one flow
+realizes it. When that plan is not realizable, a plan search runs: an iterative
 depth-first search over per-vertex residue-compliant out-degrees with
 sum-window and partial Hakimi pruning. Each plan is realized exactly by a
 flow from a near-balanced (Eulerian) start, computed once per call, that
@@ -273,9 +278,59 @@ def _plan_search(g: Multigraph, order, cand, budget: int, start=None) -> Orienta
     raise Infeasible("no residue-compliant orientation found")
 
 
+def _mod_2_orientation(g: Multigraph, p) -> Orientation:
+    """Orientation with d+(v) = p(v) (mod 2), each p(v) in {0, 1}, or Infeasible.
+
+    Reversing an edge flips the out-degree parity at both of its ends. From
+    the near-balanced start, let W be the vertices of wrong parity; in each
+    tree of a BFS spanning forest, walked leaves first, the edge above every
+    vertex whose subtree holds an odd number of W vertices is reversed. That
+    fixes every vertex but the root, which is fixed too exactly when its
+    component C holds an even number of W vertices. An odd number means
+    sum_C p != |E(C)| (mod 2), as sum_C d+ = |E(C)|: no mod-2 orientation
+    exists, and C is the certificate.
+    """
+    tails = list(near_balanced_orientation(g).tails)
+    edges, incidence = g.edges, g.incidence
+    odd = list(p)  # 1 at the vertices of W, then summed over subtrees below
+    for tail in tails:
+        odd[tail] ^= 1
+    up = [-1] * g.n  # the tree edge from each vertex to its parent
+    seen = [False] * g.n
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        tree = [root]
+        for x in tree:
+            for eid in incidence[x]:
+                u, w = edges[eid]
+                y = u + w - x
+                if not seen[y]:
+                    seen[y] = True
+                    up[y] = eid
+                    tree.append(y)
+        for x in reversed(tree[1:]):
+            if odd[x]:
+                eid = up[x]
+                u, w = edges[eid]
+                tails[eid] = u + w - tails[eid]
+                odd[u + w - x] ^= 1
+        if odd[root]:
+            inside = set(tree)
+            size = sum(1 for u, _ in edges if u in inside)
+            raise Infeasible(
+                f"the residues on the component of vertex {root} sum to "
+                f"{sum(p[v] for v in tree) % 2} (mod 2), but it has {size} edges",
+                certificate=frozenset(tree),
+            )
+    return Orientation(g, tails)
+
+
 def mod_k_orientation(g: Multigraph, k: int, p, budget: int = DEFAULT_BUDGET) -> Orientation:
-    """Orientation with d+(v) = p(v) (mod k) at every vertex: first plan,
-    then search.
+    """Orientation with d+(v) = p(v) (mod k) at every vertex. k = 2 takes one
+    T-join pass (``_mod_2_orientation``), exact with no budget spent; k >= 3
+    a first plan, then search.
 
     With a budget of at least n nodes, the first plan (``_first_plan``, the
     least-imbalance plan that sums to |E|) is realized by one flow and
@@ -284,7 +339,8 @@ def mod_k_orientation(g: Multigraph, k: int, p, budget: int = DEFAULT_BUDGET) ->
     vertex's residue-compliant out-degrees nearest d(v)/2 first.
 
     Raises ResidueObstruction when sum(p) != |E| (mod k), Infeasible when a
-    vertex has no residue-compliant out-degree or the plan search space is
+    vertex has no residue-compliant out-degree, a component's residues
+    cannot sum to its edge count (k = 2) or the plan search space is
     exhausted, and Undecided when the node budget runs out.
     """
     if k < 1:
@@ -298,6 +354,8 @@ def mod_k_orientation(g: Multigraph, k: int, p, budget: int = DEFAULT_BUDGET) ->
         )
     if k == 1:
         return Orientation(g, [u for u, _ in g.edges])
+    if k == 2:
+        return _mod_2_orientation(g, p)
     plan = _first_plan(g, k, p)
     start = near_balanced_orientation(g)
     if plan is not None and budget >= g.n:  # one leaf of the search costs n nodes

@@ -5,11 +5,11 @@ bipartite split, a Konig coloring. Each returns one plain triple
 (factorization, audit, warnings): the audit is ``lab.verify``'s list of
 (claim, bound, measured, passed) entries for the pipeline's claims, and the
 warnings are the messages the CLI prints to stderr. Connectivity hypotheses
-are advisory: they are checked and reported as warnings, never used as
-gates, since the solvers may succeed below the published thresholds. As the
-construction is only sufficient, an orientation step that finds nothing
-proves nothing: the pipeline raises Undecided, with the warnings that name
-the unmet hypothesis.
+are advisory: they are checked, with work that stops at the threshold, and
+reported as warnings, never used as gates, since the solvers may succeed
+below the published thresholds. As the construction is only sufficient, an
+orientation step that finds nothing proves nothing: the pipeline raises
+Undecided, with the warnings that name the unmet hypothesis.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ def _orient(warnings, solve, *args, **kwargs):
 def _equitable_hypothesis_warnings(g: Multigraph, k: int) -> list:
     warnings = []
     if g.n >= 2 and k >= 2:
-        lam = connectivity.edge_connectivity(g)
+        # exact below the threshold, which is all the warning reads
+        lam = connectivity.edge_connectivity_witness(g, 3 * k - 3)[0]
         if lam < 3 * k - 3 and not connectivity.tree_connected(g, 2 * k - 2, lam):
             warnings.append(
                 f"hypothesis not met: graph is neither ({3 * k - 3})-edge-connected "
@@ -128,11 +129,13 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
         if f is not None:
             raise InvalidInput("odd k takes no parity map; targets are d(v) mod 2")
         parity = "parity"
-        if k >= 3 and g.n >= 2:
-            odd_lam = connectivity.odd_edge_connectivity(g)
-            if odd_lam < 3 * k - 2 and not connectivity.tree_connected(
-                g, 2 * k - 2, connectivity.edge_connectivity(g)
-            ):
+        if k >= 3 and any(d % 2 for d in g.degrees):
+            # every odd cut is a cut: lambda >= 3k - 2 settles the check with
+            # no T flow, and lambda below it is exact, as tree_connected needs
+            bound = 3 * k - 2
+            lam = connectivity.edge_connectivity_witness(g, bound)[0]
+            if (lam < bound and connectivity.odd_edge_connectivity(g, bound) < bound
+                    and not connectivity.tree_connected(g, 2 * k - 2, lam)):
                 warnings.append(
                     f"hypothesis not met: graph is neither odd-({3 * k - 2})-edge-connected "
                     f"nor ({2 * k - 2})-tree-connected"

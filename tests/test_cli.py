@@ -366,30 +366,49 @@ def test_oracle_rejects_a_job_count_below_one(tmp_path, capsys, monkeypatch, job
 
 
 def test_cli_parity_budget_of_n_admits_the_first_plan(tmp_path, capsys):
-    """Even-k parity tries the first plan, uncharged, with a budget of at
-    least n, and it is realized here; below n the plan search takes over and
-    runs out before its first leaf, which costs n nodes."""
+    """Even-k parity with k >= 3 tries the first plan, uncharged, with a
+    budget of at least n, and it is realized here; below n the plan search
+    takes over and runs out before its first leaf, which costs n nodes.
+    k = 2 spends no budget at all."""
     g = eulerian_union(random.Random(7), 50, 3)
     path = write_graph(tmp_path, g)
-    argv = ["factor", path, "--k", "2", "--mode", "parity", "--f", "0,1", "--budget"]
-    assert main(argv + [str(g.n - 1)]) == 3
+    argv = ["factor", path, "--mode", "parity", "--f", "0,1", "--budget"]
+    assert main(argv + [str(g.n - 1), "--k", "4"]) == 3
     assert capsys.readouterr().err.startswith("undecided:")
-    assert main(argv + [str(g.n)]) == 0
+    assert main(argv + [str(g.n), "--k", "4"]) == 0
     capsys.readouterr()
-
-
-def test_cli_factor_k2_on_three_cycles_runs_one_flow(tmp_path, capsys, monkeypatch):
-    """`factor --k 2` on a 200-vertex union of three Hamiltonian cycles (inside
-    the hypothesis) succeeds with one flow; the plan search alone ran past
-    100 s at n = 60."""
-    g = eulerian_union(random.Random(97), 200, 3)
-    leaves, realize = [], orientation.realize_out_degrees
-    monkeypatch.setattr(orientation, "realize_out_degrees",
-                        lambda g, o, **kw: leaves.append(o) or realize(g, o, **kw))
-    assert main(["factor", write_graph(tmp_path, g), "--k", "2"]) == 0
+    assert main(argv + ["0", "--k", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert len(leaves) == 1
     assert all(entry["pass"] for entry in report["audit"].values())
+
+
+def test_cli_factor_k2_on_three_cycles_builds_no_network(tmp_path, capsys, monkeypatch):
+    """`factor --k 2` on a 200-vertex union of three Hamiltonian cycles (inside
+    the hypothesis) succeeds, in every mode that orients, and its orientation
+    builds no flow network: it is one T-join pass. The plan search alone ran
+    past 100 s at n = 60."""
+    g = eulerian_union(random.Random(97), 200, 3)
+    path = write_graph(tmp_path, g)
+    built = []
+    monkeypatch.setattr(orientation, "FlowNetwork", lambda n: built.append(n))
+    for mode in (["--mode", "equitable"], ["--mode", "regular"], ["--mode", "parity", "--f", "3,5"]):
+        assert main(["factor", path, "--k", "2", "--budget", "0", *mode]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(entry["pass"] for entry in report["audit"].values())
+    assert built == []
+
+
+def test_cli_orient_k2_on_parity_inconsistent_components_is_infeasible(tmp_path, capsys):
+    """Two disjoint triangles: |E| = 6 is even, but each triangle has an odd
+    edge count, so no orientation has every out-degree even. That is a
+    proof (exit 1) at any budget; with budget 0 the plan search used to give
+    up (exit 3)."""
+    g = Multigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    path = write_graph(tmp_path, g)
+    for budget in ("0", "1000000"):
+        assert main(["orient", path, "--k", "2", "--budget", budget]) == 1
+        assert capsys.readouterr() == ("", "infeasible: the residues on the component of vertex 0 "
+                                           "sum to 0 (mod 2), but it has 3 edges\n")
 
 
 def test_cli_gen_round_trip(tmp_path, capsys):

@@ -226,22 +226,92 @@ def test_scale_t_odd_cut_many_terminals():
 
 
 def test_t_odd_cut_builds_one_network_and_runs_t_minus_one_flows(monkeypatch):
-    counts = {"networks": 0, "flows": 0}
+    """Uncapped: one network, |T| - 1 flows, each side read. Capped: |T| - 1
+    capped flows; a flow is resumed uncapped only where its side is read,
+    and on a graph whose every cut reaches the cap (a union of three
+    Hamiltonian cycles, lambda >= 6) a side is read only where a later
+    terminal shares the parent, never at the last step, so |T| = 2 reads
+    none."""
+    counts = {}
 
     class CountingNetwork(connectivity.FlowNetwork):
         def __init__(self, n):
             counts["networks"] += 1
             super().__init__(n)
 
-        def max_flow(self, s, t):
-            counts["flows"] += 1
-            return super().max_flow(s, t)
+        def max_flow(self, s, t, limit=None):
+            counts["flows" if limit is None else "capped"] += 1
+            return super().max_flow(s, t, limit)
+
+        def residual_reachable(self, s):
+            counts["sides"] += 1
+            return super().residual_reachable(s)
 
     monkeypatch.setattr(connectivity, "FlowNetwork", CountingNetwork)
     rng = random.Random(29)
-    for _ in range(20):
-        g = random_multigraph(rng, min_n=4, max_n=12, max_m=30)
+    for trial in range(40):
+        if trial % 2:
+            g = random_multigraph(rng, min_n=4, max_n=12, max_m=30)
+        else:
+            g = eulerian_union(rng, rng.randint(4, 12), 3)
         t = set(rng.sample(range(g.n), 2 * rng.randint(1, g.n // 2)))
-        counts.update(networks=0, flows=0)
+        counts.update(networks=0, flows=0, capped=0, sides=0)
         connectivity._min_t_odd_cut(g, t)
-        assert counts == {"networks": 1, "flows": len(t) - 1}
+        assert counts == {"networks": 1, "flows": len(t) - 1, "capped": 0, "sides": len(t) - 1}
+        counts.update(networks=0, flows=0, capped=0, sides=0)
+        connectivity._min_t_odd_cut(g, t, 4)
+        assert counts["networks"] == 1 and counts["capped"] == len(t) - 1
+        assert counts["flows"] <= counts["sides"] <= len(t) - 1
+        if trial % 2 == 0:
+            assert counts["flows"] == counts["sides"] <= len(t) - 2
+
+
+def test_capped_t_odd_cut_matches_the_oracle():
+    """With a limit, the T-odd cut is exact below it, with a T-odd witness of
+    that cut size, and some value >= limit otherwise; on random multigraphs
+    with loops, parallel edges and several components, every limit 1..7."""
+    rng = random.Random(31)
+    below = above = 0
+    for _ in range(1000):
+        g = random_multigraph(rng, min_n=2, max_n=9, min_m=0, max_m=30)
+        t = set(rng.sample(range(g.n), 2 * rng.randint(1, g.n // 2)))
+        exact = cut_oracles.min_t_odd_cut(g, t)
+        for limit in range(1, 8):
+            value, x = connectivity._min_t_odd_cut(g, t, limit)
+            if exact < limit:
+                assert value == exact and cut_size(g, x) == exact and len(x & t) % 2 == 1
+                below += 1
+            else:
+                assert value >= limit
+                above += 1
+    assert below >= 1000 and above >= 1000
+
+
+def test_capped_edge_connectivity_matches_the_oracle():
+    """edge_connectivity_witness(g, limit) gives min(lambda, limit), with a
+    witness of that cut size below the limit."""
+    rng = random.Random(37)
+    for _ in range(200):
+        g = random_multigraph(rng, min_n=2, max_n=8, min_m=0, max_m=24)
+        lam = cut_oracles.min_cut(g)
+        for limit in range(8):
+            value, a = connectivity.edge_connectivity_witness(g, limit)
+            assert value == min(lam, limit)
+            if lam < limit:
+                assert 0 < len(a) < g.n and cut_size(g, a) == lam
+
+
+def test_f_odd_cut_bound_tries_lambda_first(monkeypatch):
+    """With four or more f-odd vertices and lambda at the threshold, no
+    T-odd flow runs; with two, one capped flow does; below lambda the
+    T-odd cut still gives the witness."""
+    calls = []
+    min_t_odd_cut = connectivity._min_t_odd_cut
+    monkeypatch.setattr(connectivity, "_min_t_odd_cut", lambda *a: calls.append(a[2]) or min_t_odd_cut(*a))
+    g = eulerian_union(random.Random(41), 300, 3)  # lambda = 6
+    four = [int(v in (3, 50, 120, 299)) for v in range(g.n)]
+    assert connectivity.f_odd_cut_bound(g, four, 6) == (True, None) and calls == []
+    two = [int(v in (3, 50)) for v in range(g.n)]
+    assert connectivity.f_odd_cut_bound(g, two, 4) == (True, None) and calls == [4]
+    ok, x = connectivity.f_odd_cut_bound(g, four, 7)
+    assert not ok and cut_size(g, x) == 6 and len(x & {3, 50, 120, 299}) % 2 == 1 and calls == [4, 7]

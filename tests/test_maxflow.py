@@ -108,3 +108,32 @@ def test_max_flow_on_layered_networks_past_the_sink_level():
         assert t not in reach
         assert sum(c for u, v, c in arcs if u in reach and v not in reach) == value
     assert beyond >= 60 * 8 and positive_flows >= 50
+
+
+def test_capped_max_flow_on_layered_networks():
+    """On the 60 layered networks above, a flow capped at limit has value
+    min(max flow, limit), is conserved and within capacities, and resuming
+    it uncapped on the same residual network reaches the max flow."""
+    rng = random.Random(71)
+    capped = 0
+    for _ in range(60):
+        n, t, arcs = layered_network(rng)
+        value = None
+        for limit in (None, 0, 1, 2, 3, 5, 8, 13):
+            net = FlowNetwork(n)
+            ids = [net.add_edge(u, v, c) for u, v, c in arcs]
+            got = net.max_flow(0, t, limit)
+            if limit is None:
+                value = got
+                continue
+            assert got == min(value, limit)
+            capped += value > limit
+            balance = [0] * n
+            for idx, (u, v, c) in zip(ids, arcs):
+                assert 0 <= net.flow_on(idx) <= c
+                balance[u] -= net.flow_on(idx)
+                balance[v] += net.flow_on(idx)
+            assert balance[t] == got and balance[0] == -got
+            assert not any(balance[v] for v in range(1, n) if v != t)
+            assert got + net.max_flow(0, t) == value
+    assert capped >= 100

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import audit_passes, eulerian_union, random_even_multigraph, random_multigraph, random_orientation
-from cut_oracles import hakimi_violation, internal_edges
+from cut_oracles import components, hakimi_violation, internal_edges
 from eqfactor import orientation
 from eqfactor.errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
 from eqfactor.coloring import decompose_directed
@@ -391,14 +391,18 @@ def count_leaves(monkeypatch):
     return leaves
 
 
-def test_scale_balanced_even_k_10k_runs_one_flow(monkeypatch):
+def test_scale_balanced_even_k_10k_builds_no_network(monkeypatch):
+    """k = 2 at n = 10^4 with |Q| = 2000 takes the T-join pass: no flow
+    network, no plan realized, and the result meets the mod-4 contract and
+    passes the deviation<2 and parity:Q audit."""
     g = eulerian_union(random.Random(59), 10_000, 3)
     q = random.Random(61).sample(range(g.n), 2000)
     leaves = count_leaves(monkeypatch)
-    d = balanced_mod_k_orientation(g, 2, q)
-    assert len(leaves) == 1
-    on_q = set(q)
-    assert all(abs(d.out_degrees[v] - d.in_degrees[v]) == (2 if v in on_q else 0) for v in range(g.n))
+    built = []
+    monkeypatch.setattr(orientation, "FlowNetwork", lambda n: built.append(n))
+    d = balanced_mod_k_orientation(g, 2, q, budget=0)
+    assert leaves == [] and built == []
+    assert_parity_orientation(g, 2, q, d)
 
 
 def k4_probe(seed):
@@ -482,10 +486,11 @@ def test_first_plan_has_least_imbalance():
 
 
 def test_first_plan_then_search_matches_the_plan_search(monkeypatch):
-    """mod_k_orientation agrees with the enumeration oracle. When its first
-    plan is not realized (forced here) or the budget is below n, it returns
-    the tails, or raises the exception, of the plan search alone with the
-    same order, candidates and budget."""
+    """mod_k_orientation agrees with the enumeration oracle. For k >= 3, when
+    its first plan is not realized (forced here) or the budget is below n,
+    it returns the tails, or raises the exception, of the plan search alone
+    with the same order, candidates and budget. k = 2 takes the T-join pass
+    instead: the same outcome at every budget, and d+ = p (mod 2)."""
     realize = orientation.realize_out_degrees
     fail_next = []
 
@@ -502,12 +507,19 @@ def test_first_plan_then_search_matches_the_plan_search(monkeypatch):
             return type(exc).__name__
 
     rng = random.Random(79)
-    checked, forced, below, undecided = 0, 0, 0, 0
+    checked, forced, below, undecided, mod_2 = 0, 0, 0, 0, 0
     while checked < 300:
         g = random_multigraph(rng, max_n=8, max_m=12)
         k = rng.choice((2, 3, 4))
         p = consistent_residues(rng, g, k)
-        assert (outcome(mod_k_orientation, g, k, p) != "Infeasible") == oracle_orientation(g, p, k)
+        got = outcome(mod_k_orientation, g, k, p)
+        assert (got != "Infeasible") == oracle_orientation(g, p, k)
+        if k == 2:
+            mod_2 += 1
+            assert all(outcome(mod_k_orientation, g, k, p, budget) == got for budget in (0, g.n))
+            if got != "Infeasible":
+                assert all((got.count(v) - p[v]) % 2 == 0 for v in range(g.n))
+            continue
         order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
         cand = [orientation._plan_candidates(g, v, p[v], k) for v in order]
         if not all(cand):
@@ -524,7 +536,36 @@ def test_first_plan_then_search_matches_the_plan_search(monkeypatch):
             forced += fail
             below += budget < g.n
             undecided += ref == "Undecided"
-    assert forced >= 250 and below == 300 and undecided >= 100
+    assert forced >= 250 and below == 300 and undecided >= 100 and mod_2 >= 100
+
+
+def test_mod_2_orientation_matches_the_oracle():
+    """k = 2 with budget 0 on random multigraphs (loops, parallel edges, and
+    a second component whose residues are parity-inconsistent in about half
+    of the draws): found exactly when the oracle says so, every orientation
+    has d+ = p (mod 2), and every certificate is a component C with
+    sum_C p != |E(C)| (mod 2)."""
+    rng = random.Random(83)
+    found = infeasible = 0
+    for _ in range(3000):
+        a = random_multigraph(rng, max_n=5, max_m=8, min_n=1, min_m=0)
+        b = random_multigraph(rng, max_n=4, max_m=6, min_n=1, min_m=0)
+        g = Multigraph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+        p = consistent_residues(rng, g, 2)
+        try:
+            d = mod_k_orientation(g, 2, p, budget=0)
+        except Infeasible as exc:
+            assert not isinstance(exc, ResidueObstruction)
+            c = exc.certificate
+            assert c in components(g)
+            assert (sum(p[v] for v in c) - internal_edges(g, c)) % 2 == 1
+            assert not oracle_orientation(g, p, 2)
+            infeasible += 1
+            continue
+        assert all((d.out_degrees[v] - p[v]) % 2 == 0 for v in range(g.n))
+        assert oracle_orientation(g, p, 2)
+        found += 1
+    assert found >= 750 and infeasible >= 750
 
 
 def test_scale_six_regular_10k_k3_first_plan_is_the_first_leaf(monkeypatch):

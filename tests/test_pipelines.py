@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import audit_passes, eulerian_union, irregular_union, random_multigraph
-from eqfactor import orientation
+from eqfactor import connectivity, orientation
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
 from eqfactor.lab import oracle_equitable
 from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
@@ -216,3 +216,32 @@ def test_scale_equitable_k3_irregular_10k_runs_one_flow(monkeypatch):
     _, audit, warnings = equitable_factorize(g, 3)
     assert calls == ["realize"]
     assert audit_passes(audit) and not warnings
+
+
+def test_odd_k_parity_check_computes_lambda_at_most_once(monkeypatch):
+    """The odd-k hypothesis check warns exactly when odd lambda < 3k - 2 and
+    the graph is not (2k - 2)-tree-connected. It computes lambda once when
+    some degree is odd and never when none is (no T-odd cut exists then)."""
+    rng = random.Random(47)
+    calls = []
+    witness = connectivity.edge_connectivity_witness
+    monkeypatch.setattr(connectivity, "edge_connectivity_witness", lambda *a: calls.append(a) or witness(*a))
+    warned = 0
+    for trial in range(80):
+        if trial % 4 == 0:
+            g = eulerian_union(rng, rng.randint(3, 9), rng.randint(1, 3))
+        else:
+            g = random_multigraph(rng, min_n=2, max_n=8, max_m=24)
+        k = rng.choice((3, 5))
+        lam = connectivity.edge_connectivity(g)
+        expected = (connectivity.odd_edge_connectivity(g) < 3 * k - 2
+                    and not connectivity.tree_connected(g, 2 * k - 2, lam))
+        calls.clear()  # the exact values above computed lambda too
+        try:
+            got = "hypothesis not met" in "".join(parity_factorize(g, k)[2])
+        except Undecided as exc:
+            got = "hypothesis not met" in str(exc)
+        assert got == expected
+        assert len(calls) == any(d % 2 for d in g.degrees)
+        warned += got
+    assert 10 <= warned <= 70
