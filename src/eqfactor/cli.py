@@ -172,8 +172,6 @@ def cmd_parity_factor(args):
     from . import lab, parity
 
     g = _read_graph(args.graph)
-    if args.f is None or args.epsilon is None:
-        raise InvalidInput("parity-factor requires --f and --epsilon")
     f = _parity_map(g, _csv_ints(args.f))
     side = None
     if args.z is not None:
@@ -202,7 +200,7 @@ def cmd_even_factor(args):
     else:
         eps_list = _csv_floats(args.epsilons)
         fz = parity.weighted_even_factorization(g, eps_list)
-        claims = ["even", "deviation<6:" + ";".join(repr(e) for e in eps_list)]
+        claims = ["even", "deviation<6:" + ";".join("%d/%d" % e.as_integer_ratio() for e in eps_list)]
     audit = lab.verify(g, fz, claims)
     _emit(args, fz, audit, lambda: _factor_lines(fz))
     return 0

@@ -6,9 +6,9 @@ One exact polynomial algorithm per quantity, at every input size:
   the vertices; a step whose attachment weight does not already certify the
   best cut so far runs at most that many augmenting-path searches.
 - minimum T-odd cut (odd edge connectivity, d(X) on f-odd sets): Gusfield's
-  non-contracting cut construction over the terminal set T only, |T| - 1
-  max flows on one ``maxflow.FlowNetwork``; the smallest T-odd cut among
-  them is the answer (Padberg-Rao).
+  non-contracting cut construction over the terminal set T only, at most
+  |T| - 1 max flows; the smallest T-odd cut among them is the answer
+  (Padberg-Rao). Both run on one ``maxflow.FlowNetwork`` (``_cut_network``).
 - tree connectivity: the Nash-Williams-Tutte bounds floor(lambda/2) <= tau <=
   min(lambda, floor(m/(n-1))); matroid-union forest packing runs only when
   they differ, growing one forest at a time.
@@ -31,14 +31,23 @@ from .maxflow import FlowNetwork
 from .multigraph import Multigraph
 
 
-def _merged_edges(g: Multigraph) -> dict:
-    """{(u, v): multiplicity} over non-loop edges, u < v."""
+def _cut_network(g: Multigraph) -> FlowNetwork:
+    """One FlowNetwork of g, loops dropped: the edges between two vertices are
+    one arc pair (a, a ^ 1) of that many units each way, first listed first."""
     weights = {}
     for u, v in g.edges:
         if u != v:
             key = (u, v) if u < v else (v, u)
             weights[key] = weights.get(key, 0) + 1
-    return weights
+    net = FlowNetwork(g.n)
+    graph, to, cap = net.graph, net.to, net.cap
+    for (u, v), w in weights.items():
+        graph[u].append(len(to))
+        to.append(v)
+        graph[v].append(len(to))
+        to.append(u)
+        cap += (w, w)
+    return net
 
 
 def edge_connectivity_witness(g: Multigraph, limit=None):
@@ -62,22 +71,14 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
     n = g.n
     if n < 2:
         return math.inf, None
-    # arc pairs (a, a ^ 1) of the merged graph; arc a enters head[a]
-    out = [[] for _ in range(n)]
-    head = []
-    cap = []
-    for (u, v), w in _merged_edges(g).items():
-        out[u].append(len(head))
-        head.append(v)
-        out[v].append(len(head))
-        head.append(u)
-        cap += (w, w)
-    degree = [sum(cap[a] for a in out[v]) for v in range(n)]
+    net = _cut_network(g)
+    out, head, cap = net.graph, net.to, net.cap
+    full = list(cap)  # capacities restored after each step; full[a] == full[a ^ 1]
+    degree = [sum(full[a] for a in out[v]) for v in range(n)]
     best = min(degree)
     witness = [degree.index(best)]
     if limit is not None and limit < best:
         best, witness = limit, None
-    flow = [0] * len(head)
     in_s = [False] * n
     r = [0] * n
     mark = [0] * n  # id of the last search that reached each vertex
@@ -93,7 +94,7 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
             y = head[a]
             if not in_s[y]:
                 old = r[y]
-                r[y] = old + cap[a]
+                r[y] = old + full[a]
                 if old < best:
                     key = min(r[y], best)
                     buckets[key].append(y)
@@ -119,7 +120,7 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
             for y in reach:
                 for a in out[y]:
                     z = head[a]
-                    if mark[z] == search or cap[a] == flow[a] or (y == x and in_s[z]):
+                    if mark[z] == search or not cap[a] or (y == x and in_s[z]):
                         continue
                     parent[z] = a
                     if in_s[z]:
@@ -136,14 +137,14 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
                 a = parent[hit]
                 path.append(a)
                 hit = head[a ^ 1]
-            push = min(best - value, min(cap[a] - flow[a] for a in path))
+            push = min(best - value, min(cap[a] for a in path))
             for a in path:
-                flow[a] += push
-                flow[a ^ 1] -= push
+                cap[a] -= push
+                cap[a ^ 1] += push
             touched += path
             value += push
         for a in touched:
-            flow[a] = flow[a ^ 1] = 0
+            cap[a] = cap[a ^ 1] = full[a]
         if value < best:
             # no key changes: every vertex outside S has r <= r(x) <= value
             best, witness = value, reach
@@ -165,42 +166,41 @@ def _min_t_odd_cut(g: Multigraph, t: set, limit=None):
     in the whole graph, with s's side the residual reach of s; the later
     terminals on that side that share s's parent move under s. As with
     Padberg-Rao over a Gomory-Hu tree, the smallest of these |t| - 1 cuts
-    whose side holds an odd number of terminals is a minimum T-odd cut
-    (tests/test_connectivity.py checks this against exhaustive enumeration
-    and against networkx's Gomory-Hu tree). All flows run on one network
-    whose capacities are reset before each. |t| must be even (it is whenever
-    t comes from degree or parity sums). Returns (math.inf, None) when t is
-    empty or no T-odd cut is found.
+    whose side holds an odd number of terminals is a minimum T-odd cut (the
+    tests check this against exhaustive enumeration and networkx's Gomory-Hu
+    tree). All flows run on one ``_cut_network``, reset between flows. |t|
+    must be even (it is whenever t comes from degree or parity sums).
+    Returns (math.inf, None) when t is empty or no T-odd cut is found.
 
     With a limit, the answer is exact below it and some value >= limit
     otherwise (a partial cut tree, as in Hariharan, Kavitha and Panigrahi,
-    SODA 2007): each flow stops at limit units. A capped flow's cut is at
-    least limit, so it never holds the answer; its side is read only when a
-    later terminal shares s's parent, and then the flow first continues,
-    uncapped, on the same residual network, so that the re-parenting follows
-    a true minimum cut.
+    SODA 2007): each flow stops at limit units, and a step whose flow
+    reaches it reads no side and moves no terminal. No cut below the limit
+    separates such a pair (s, parent[s]); merging every such pair gives a
+    graph G* with the same cuts and T-parities below the limit. A terminal u
+    that would have moved under s stays under parent[s], and in G* the
+    minimum (u, s)- and (u, parent[s])-cuts are the same vertex sets, as is
+    u's residual reach. A skipped s is no one's parent, so the run is the
+    uncapped construction on G*, whose terminals may include merged vertices
+    outside T: exact below the limit as far as that construction is (the
+    open claim of ROADMAP item 2).
     """
     if not t:
         return math.inf, None
     terminals = sorted(t)
-    net = FlowNetwork(g.n)
-    for (u, v), w in _merged_edges(g).items():
-        # an undirected edge is one arc pair with capacity w each way
-        net.cap[net.add_edge(u, v, w) + 1] = w
-    full = list(net.cap)
+    net = _cut_network(g)
+    full = list(net.cap) if len(terminals) > 2 else None
     parent = dict.fromkeys(terminals, terminals[0])
     best, witness = math.inf, None
     for i, s in enumerate(terminals[1:], 1):
-        net.cap[:] = full
+        if i > 1:
+            net.cap[:] = full
         value = net.max_flow(s, parent[s], limit)
-        later = [u for u in terminals[i + 1 :] if parent[u] == parent[s]]
         if value == limit:
-            if not later:
-                continue
-            value += net.max_flow(s, parent[s])
+            continue
         side = net.residual_reachable(s)
-        for u in later:
-            if u in side:
+        for u in terminals[i + 1 :]:
+            if u in side and parent[u] == parent[s]:
                 parent[u] = s
         if value < best and len(side.intersection(t)) % 2 == 1:
             best, witness = value, frozenset(side)
@@ -261,8 +261,7 @@ class _ForestPacking:
     def _link(self, i: int, eid: int, add: bool):
         u, v = self.g.edges[eid]
         if add:
-            self.adj[i][u][v] = eid
-            self.adj[i][v][u] = eid
+            self.adj[i][u][v] = self.adj[i][v][u] = eid
         else:
             del self.adj[i][u][v], self.adj[i][v][u]
 
@@ -358,14 +357,10 @@ def f_odd_cut_bound(g: Multigraph, f, lam: int):
     if len(t) >= 4 and edge_connectivity_witness(g, lam)[0] >= lam:
         return True, None
     value, witness = _min_t_odd_cut(g, t, lam)
-    if value < lam:
-        return False, witness
-    return True, None
+    return (False, witness) if value < lam else (True, None)
 
 
 def analyze(g: Multigraph) -> tuple:
     """(lambda, odd lambda, tree connectivity)."""
     lam = edge_connectivity(g)
-    odd_lam = odd_edge_connectivity(g)
-    tree_conn = _tree_connectivity(g, lam) if g.n >= 2 else 0
-    return lam, odd_lam, tree_conn
+    return lam, odd_edge_connectivity(g), _tree_connectivity(g, lam) if g.n >= 2 else 0

@@ -46,7 +46,7 @@ def measure(g: Multigraph, degree_vectors, claims) -> list:
     and the entry is keyed by ``name``:
 
     - ``deviation<B`` (B in 1, 2, 6): max |d_i(v) - c_i(v)| < B, centred at
-      c_i(v) = d(v)/k, or at eps_i * d(v) given ``:eps_1;...;eps_k``;
+      c_i(v) = d(v)/k, or exactly at w_i * d(v) given ``:w_1;...;w_k``;
     - ``eps-window:eps``: max |d_i(v) - eps * d(v)| < 2;
     - ``parity``: number of d_i(v) whose parity differs from d(v), or, given
       ``:v;w;...``, from the map that is odd exactly at v, w, ...;
@@ -62,11 +62,17 @@ def measure(g: Multigraph, degree_vectors, claims) -> list:
         if has_args and name in ("size±1", "even", "regular"):
             raise InvalidInput(f"claim {name!r} takes no arguments, got {claim!r}")
         args = text.split(";") if text else []
+        bound = CLAIM_BOUNDS[name]
         if name == "eps-window":
-            measured = _max_deviation(g, degree_vectors, _claim_values(claim, args, float, 1) * k)
+            measured = _max_deviation(g, degree_vectors, _claim_values(claim, args, float, 1)[0])
+        elif name.startswith("deviation<") and has_args:
+            worst = [(max((abs(q * x - p * d) for x, d in zip(degs, g.degrees)), default=0), q)
+                     for degs, (p, q) in zip(degree_vectors, _claim_values(claim, args, _ratio, k))]
+            measured = max((w / q for w, q in worst), default=0.0)
+            entries.append((name, bound, measured, all(w < bound * q for w, q in worst)))
+            continue
         elif name.startswith("deviation<"):
-            weights = _claim_values(claim, args, float, k) if has_args else None
-            measured = _max_deviation(g, degree_vectors, weights)
+            measured = _max_deviation(g, degree_vectors, None)
         elif name == "size±1":
             measured = max((abs(sum(degs) // 2 - g.m / k) for degs in degree_vectors), default=0.0)
         elif name == "regular":
@@ -82,34 +88,39 @@ def measure(g: Multigraph, degree_vectors, claims) -> list:
             else:
                 targets = [d % 2 for d in g.degrees]
             measured = sum(x % 2 != t for degs in degree_vectors for x, t in zip(degs, targets))
-        bound = CLAIM_BOUNDS[name]
         entries.append((name, bound, measured, measured < bound if bound else measured == 0))
     return entries
 
 
 def _claim_values(claim: str, args, kind, count) -> list:
-    """Parse a claim's args as ints or floats, count of them when count is given."""
+    """Parse a claim's args with kind, count of them when count is given."""
     try:
         values = [kind(a) for a in args]
     except ValueError:
-        raise InvalidInput(f"claim {claim!r}: arguments must be {kind.__name__}s separated by ';'") from None
+        noun = kind.__name__.lstrip("_")  # int, float or ratio
+        raise InvalidInput(f"claim {claim!r}: arguments must be {noun}s separated by ';'") from None
     if count is not None and len(values) != count:
         raise InvalidInput(f"claim {claim!r} needs {count} arguments, got {len(values)}")
     return values
 
 
-def _max_deviation(g: Multigraph, degree_vectors, weights) -> float:
-    """max over factors i and vertices v of |d_i(v) - c_i(v)|, where c_i(v) is
-    weights[i] * d(v), or d(v)/k when weights is None."""
-    if weights is None:
-        centre = [d / len(degree_vectors) for d in g.degrees]
-        centres = [centre] * len(degree_vectors)
-    else:
-        centres = [[w * d for d in g.degrees] for w in weights]
-    return max(
-        (abs(x - c) for degs, cs in zip(degree_vectors, centres) for x, c in zip(degs, cs)),
-        default=0.0,
-    )
+def _ratio(text: str) -> tuple:
+    """(p, q), q > 0, with p/q exactly ``p/q`` or a decimal such as ``0.25``."""
+    p, slash, q = text.partition("/")
+    if not slash:
+        whole, _, fraction = text.partition(".")
+        p, q = whole + fraction, 10 ** len(fraction)
+    if int(q) <= 0:
+        raise ValueError(text)
+    return int(p), int(q)
+
+
+def _max_deviation(g: Multigraph, degree_vectors, weight) -> float:
+    """max over factors i and vertices v of |d_i(v) - c(v)|, where c(v) is
+    weight * d(v), or d(v)/k when weight is None."""
+    k = len(degree_vectors)
+    centre = [d / k if weight is None else weight * d for d in g.degrees]
+    return max((abs(x - c) for degs in degree_vectors for x, c in zip(degs, centre)), default=0.0)
 
 
 def _random_hamiltonian_cycle(n: int, rng: random.Random) -> list:

@@ -32,8 +32,7 @@ class FlowNetwork:
         """Dinic: BFS levels, then blocking flows found by an iterative DFS.
 
         With a limit, pushing stops once limit units are pushed, so the value
-        is min(max flow, limit); the residual network then holds that flow,
-        and a later call continues from it.
+        is min(max flow, limit); the residual network then holds that flow.
 
         The DFS keeps its path on an explicit stack, so the depth of the
         level graph is not limited by the interpreter's recursion limit.

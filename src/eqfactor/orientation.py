@@ -24,7 +24,7 @@ same route.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, ResidueObstruction, Undecided
 from .maxflow import FlowNetwork
@@ -54,12 +54,18 @@ def eulerian_orientation(g: Multigraph) -> Orientation:
     for v, d in enumerate(g.degrees):
         if d % 2 == 1:
             raise Infeasible(f"vertex {v} has odd degree {d}")
-    edges = g.edges
-    incidence = g.incidence
+    return near_balanced_orientation(g)
+
+
+def near_balanced_orientation(g: Multigraph) -> Orientation:
+    """Orientation with |d+(v) - d-(v)| <= 1: trails walked from the odd-degree
+    vertices, then from every vertex. A trail from a vertex of odd remaining
+    degree stops only at another one, so only open trail ends are unbalanced."""
+    edges, incidence = g.edges, g.incidence
     tails = [None] * g.m
     used = [False] * g.m
     ptr = [0] * g.n
-    for v0 in range(g.n):
+    for v0 in chain((v for v, d in enumerate(g.degrees) if d % 2 == 1), range(g.n)):
         x = v0
         while True:
             inc = incidence[x]
@@ -69,7 +75,7 @@ def eulerian_orientation(g: Multigraph) -> Orientation:
                 i += 1
             if i == end:
                 ptr[x] = i
-                break  # even degrees: only possible back at the trail start
+                break  # back at the start, or at a vertex of odd remaining degree
             ptr[x] = i + 1
             eid = inc[i]
             used[eid] = True
@@ -77,16 +83,6 @@ def eulerian_orientation(g: Multigraph) -> Orientation:
             u, w = edges[eid]
             x = w if u == x else u
     return Orientation(g, tails)
-
-
-def near_balanced_orientation(g: Multigraph) -> Orientation:
-    """Orientation with |d+(v) - d-(v)| <= 1: Eulerian, after pairing the
-    odd-degree vertices through one auxiliary vertex whose edges are dropped."""
-    odd = [v for v in range(g.n) if g.degree(v) % 2 == 1]
-    if not odd:
-        return eulerian_orientation(g)
-    aux = Multigraph(g.n + 1, list(g.edges) + [(v, g.n) for v in odd])
-    return Orientation(g, eulerian_orientation(aux).tails[: g.m])
 
 
 def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:

@@ -190,11 +190,11 @@ def regular_split(g: Multigraph, r_list, k: int, bounded_mode: bool = False, bud
 
     Exact mode: G is r-regular (r = sum r_i) and each r_i is a multiple of
     r/k; the base factors are grouped greedily by descending r_i. The audit
-    claims deviation < 1 from (r_i / r) * d(v) = r_i: factor i is exactly
-    r_i-regular, up to the float rounding of r_i / r. Bounded mode: G is completed to an r-regular
-    supergraph (loops first, then parallel edges), split exactly, and
-    restricted, giving max degree <= r_i. No audit claim states that bound,
-    so the bounded audit is empty.
+    claims deviation < 1 from (r_i / r) * d(v) = r_i with weights r_i/r,
+    judged exactly: factor i is r_i-regular. Bounded mode: G is completed to
+    an r-regular supergraph (loops first, then parallel edges), split
+    exactly, and restricted, giving max degree <= r_i. No audit claim states
+    that bound, so the bounded audit is empty.
     """
     r_list = [int(r) for r in r_list]
     if not r_list or any(r <= 0 for r in r_list):
@@ -235,4 +235,4 @@ def regular_split(g: Multigraph, r_list, k: int, bounded_mode: bool = False, bud
             group_of_base[nxt] = i + 1
             nxt += 1
     fz = Factorization(g, len(r_list), [group_of_base[a] for a in base.assignment])
-    return fz, verify(g, fz, ["deviation<1:" + ";".join(repr(ri / r) for ri in r_list)]), warnings
+    return fz, verify(g, fz, ["deviation<1:" + ";".join(f"{ri}/{r}" for ri in r_list)]), warnings

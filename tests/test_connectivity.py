@@ -163,6 +163,15 @@ def test_scale_doubled_cycle_t_odd_cut():
     assert not ok and len(x & {0, 1500}) == 1 and cut_size(g, x) == 4
 
 
+def clustered(rng, g):
+    """g's edges inside four random clusters, three times each, with a few
+    edges between clusters: the minimum T-odd cut is seldom a single vertex."""
+    cluster = [rng.randrange(4) for _ in range(g.n)]
+    edges = [(u, v) for u, v in g.edges if cluster[u] == cluster[v]]
+    edges += [e for e in g.edges if cluster[e[0]] != cluster[e[1]]][: rng.randint(1, 6)]
+    return Multigraph(g.n, edges * 3)
+
+
 def gomory_hu_t_odd_cut(g, t):
     """Padberg-Rao over networkx's Gomory-Hu tree of the whole vertex set:
     the smallest fundamental cut whose side holds an odd number of t."""
@@ -170,8 +179,12 @@ def gomory_hu_t_odd_cut(g, t):
     h.add_nodes_from(range(g.n))
     for v in range(1, g.n):  # zero-capacity path: gomory_hu_tree needs a connected graph
         h.add_edge(v - 1, v, capacity=0)
-    for (u, v), w in connectivity._merged_edges(g).items():
-        h.add_edge(u, v, capacity=w)
+    for u, v in g.edges:
+        if u != v:
+            if h.has_edge(u, v):
+                h[u][v]["capacity"] += 1
+            else:
+                h.add_edge(u, v, capacity=1)
     tree = nx.gomory_hu_tree(h)
     best = math.inf
     for u, v, w in list(tree.edges(data="weight")):
@@ -192,12 +205,7 @@ def test_t_odd_cuts_match_gomory_hu_padberg_rao():
         n = rng.randint(10, 60)
         g = random_multigraph(rng, min_n=n, max_n=n, min_m=n, max_m=3 * n)
         if trial % 2:
-            # dense clusters joined by a few edges, so that the minimum
-            # T-odd cut is seldom a single vertex
-            cluster = [rng.randrange(4) for _ in range(n)]
-            edges = [(u, v) for u, v in g.edges if cluster[u] == cluster[v]]
-            edges += [e for e in g.edges if cluster[e[0]] != cluster[e[1]]][: rng.randint(1, 6)]
-            g = Multigraph(n, edges * 3)
+            g = clustered(rng, g)
         f = [rng.randrange(2) for _ in range(g.n)]
         f[0] ^= sum(f) % 2
         t = frozenset(v for v in range(g.n) if f[v])
@@ -226,13 +234,13 @@ def test_scale_t_odd_cut_many_terminals():
 
 
 def test_t_odd_cut_builds_one_network_and_runs_t_minus_one_flows(monkeypatch):
-    """Uncapped: one network, |T| - 1 flows, each side read. Capped: |T| - 1
-    capped flows; a flow is resumed uncapped only where its side is read,
-    and on a graph whose every cut reaches the cap (a union of three
-    Hamiltonian cycles, lambda >= 6) a side is read only where a later
-    terminal shares the parent, never at the last step, so |T| = 2 reads
-    none."""
+    """Uncapped: one network, |T| - 1 flows, each side read. Capped: one
+    network and |T| - 1 capped flows, no flow runs on uncapped, and a side
+    is read only for a step below the limit; on a graph whose every cut
+    reaches the cap (a union of three Hamiltonian cycles, lambda >= 6 > 4)
+    none is."""
     counts = {}
+    capped = []
 
     class CountingNetwork(connectivity.FlowNetwork):
         def __init__(self, n):
@@ -240,8 +248,12 @@ def test_t_odd_cut_builds_one_network_and_runs_t_minus_one_flows(monkeypatch):
             super().__init__(n)
 
         def max_flow(self, s, t, limit=None):
-            counts["flows" if limit is None else "capped"] += 1
-            return super().max_flow(s, t, limit)
+            value = super().max_flow(s, t, limit)
+            if limit is None:
+                counts["flows"] += 1
+            else:
+                capped.append(value)
+            return value
 
         def residual_reachable(self, s):
             counts["sides"] += 1
@@ -255,28 +267,33 @@ def test_t_odd_cut_builds_one_network_and_runs_t_minus_one_flows(monkeypatch):
         else:
             g = eulerian_union(rng, rng.randint(4, 12), 3)
         t = set(rng.sample(range(g.n), 2 * rng.randint(1, g.n // 2)))
-        counts.update(networks=0, flows=0, capped=0, sides=0)
+        counts.update(networks=0, flows=0, sides=0)
         connectivity._min_t_odd_cut(g, t)
-        assert counts == {"networks": 1, "flows": len(t) - 1, "capped": 0, "sides": len(t) - 1}
-        counts.update(networks=0, flows=0, capped=0, sides=0)
+        assert counts == {"networks": 1, "flows": len(t) - 1, "sides": len(t) - 1}
+        counts.update(networks=0, flows=0, sides=0)
+        capped.clear()
         connectivity._min_t_odd_cut(g, t, 4)
-        assert counts["networks"] == 1 and counts["capped"] == len(t) - 1
-        assert counts["flows"] <= counts["sides"] <= len(t) - 1
+        assert counts == {"networks": 1, "flows": 0, "sides": sum(value < 4 for value in capped)}
+        assert len(capped) == len(t) - 1
         if trial % 2 == 0:
-            assert counts["flows"] == counts["sides"] <= len(t) - 2
+            assert counts["sides"] == 0
 
 
 def test_capped_t_odd_cut_matches_the_oracle():
     """With a limit, the T-odd cut is exact below it, with a T-odd witness of
     that cut size, and some value >= limit otherwise; on random multigraphs
-    with loops, parallel edges and several components, every limit 1..7."""
+    with loops, parallel edges and several components, every limit 1..7, and
+    on clustered multigraphs, whose cuts are multiples of 3, every limit 1..9."""
     rng = random.Random(31)
     below = above = 0
-    for _ in range(1000):
+    for trial in range(1500):
         g = random_multigraph(rng, min_n=2, max_n=9, min_m=0, max_m=30)
+        limits = range(1, 8)
+        if trial >= 1000:
+            g, limits = clustered(rng, g), range(1, 10)
         t = set(rng.sample(range(g.n), 2 * rng.randint(1, g.n // 2)))
         exact = cut_oracles.min_t_odd_cut(g, t)
-        for limit in range(1, 8):
+        for limit in limits:
             value, x = connectivity._min_t_odd_cut(g, t, limit)
             if exact < limit:
                 assert value == exact and cut_size(g, x) == exact and len(x & t) % 2 == 1
@@ -284,7 +301,7 @@ def test_capped_t_odd_cut_matches_the_oracle():
             else:
                 assert value >= limit
                 above += 1
-    assert below >= 1000 and above >= 1000
+    assert below >= 1500 and above >= 1500
 
 
 def test_capped_edge_connectivity_matches_the_oracle():
@@ -299,6 +316,30 @@ def test_capped_edge_connectivity_matches_the_oracle():
             assert value == min(lam, limit)
             if lam < limit:
                 assert 0 < len(a) < g.n and cut_size(g, a) == lam
+
+
+def test_edge_connectivity_builds_one_network(monkeypatch):
+    """lambda's augmenting searches run on the residual capacities of one
+    FlowNetwork, which no max_flow call touches, and give the same values."""
+    built = []
+
+    class CountingNetwork(connectivity.FlowNetwork):
+        def __init__(self, n):
+            built.append(n)
+            super().__init__(n)
+
+        def max_flow(self, s, t, limit=None):
+            raise AssertionError("lambda runs its own augmenting searches")
+
+    rng = random.Random(43)
+    graphs = [doubled(cycle_graph(9)), eulerian_union(rng, 40, 3)]
+    graphs += [random_multigraph(rng, min_n=2, max_n=12, max_m=40) for _ in range(20)]
+    expected = [connectivity.edge_connectivity_witness(g) for g in graphs]
+    monkeypatch.setattr(connectivity, "FlowNetwork", CountingNetwork)
+    for g, pair in zip(graphs, expected):
+        built.clear()
+        assert connectivity.edge_connectivity_witness(g) == pair
+        assert built == [g.n]
 
 
 def test_f_odd_cut_bound_tries_lambda_first(monkeypatch):

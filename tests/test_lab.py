@@ -6,6 +6,7 @@ from eqfactor.errors import InvalidInput, Undecided
 from conftest import audit_passes, random_multigraph
 from eqfactor.lab import (
     generate,
+    measure,
     oracle_equitable,
     oracle_orientation,
     oracle_parity_gf,
@@ -13,7 +14,7 @@ from eqfactor.lab import (
 )
 from eqfactor.multigraph import Factorization, Multigraph, complete_graph, cycle_graph, subgraph
 from eqfactor.parity import ParitySpec
-from eqfactor.pipelines import equitable_factorize
+from eqfactor.pipelines import equitable_factorize, regular_split
 
 
 def test_verify_k7_three_factors():
@@ -53,6 +54,28 @@ def test_verify_parity_even_regular_claims():
     assert [c for c, _, _, _ in entries] == [c.partition(":")[0] for c in claims]
     entries = verify(g, fz, ["parity:0;1", "deviation<1:0.25;0.75"])
     assert [(m, passed) for _, _, m, passed in entries] == [(4, False), (1.0, False)]
+
+
+def test_weighted_deviation_is_judged_exactly():
+    """Weights p/q and decimals are judged in integers: on 43 parallel edges,
+    degrees (5, 8, 30) fail the claim that an exact --r-list 5,7,31 split
+    makes, and the split itself measures exactly 0. A decimal weight is
+    exact too: 0.07 * 100 is 7, so a degree of 8 is off by 1, where the
+    float product 7.000000000000001 would let it pass."""
+    g = Multigraph(2, [(0, 1)] * 43)
+    claim = "deviation<1:5/43;7/43;31/43"
+    assert measure(g, [[5, 5], [8, 8], [30, 30]], [claim]) == [("deviation<1", 1, 1.0, False)]
+    assert measure(g, [[5, 5], [7, 7], [31, 31]], [claim]) == [("deviation<1", 1, 0.0, True)]
+    _, audit, _ = regular_split(g, [5, 7, 31], 43)
+    assert audit == [("deviation<1", 1, 0.0, True)]
+    g = Multigraph(2, [(0, 1)] * 100)
+    assert measure(g, [[8, 8], [93, 93]], ["deviation<1:0.07;0.93"]) == [("deviation<1", 1, 1.0, False)]
+    assert measure(g, [[7, 7], [93, 93]], ["deviation<1:0.070;93/100"]) == [("deviation<1", 1, 0.0, True)]
+    assert measure(g, [[7, 7], [93, 93]], ["deviation<2:0.075;0.925"]) == [("deviation<2", 2, 0.5, True)]
+    for claim in ("deviation<1:1/0;1", "deviation<1:1/-2;1", "deviation<1:0.5;x", "deviation<1:7e-2;0.93",
+                  "deviation<1:0.5", "deviation<1:1/2/3;1"):
+        with pytest.raises(InvalidInput):
+            measure(g, [[7, 7], [93, 93]], [claim])
 
 
 def test_generate_observation_c5():

@@ -42,6 +42,37 @@ def test_eulerian_rejects_odd_degree():
         eulerian_orientation(Multigraph(2, [(0, 1)]))
 
 
+def walked_tails(g):
+    """Tails of the closed trails walked from each vertex in turn, each step
+    along the lowest-numbered unused edge at the current vertex: the
+    Eulerian orientation that an even-degree graph gets."""
+    tails = [None] * g.m
+    for x in range(g.n):
+        while True:
+            free = [eid for eid in g.incidence[x] if tails[eid] is None]
+            if not free:
+                break
+            tails[free[0]] = x
+            u, w = g.edges[free[0]]
+            x = u + w - x
+    return tuple(tails)
+
+
+def test_near_balanced_orientation_unbalances_only_odd_degrees():
+    """One trail walk: on multigraphs with loops, parallel edges and odd
+    degrees, |d+(v) - d-(v)| is d(v) mod 2 at every vertex; on even degrees
+    both entry points give the walked Eulerian orientation."""
+    rng = random.Random(47)
+    for _ in range(400):
+        g = random_multigraph(rng, max_n=12, max_m=40)
+        d = orientation.near_balanced_orientation(g)
+        assert [abs(o - i) for o, i in zip(d.out_degrees, d.in_degrees)] == [x % 2 for x in g.degrees]
+    graphs = [random_even_multigraph(rng, rng.randint(1, 12), 8, 40) for _ in range(200)]
+    for g in graphs + [eulerian_union(rng, 1000, 3)]:
+        tails = walked_tails(g)
+        assert eulerian_orientation(g).tails == orientation.near_balanced_orientation(g).tails == tails
+
+
 def test_realize_triangle_cyclic():
     g = cycle_graph(3)
     d = realize_out_degrees(g, (1, 1, 1))
