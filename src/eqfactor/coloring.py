@@ -199,9 +199,6 @@ def decompose_directed(d: Orientation, k: int, mode: str = "size") -> Factorizat
 
 
 def anstee_decomposition(g: Multigraph, k: int) -> Factorization:
-    """Near-balanced orientation (|d+ - d-| <= 1) followed by a size-mode split.
-
-    Odd-degree vertices are paired through a temporary auxiliary vertex so an
-    Eulerian orientation exists; auxiliary arcs are dropped afterwards.
-    """
+    """Near-balanced orientation (|d+ - d-| <= 1, trails walked from the
+    odd-degree vertices first) followed by a size-mode split."""
     return decompose_directed(near_balanced_orientation(g), k, mode="size")

@@ -11,12 +11,13 @@ One exact polynomial algorithm per quantity, at every input size:
   (Padberg-Rao). Both run on one ``maxflow.FlowNetwork`` (``_cut_network``).
 - tree connectivity: the Nash-Williams-Tutte bounds floor(lambda/2) <= tau <=
   min(lambda, floor(m/(n-1))); matroid-union forest packing runs only when
-  they differ, growing one forest at a time.
+  they leave the answer open, growing one forest at a time.
 
-The advisory checks only ask threshold questions ("is every f-odd cut at
-least 3k - 2?"), so edge connectivity and the T-odd cut take a limit: each
-is exact below it and reports some value >= limit otherwise. ``analyze``
-passes none and stays exact.
+Every advisory check is one threshold question ("is every f-odd cut at
+least 3k - 2, or are there 2k - 2 spanning trees?") to ``f_odd_cut_bound``:
+edge connectivity and the T-odd cut take a limit, each exact below it and
+some value >= limit otherwise, and the forest packing only decides whether
+the trees asked fit. ``analyze`` passes none and stays exact.
 
 Infinity is represented by math.inf, never by a sentinel integer.
 """
@@ -207,13 +208,12 @@ def _min_t_odd_cut(g: Multigraph, t: set, limit=None):
     return best, witness
 
 
-def odd_edge_connectivity(g: Multigraph, limit=None):
-    """min d(A) over A with d(A) odd; math.inf if none exists. With a limit,
-    exact below it and some value >= limit otherwise.
+def odd_edge_connectivity(g: Multigraph):
+    """min d(A) over A with d(A) odd; math.inf if none exists.
 
     d(A) is odd exactly when A holds an odd number of odd-degree vertices.
     """
-    return _min_t_odd_cut(g, {v for v in range(g.n) if g.degree(v) % 2 == 1}, limit)[0]
+    return _min_t_odd_cut(g, {v for v in range(g.n) if g.degree(v) % 2 == 1})[0]
 
 
 class _ForestPacking:
@@ -307,11 +307,17 @@ def _forest_count_bound(g: Multigraph) -> int:
     return sum(1 for u, v in g.edges if u != v) // (g.n - 1)
 
 
-def _tree_connectivity(g: Multigraph, lam) -> int:
-    """Tree connectivity tau given lam = lambda(g): Nash-Williams-Tutte give
-    floor(lam/2) <= tau <= min(lam, floor(m'/(n-1))), and forests are packed
-    one more at a time only while the bounds leave tau open."""
+def _tree_connectivity(g: Multigraph, lam, cap=math.inf) -> int:
+    """Tree connectivity tau given lam = lambda(g); with a finite cap, only
+    whether tau >= cap: cap if so, some smaller value if not.
+
+    Nash-Williams-Tutte give floor(lam/2) <= tau <= min(lam, floor(m'/(n-1))),
+    and forests are packed only while these bounds leave the answer open:
+    one more at a time for tau, and exactly cap of them, once, for the cap.
+    """
     lo, hi = lam // 2, min(lam, _forest_count_bound(g))
+    if cap < math.inf:
+        lo, hi = max(lo, cap - 1), min(hi, cap)
     packing = _ForestPacking(g)
     for k in range(lo + 1, hi + 1):
         if packing.grow(k) < k * (g.n - 1):
@@ -324,40 +330,38 @@ def tree_connectivity(g: Multigraph) -> int:
     return _tree_connectivity(g, edge_connectivity(g))
 
 
-def tree_connected(g: Multigraph, k: int, lam: int) -> bool:
-    """True iff g has k edge-disjoint spanning trees, given lam = lambda(g).
+def f_odd_cut_bound(g: Multigraph, f, lam: int, trees: int = 0):
+    """Check "d(X) >= lam for every X with an odd sum of f over X, or else g
+    has `trees` edge-disjoint spanning trees" (trees = 0: no alternative).
+    f maps vertices to Z_2; f = None asks it of every proper nonempty X.
 
-    The counting bound and then the Nash-Williams-Tutte bounds decide most
-    inputs; otherwise exactly k forests are packed once.
+    Returns (True, None) or (False, witness X) with d(X) < lam. The answer
+    is exact; the work stops at the threshold. Every f-odd set is a cut, so
+    when f is None, when trees are asked or with four or more f-odd
+    vertices, lambda capped at lam comes first: reaching lam settles the
+    check with no T-odd flow, and below it lambda is exact, as the forest
+    packing needs. Each T-odd flow is capped at lam; forests come last.
     """
-    if k <= 0:
-        return True
-    if _forest_count_bound(g) < k:
-        return False
-    if lam < k or lam // 2 >= k:
-        return lam >= k
-    return _ForestPacking(g).grow(k) == k * (g.n - 1)
-
-
-def f_odd_cut_bound(g: Multigraph, f, lam: int):
-    """Check d(X) >= lam for every X with sum of f over X odd.
-
-    Returns (True, None) or (False, witness X). f maps vertices to Z_2. The
-    answer is exact; the work stops at the threshold. Every f-odd set is a
-    cut, so with four or more f-odd vertices edge connectivity, capped at
-    lam, is tried first, and when it reaches lam no T-odd flow runs. Each
-    T-odd flow is capped at lam.
-    """
-    f = tuple(int(x) % 2 for x in f)
-    if len(f) != g.n:
-        raise InvalidInput("f must assign a parity to every vertex")
-    if sum(f) % 2 == 1:
-        raise InvalidInput("sum of f over V must be even")
-    t = {v for v in range(g.n) if f[v] == 1}
-    if len(t) >= 4 and edge_connectivity_witness(g, lam)[0] >= lam:
+    if f is not None:
+        f = tuple(int(x) % 2 for x in f)
+        if len(f) != g.n:
+            raise InvalidInput("f must assign a parity to every vertex")
+        if sum(f) % 2 == 1:
+            raise InvalidInput("sum of f over V must be even")
+        t = {v for v in range(g.n) if f[v] == 1}
+        if not t:
+            return True, None
+    if f is None or trees or len(t) >= 4:
+        lam_g, witness = edge_connectivity_witness(g, lam)
+        if lam_g >= lam:
+            return True, None
+    if f is not None:
+        value, witness = _min_t_odd_cut(g, t, lam)
+        if value >= lam:
+            return True, None
+    if trees and _tree_connectivity(g, lam_g, trees) >= trees:
         return True, None
-    value, witness = _min_t_odd_cut(g, t, lam)
-    return (False, witness) if value < lam else (True, None)
+    return False, witness
 
 
 def analyze(g: Multigraph) -> tuple:

@@ -13,7 +13,7 @@ import random
 from itertools import product
 
 from .errors import InvalidInput, Undecided
-from .multigraph import Factorization, Multigraph
+from .multigraph import Factorization, Multigraph, complete_graph
 
 EQUITABLE_BUDGET = 10**8
 PARITY_EDGE_BUDGET = 24
@@ -146,7 +146,7 @@ def generate(family: str, params: dict, seed: int = 0) -> Multigraph:
     rng = random.Random(seed)
     if family == "complete":
         n, = _params(family, params, "n")
-        return Multigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return complete_graph(n)
     if family == "regular":
         n, d = _params(family, params, "n", "d")
         if n < 1 or d < 0 or (n * d) % 2 != 0:

@@ -186,11 +186,9 @@ def _epsilon_hypothesis_report(g: Multigraph, f, eps) -> str:
     from . import connectivity
 
     ok_odd, _ = connectivity.f_odd_cut_bound(g, f, math.ceil(1 / eps))
+    # d - f sums to 2|E| - sum(f), even as sum(f) is
     comp = tuple((g.degree(v) - f[v]) % 2 for v in range(g.n))
-    if sum(comp) % 2 == 0:
-        ok_even, _ = connectivity.f_odd_cut_bound(g, comp, math.ceil(1 / (1 - eps)))
-    else:
-        ok_even = True
+    ok_even, _ = connectivity.f_odd_cut_bound(g, comp, math.ceil(1 / (1 - eps)))
     if ok_odd and ok_even:
         return "cut hypotheses hold (unexpected)"
     return "cut hypotheses of the guarantee are not met"
@@ -209,11 +207,12 @@ def _eulerian_arcs(g: Multigraph) -> list:
     return [(t, u + w - t) for t, (u, w) in zip(eulerian_orientation(g).tails, g.edges)]
 
 
-def _even_circulation(n: int, arcs, eps: float) -> list:
+def _even_circulation(n: int, arcs, num, den) -> list:
     """Flags over arcs, an Eulerian digraph given as (tail, head) pairs, that
-    mark a sub-circulation of throughput in [floor(eps*d+(v)), ceil(eps*d+(v))]
-    at every vertex v. Its edges form an even factor with |d_F(v) - eps*d(v)|
-    < 2, and the unmarked arcs form an Eulerian digraph again.
+    mark a sub-circulation of throughput floor or ceil of num*d+(v)/den (in
+    integers for integer num and den) at every vertex v. Its edges form an
+    even factor with |d_F(v) - (num/den)*d(v)| < 2, and the unmarked arcs
+    form an Eulerian digraph again.
 
     Greedy first: an arc u->w is taken while out(u) and in(w) are both below
     their lower bounds. When every bound is met, the taken arcs have out = in
@@ -223,16 +222,16 @@ def _even_circulation(n: int, arcs, eps: float) -> list:
     capacity hi - lo on v_in -> v_out) in which the greedy flow is already
     pushed: a taken arc enters reversed, as its residual arc, and s and t keep
     only the unmet part of each bound. The max flow completes it exactly.
-    Putting eps on every arc is a fractional circulation within the bounds,
-    so an integral one exists and a short flow means the input was not
-    Eulerian.
+    Putting num/den on every arc is a fractional circulation within the
+    bounds, so an integral one exists and a short flow means the input was
+    not Eulerian.
     """
     from .maxflow import FlowNetwork
 
     outdeg = [0] * n
     for u, _ in arcs:
         outdeg[u] += 1
-    lo = [math.floor(eps * x) for x in outdeg]
+    lo = [int(num * x // den) for x in outdeg]
     got_out = [0] * n
     got_in = [0] * n
     taken = []
@@ -250,7 +249,7 @@ def _even_circulation(n: int, arcs, eps: float) -> list:
                for (u, w), take in zip(arcs, taken)]
     need = 0
     for v in range(n):
-        spare = math.ceil(eps * outdeg[v]) - lo[v]
+        spare = -int(-num * outdeg[v] // den) - lo[v]
         if spare:
             net.add_edge(v, n + v, spare)
         if got_out[v] < lo[v]:
@@ -280,13 +279,14 @@ def even_factor_eps(g: Multigraph, eps: float):
         return frozenset()
     if eps == 1:
         return frozenset(range(g.m))
-    taken = _even_circulation(g.n, _eulerian_arcs(g), eps)
+    taken = _even_circulation(g.n, _eulerian_arcs(g), eps, 1)
     return frozenset(eid for eid, take in enumerate(taken) if take)
 
 
 def hilton_even_factorization(g: Multigraph, k: int) -> Factorization:
-    """Split an even-degree graph into k even factors, peeling an eps = 1/k
-    factor and recursing; every factor deviates from d(v)/k by less than 2.
+    """Split an even-degree graph into k even factors, peeling a 1/k factor
+    (bounds in integers, so floor(49/49) is 1, not floor((1/49)*49) = 0) and
+    recursing; every factor deviates from d(v)/k by less than 2.
 
     The graph is oriented once: each peeled factor is a sub-circulation of
     the arcs left (``_even_circulation``), so what remains is Eulerian again
@@ -300,7 +300,7 @@ def hilton_even_factorization(g: Multigraph, k: int) -> Factorization:
     assignment = [1] * g.m
     ids = list(range(g.m))
     for step in range(k, 1, -1):
-        taken = _even_circulation(g.n, [arcs[eid] for eid in ids], 1.0 / step)
+        taken = _even_circulation(g.n, [arcs[eid] for eid in ids], 1, step)
         rest = []
         for eid, take in zip(ids, taken):
             if take:
@@ -346,7 +346,7 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
             else:
                 right.append(i)
                 sr += eps_list[i]
-        taken = _even_circulation(g.n, [arcs[eid] for eid in edge_ids], sl / (sl + sr))
+        taken = _even_circulation(g.n, [arcs[eid] for eid in edge_ids], sl, sl + sr)
         pending.append(([eid for eid, take in zip(edge_ids, taken) if take], left))
         pending.append(([eid for eid, take in zip(edge_ids, taken) if not take], right))
     return Factorization(g, len(eps_list), assignment)

@@ -4,9 +4,9 @@ Each pipeline is one sufficient construction: a residue orientation, a
 bipartite split, a Konig coloring. Each returns one plain triple
 (factorization, audit, warnings): the audit is ``lab.verify``'s list of
 (claim, bound, measured, passed) entries for the pipeline's claims, and the
-warnings are the messages the CLI prints to stderr. Connectivity hypotheses
-are advisory: they are checked, with work that stops at the threshold, and
-reported as warnings, never used as gates, since the solvers may succeed
+warnings are the messages the CLI prints to stderr. Each connectivity
+hypothesis is one ``connectivity.f_odd_cut_bound`` call, stopping at the
+threshold, and only a warning, never a gate: the solvers may succeed
 below the published thresholds. As the construction is only sufficient, an
 orientation step that finds nothing proves nothing: the pipeline raises
 Undecided, with the warnings that name the unmet hypothesis.
@@ -18,7 +18,7 @@ from . import connectivity
 from .coloring import decompose_directed
 from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, Undecided
 from .lab import parity_claim, verify
-from .multigraph import Factorization, Multigraph
+from .multigraph import Factorization, Multigraph, cut_size
 from .orientation import balanced_mod_k_orientation, mod_k_orientation, residue_map
 
 
@@ -32,19 +32,6 @@ def _orient(warnings, solve, *args, **kwargs):
         raise Undecided(
             f"the residue construction does not apply: {exc}" + "".join(f"; {w}" for w in warnings)
         ) from None
-
-
-def _equitable_hypothesis_warnings(g: Multigraph, k: int) -> list:
-    warnings = []
-    if g.n >= 2 and k >= 2:
-        # exact below the threshold, which is all the warning reads
-        lam = connectivity.edge_connectivity_witness(g, 3 * k - 3)[0]
-        if lam < 3 * k - 3 and not connectivity.tree_connected(g, 2 * k - 2, lam):
-            warnings.append(
-                f"hypothesis not met: graph is neither ({3 * k - 3})-edge-connected "
-                f"nor ({2 * k - 2})-tree-connected (lambda = {lam})"
-            )
-    return warnings
 
 
 def find_Z_set(g: Multigraph, k: int):
@@ -77,7 +64,13 @@ def equitable_factorize(g: Multigraph, k: int, z=None, Z=None, budget: int = DEF
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")
-    warnings = _equitable_hypothesis_warnings(g, k)
+    warnings = []
+    ok, witness = connectivity.f_odd_cut_bound(g, None, 3 * k - 3, 2 * k - 2)
+    if not ok:
+        warnings.append(
+            f"hypothesis not met: graph is neither ({3 * k - 3})-edge-connected "
+            f"nor ({2 * k - 2})-tree-connected (lambda = {cut_size(g, witness)})"
+        )
     if z is None and Z is None:
         Z = find_Z_set(g, k)
         if Z is None:
@@ -129,32 +122,23 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
         if f is not None:
             raise InvalidInput("odd k takes no parity map; targets are d(v) mod 2")
         parity = "parity"
-        if k >= 3 and any(d % 2 for d in g.degrees):
-            # every odd cut is a cut: lambda >= 3k - 2 settles the check with
-            # no T flow, and lambda below it is exact, as tree_connected needs
-            bound = 3 * k - 2
-            lam = connectivity.edge_connectivity_witness(g, bound)[0]
-            if (lam < bound and connectivity.odd_edge_connectivity(g, bound) < bound
-                    and not connectivity.tree_connected(g, 2 * k - 2, lam)):
-                warnings.append(
-                    f"hypothesis not met: graph is neither odd-({3 * k - 2})-edge-connected "
-                    f"nor ({2 * k - 2})-tree-connected"
-                )
+        # k = 1 needs no check: a cut with an odd number of odd-degree vertices is odd, so >= 1
+        if k >= 3 and not connectivity.f_odd_cut_bound(g, g.degrees, 3 * k - 2, 2 * k - 2)[0]:
+            warnings.append(
+                f"hypothesis not met: graph is neither odd-({3 * k - 2})-edge-connected "
+                f"nor ({2 * k - 2})-tree-connected"
+            )
         orientation = _orient(warnings, balanced_mod_k_orientation, g, k, budget=budget)
     else:
         if f is None:
             raise InvalidInput("even k requires a parity map f")
         targets = tuple(int(x) % 2 for x in f)
-        if len(targets) != g.n:
-            raise InvalidInput("f must assign a parity to every vertex")
-        if sum(targets) % 2 == 1:
-            raise InvalidInput("sum of f over V must be even")
+        # f_odd_cut_bound also rejects a targets tuple of the wrong length or odd sum
+        ok, witness = connectivity.f_odd_cut_bound(g, targets, 3 * k - 2)
+        if not ok:
+            warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at f-odd set {sorted(witness)}")
         q = {v for v in range(g.n) if targets[v] == 1}
         parity = parity_claim(targets)
-        if g.n >= 2:
-            ok, witness = connectivity.f_odd_cut_bound(g, targets, 3 * k - 2)
-            if not ok:
-                warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at f-odd set {sorted(witness)}")
         orientation = _orient(warnings, balanced_mod_k_orientation, g, k, q, budget=budget)
     fz = decompose_directed(orientation, k, mode="parity")
     return fz, verify(g, fz, ["deviation<2", parity]), warnings
@@ -172,10 +156,9 @@ def regular_factorize(g: Multigraph, k: int, budget: int = DEFAULT_BUDGET) -> tu
             raise InvalidInput(f"degree {g.degree(v)} of vertex {v} is not divisible by k = {k}")
     warnings = []
     q_parity = tuple((g.degree(v) // k) % 2 for v in range(g.n))
-    if g.n >= 2 and any(q_parity):
-        ok, witness = connectivity.f_odd_cut_bound(g, q_parity, 3 * k - 2)
-        if not ok:
-            warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at Q-odd set {sorted(witness)}")
+    ok, witness = connectivity.f_odd_cut_bound(g, q_parity, 3 * k - 2)
+    if not ok:
+        warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at Q-odd set {sorted(witness)}")
     orientation = _orient(warnings, mod_k_orientation, g, k, (0,) * g.n, budget=budget)
     fz = decompose_directed(orientation, k, mode="size")
     audit = verify(g, fz, ["regular"])

@@ -125,9 +125,28 @@ def test_exact_algorithms_match_oracles():
             continue
         tau = cut_oracles.tree_connectivity(g)
         assert connectivity.tree_connectivity(g) == tau
-        for k in range(tau + 3):
-            assert connectivity.tree_connected(g, k, lam) == (k <= tau)
+        for cap in range(1, tau + 3):
+            assert (connectivity._tree_connectivity(g, lam, cap) >= cap) == (tau >= cap)
     assert min(seen.values()) >= 20, seen
+
+
+def test_cut_or_tree_hypothesis_matches_the_oracles():
+    """f = None asks lambda >= bound, and trees > 0 accepts that many
+    edge-disjoint spanning trees instead; a witness is a cut below the bound."""
+    rng = random.Random(53)
+    outcomes = set()
+    for _ in range(150):
+        g = random_multigraph(rng, min_n=1, max_n=8, min_m=0, max_m=20)
+        lam = cut_oracles.min_cut(g)
+        tau = cut_oracles.tree_connectivity(g) if g.n >= 2 else math.inf
+        for bound in range(1, 8):
+            for trees in range(4):
+                ok, x = connectivity.f_odd_cut_bound(g, None, bound, trees)
+                assert ok == (lam >= bound or (trees > 0 and tau >= trees))
+                if not ok:
+                    assert 0 < len(x) < g.n and cut_size(g, x) < bound
+                outcomes.add((ok, lam >= bound))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_analyze_k4():

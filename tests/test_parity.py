@@ -185,6 +185,16 @@ def test_hilton_k5_and_doubled_c6():
     assert fz.factor_sizes() == [10]
 
 
+def test_hilton_peels_one_over_k_exactly():
+    """49 Hamiltonian cycles on 7 vertices, k = 49: floor((1/49) * 49) is 0
+    in floats, so a float peel leaves factors empty; each factor must be a
+    2-factor."""
+    g = generate("eulerian_cycles", {"n": 7, "c": 49}, seed=1)
+    fz = hilton_even_factorization(g, 49)
+    assert audit_passes(verify(g, fz, ["even", "deviation<2"]))
+    assert all(d == 2 for degs in fz.all_factor_degrees() for d in degs)
+
+
 def test_weighted_k5_half_half():
     fz = weighted_even_factorization(complete_graph(5), (0.5, 0.5))
     assert all(d == 2 for degs in fz.all_factor_degrees() for d in degs)
