@@ -177,7 +177,8 @@ def cmd_parity_factor(args):
     if args.z is not None:
         side = (args.z, "at_least" if args.side == "at-least" else "at_most")
     edge_ids = parity.epsilon_parity_factor(g, f, args.epsilon, z=side)
-    fz, audit = _one_factor(g, edge_ids, [lab.parity_claim(f), f"eps-window:{args.epsilon!r}"])
+    window = "eps-window:%d/%d" % lab.decimal_ratio(args.epsilon)
+    fz, audit = _one_factor(g, edge_ids, [lab.parity_claim(f), window])
     _emit(args, fz, audit, lambda: [f"factor edges: {sorted(edge_ids)}"])
     return 0
 
@@ -191,7 +192,8 @@ def cmd_even_factor(args):
         raise InvalidInput("even-factor takes exactly one of --epsilon, --epsilons, --k")
     if args.epsilon is not None:
         edge_ids = parity.even_factor_eps(g, args.epsilon)
-        fz, audit = _one_factor(g, edge_ids, ["even", f"eps-window:{args.epsilon!r}"])
+        # even_factor_eps rounds eps*d(v)/2 in floats: within 1 of it for eps's exact binary value
+        fz, audit = _one_factor(g, edge_ids, ["even", "eps-window:%d/%d" % args.epsilon.as_integer_ratio()])
         _emit(args, fz, audit, lambda: [f"factor edges: {sorted(edge_ids)}"])
         return 0
     if args.k is not None:

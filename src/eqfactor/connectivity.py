@@ -341,6 +341,8 @@ def f_odd_cut_bound(g: Multigraph, f, lam: int, trees: int = 0):
     vertices, lambda capped at lam comes first: reaching lam settles the
     check with no T-odd flow, and below it lambda is exact, as the forest
     packing needs. Each T-odd flow is capped at lam; forests come last.
+    Nothing is computed when lam <= 0, or when lam = 1 and f = d mod 2, as
+    every f-odd X then has odd d(X) (k = 1 regular and parity factors).
     """
     if f is not None:
         f = tuple(int(x) % 2 for x in f)
@@ -351,6 +353,8 @@ def f_odd_cut_bound(g: Multigraph, f, lam: int, trees: int = 0):
         t = {v for v in range(g.n) if f[v] == 1}
         if not t:
             return True, None
+    if lam <= 0 or lam == 1 and f is not None and all(x == d % 2 for x, d in zip(f, g.degrees)):
+        return True, None
     if f is None or trees or len(t) >= 4:
         lam_g, witness = edge_connectivity_witness(g, lam)
         if lam_g >= lam:

@@ -11,6 +11,7 @@ Text format, one directive per line:
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import InvalidInput
 from .multigraph import Factorization, Multigraph
@@ -52,8 +53,31 @@ REPORT_SCHEMA = {
 }
 
 
+# canonical text, as serialize_graph and ``eqfactor gen`` write it; the
+# possessive repeat keeps no backtracking stack
+CANONICAL = r"n (0|[1-9][0-9]*)\n((?:e (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*)\n)*+)"
+
+
 def parse_graph(text: str) -> Multigraph:
-    """Parse the text format; errors carry 1-based line numbers."""
+    """Parse the text format; errors carry 1-based line numbers. Canonical
+    text is read in bulk, its endpoints by one json.loads of a flat list;
+    any other text, or an endpoint out of range, goes through the line loop.
+    """
+    match = re.fullmatch(CANONICAL, text)  # compiled on first use, then cached by re
+    if match:
+        try:
+            n = int(match[1])
+            flat = json.loads("[" + match[2][2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
+        except ValueError:  # beyond int()'s digit limit: the loop reports it
+            return _parse_lines(text)
+        if max(flat, default=-1) < n:
+            ends = iter(flat)
+            return Multigraph(n, zip(ends, ends))
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Multigraph:
+    """The line-by-line parser: every form the format allows, and every error."""
     n = None
     edges = []
     add_edge = edges.append

@@ -52,6 +52,8 @@ def measure(g: Multigraph, degree_vectors, claims) -> list:
       ``:v;w;...``, from the map that is odd exactly at v, w, ...;
     - ``size±1``: max |sum_v d_i(v) / 2 - |E|/k| < 1;
     - ``even``: number of odd d_i(v); ``regular``: number of d_i(v) != d(v)/k.
+
+    The weights and eps are decimals or p/q, judged exactly (0.07 is 7/100).
     """
     k = len(degree_vectors)
     entries = []
@@ -63,16 +65,19 @@ def measure(g: Multigraph, degree_vectors, claims) -> list:
             raise InvalidInput(f"claim {name!r} takes no arguments, got {claim!r}")
         args = text.split(";") if text else []
         bound = CLAIM_BOUNDS[name]
-        if name == "eps-window":
-            measured = _max_deviation(g, degree_vectors, _claim_values(claim, args, float, 1)[0])
-        elif name.startswith("deviation<") and has_args:
+        if name == "eps-window" or name.startswith("deviation<") and has_args:
+            # |d_i(v) - (p/q) d(v)| < B, judged in integers: |q d_i(v) - p d(v)| < B q
+            if name == "eps-window":  # one eps for every factor
+                weights = _claim_values(claim, args, _ratio, 1) * k
+            else:
+                weights = _claim_values(claim, args, _ratio, k)
             worst = [(max((abs(q * x - p * d) for x, d in zip(degs, g.degrees)), default=0), q)
-                     for degs, (p, q) in zip(degree_vectors, _claim_values(claim, args, _ratio, k))]
+                     for degs, (p, q) in zip(degree_vectors, weights)]
             measured = max((w / q for w, q in worst), default=0.0)
             entries.append((name, bound, measured, all(w < bound * q for w, q in worst)))
             continue
         elif name.startswith("deviation<"):
-            measured = _max_deviation(g, degree_vectors, None)
+            measured = _max_deviation(g, degree_vectors)
         elif name == "size±1":
             measured = max((abs(sum(degs) // 2 - g.m / k) for degs in degree_vectors), default=0.0)
         elif name == "regular":
@@ -97,7 +102,7 @@ def _claim_values(claim: str, args, kind, count) -> list:
     try:
         values = [kind(a) for a in args]
     except ValueError:
-        noun = kind.__name__.lstrip("_")  # int, float or ratio
+        noun = kind.__name__.lstrip("_")  # int or ratio
         raise InvalidInput(f"claim {claim!r}: arguments must be {noun}s separated by ';'") from None
     if count is not None and len(values) != count:
         raise InvalidInput(f"claim {claim!r} needs {count} arguments, got {len(values)}")
@@ -115,11 +120,18 @@ def _ratio(text: str) -> tuple:
     return int(p), int(q)
 
 
-def _max_deviation(g: Multigraph, degree_vectors, weight) -> float:
-    """max over factors i and vertices v of |d_i(v) - c(v)|, where c(v) is
-    weight * d(v), or d(v)/k when weight is None."""
+def decimal_ratio(x: float) -> tuple:
+    """(p, q) of the decimal that repr prints for the float x: 0.07 is 7/100."""
+    digits, _, exponent = repr(float(x)).partition("e")
+    p, q = _ratio(digits)
+    shift = int(exponent or 0)
+    return (p * 10 ** shift, q) if shift >= 0 else (p, q * 10 ** -shift)
+
+
+def _max_deviation(g: Multigraph, degree_vectors) -> float:
+    """max over factors i and vertices v of |d_i(v) - d(v)/k|."""
     k = len(degree_vectors)
-    centre = [d / k if weight is None else weight * d for d in g.degrees]
+    centre = [d / k for d in g.degrees]
     return max((abs(x - c) for degs in degree_vectors for x, c in zip(degs, centre)), default=0.0)
 
 

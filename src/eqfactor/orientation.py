@@ -58,12 +58,19 @@ def eulerian_orientation(g: Multigraph) -> Orientation:
 
 
 def near_balanced_orientation(g: Multigraph) -> Orientation:
-    """Orientation with |d+(v) - d-(v)| <= 1: trails walked from the odd-degree
-    vertices, then from every vertex. A trail from a vertex of odd remaining
-    degree stops only at another one, so only open trail ends are unbalanced."""
+    """Orientation with |d+(v) - d-(v)| <= 1, along the trails of trail_walk."""
+    return Orientation(g, trail_walk(g)[0])
+
+
+def trail_walk(g: Multigraph) -> tuple:
+    """(tails, heads), one tail and one head per edge id, with |d+(v) - d-(v)|
+    <= 1: trails walked from the odd-degree vertices, then from every vertex.
+    A trail from a vertex of odd remaining degree stops only at another one,
+    so only open trail ends are unbalanced; on an even-degree graph the arcs
+    are Eulerian."""
     edges, incidence = g.edges, g.incidence
     tails = [None] * g.m
-    used = [False] * g.m
+    heads = [None] * g.m
     ptr = [0] * g.n
     for v0 in chain((v for v, d in enumerate(g.degrees) if d % 2 == 1), range(g.n)):
         x = v0
@@ -71,18 +78,17 @@ def near_balanced_orientation(g: Multigraph) -> Orientation:
             inc = incidence[x]
             i = ptr[x]
             end = len(inc)
-            while i < end and used[inc[i]]:
+            while i < end and tails[inc[i]] is not None:
                 i += 1
             if i == end:
                 ptr[x] = i
                 break  # back at the start, or at a vertex of odd remaining degree
             ptr[x] = i + 1
             eid = inc[i]
-            used[eid] = True
             tails[eid] = x
             u, w = edges[eid]
-            x = w if u == x else u
-    return Orientation(g, tails)
+            x = heads[eid] = w if u == x else u
+    return tails, heads
 
 
 def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:

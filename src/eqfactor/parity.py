@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 from .errors import Infeasible, InvalidInput
+from .lab import decimal_ratio
 from .matching import maximum_matching
 from .multigraph import Factorization, Multigraph
 
@@ -131,20 +132,21 @@ def _gadget(g: Multigraph, windows):
 
 def epsilon_windows(g: Multigraph, f, eps: float):
     """Per-vertex parity windows around eps*d(v): the closest values of the
-    parity f(v) to floor(eps*d) from below and ceil(eps*d) from above."""
+    parity f(v) to floor(eps*d) from below and ceil(eps*d) from above, in
+    integers for eps read as the decimal it prints as (0.07 is 7/100)."""
     f = tuple(int(x) % 2 for x in f)
     if len(f) != g.n:
         raise InvalidInput("f must assign a parity to every vertex")
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie strictly between 0 and 1")
+    p, q = decimal_ratio(eps)
     g0 = []
     f0 = []
     for v in range(g.n):
-        ed = eps * g.degree(v)
-        lo = math.floor(ed)
+        lo, rest = divmod(p * g.degree(v), q)
+        hi = lo + 1 if rest else lo
         if lo % 2 != f[v]:
             lo -= 1
-        hi = math.ceil(ed)
         if hi % 2 != f[v]:
             hi += 1
         g0.append(lo)
@@ -169,10 +171,11 @@ def epsilon_parity_factor(g: Multigraph, f, eps: float, z=None):
             raise InvalidInput(f"unknown steering side {side!r}")
         if not 0 <= zv < g.n:
             raise InvalidInput(f"vertex {zv} out of range")
-        ed = eps * g.degree(zv)
-        if side == "at_least" and g0[zv] < ed:
+        p, q = decimal_ratio(eps)
+        ed = p * g.degree(zv)  # eps*d(z), scaled by q
+        if side == "at_least" and q * g0[zv] < ed:
             g0[zv] += 2
-        if side == "at_most" and f0[zv] > ed:
+        if side == "at_most" and q * f0[zv] > ed:
             f0[zv] -= 2
     spec = ParitySpec(f=f, g0=tuple(g0), f0=tuple(f0))
     factor = find_parity_factor(g, spec)
@@ -201,10 +204,11 @@ def _check_even_degrees(g: Multigraph):
 
 
 def _eulerian_arcs(g: Multigraph) -> list:
-    """(tail, head) per edge id, along one Eulerian orientation of g."""
-    from .orientation import eulerian_orientation
+    """(tail, head) per edge id of an even-degree graph, as the trail walk
+    writes them: no Orientation is built or checked again."""
+    from .orientation import trail_walk
 
-    return [(t, u + w - t) for t, (u, w) in zip(eulerian_orientation(g).tails, g.edges)]
+    return list(zip(*trail_walk(g)))
 
 
 def _even_circulation(n: int, arcs, num, den) -> list:

@@ -122,8 +122,7 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
         if f is not None:
             raise InvalidInput("odd k takes no parity map; targets are d(v) mod 2")
         parity = "parity"
-        # k = 1 needs no check: a cut with an odd number of odd-degree vertices is odd, so >= 1
-        if k >= 3 and not connectivity.f_odd_cut_bound(g, g.degrees, 3 * k - 2, 2 * k - 2)[0]:
+        if not connectivity.f_odd_cut_bound(g, g.degrees, 3 * k - 2, 2 * k - 2)[0]:
             warnings.append(
                 f"hypothesis not met: graph is neither odd-({3 * k - 2})-edge-connected "
                 f"nor ({2 * k - 2})-tree-connected"

@@ -1,14 +1,16 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
 
 from conftest import eulerian_union, random_multigraph
-from eqfactor import cli, lab, orientation, pipelines
+from eqfactor import cli, graphio, lab, orientation, pipelines
 from eqfactor.cli import build_parser, main
 from eqfactor.graphio import (
     REPORT_SCHEMA,
@@ -555,6 +557,77 @@ def test_parse_accepts_comments_whitespace_and_line_endings():
     g = parse_graph(text.replace(" # no", ""))
     assert g == Multigraph(3, [(0, 1), (1, 2), (2, 2)])
     assert parse_graph("n 0\n") == Multigraph(0, [])
+
+
+def _parse_outcome(parse, text):
+    """The graph that parse makes of text, or the text of its InvalidInput."""
+    try:
+        return parse(text)
+    except InvalidInput as exc:
+        return str(exc)
+
+
+def _fuzzed_graph_texts(rng, count):
+    """Serialized random multigraphs, half of them left canonical and half
+    mutated by a few edits drawn from the format's characters and its near
+    misses (carriage returns, signs, underscores, a non-ASCII digit)."""
+    alphabet = "ne 0123456789\n\r\t#-+_x.\u0663"
+    for _ in range(count):
+        chars = list(serialize_graph(random_multigraph(rng, min_n=1, max_n=12, min_m=0, max_m=15)))
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(chars))
+                edit = rng.randrange(3)
+                if edit == 0:
+                    chars.insert(i, rng.choice(alphabet))
+                elif edit == 1:
+                    del chars[i]
+                else:
+                    chars[i] = rng.choice(alphabet)
+        yield "".join(chars)
+
+
+def test_bulk_parse_matches_the_line_loop():
+    """parse_graph reads canonical text in bulk; on seeded fuzzed texts, and
+    on near misses of the canonical form, it gives the same graph or the
+    same error text as the line loop, which reads every text line by line."""
+    near_misses = ["n 3\ne 0 1", "n 3\ne 01 2\n", "n 03\ne 0 1\n", "n 3\ne 0 3\n", "n 3\r\ne 0 1\r\n",
+                   "n 3\ne 0 1\n\n", "n 3\ne 0  1\n", "n 3\ne +1 2\n", "n 3\ne 1_0 2\n", "n 1_0\ne 0 9\n",
+                   "n \u0663\ne 0 1\n", "n 3\ne 2 \u0661\n", "n 0\n", "n 2\n", "n 2\ne 1 1\n",
+                   "n " + "1" * 5000 + "\n", "n 3\ne 0 " + "1" * 5000 + "\n"]
+    texts = near_misses + list(_fuzzed_graph_texts(random.Random(71), 3000))
+    kinds = {"bulk": 0, "bulk, then the loop": 0, "loop": 0}
+    for text in texts:
+        outcome = _parse_outcome(parse_graph, text)
+        assert outcome == _parse_outcome(graphio._parse_lines, text), text
+        if re.fullmatch(graphio.CANONICAL, text) is None:
+            kinds["loop"] += 1
+        else:
+            kinds["bulk" if isinstance(outcome, Multigraph) else "bulk, then the loop"] += 1
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_canonical_text_parses_in_bulk_within_8_mb(monkeypatch):
+    """A 10^4-vertex canonical text (three Hamiltonian cycles, as the
+    benchmark's) is read without the line loop, and the match keeps no
+    backtracking stack: the parse peaks below 8 MB, where a greedy repeat
+    alone would hold about 13 MB."""
+    g = eulerian_union(random.Random(11), 10_000, 3)
+    text = serialize_graph(g)
+    parse_graph("n 0\n")  # the pattern is compiled on first use
+
+    def line_loop(text):
+        raise AssertionError("canonical text went through the line loop")
+
+    monkeypatch.setattr(graphio, "_parse_lines", line_loop)
+    tracemalloc.start()
+    try:
+        parsed = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == g
+    assert peak < 8 * 10**6
 
 
 def _random_report(rng):

@@ -149,6 +149,25 @@ def test_cut_or_tree_hypothesis_matches_the_oracles():
     assert outcomes == {(True, True), (True, False), (False, False)}
 
 
+def test_checks_that_always_hold_answer_at_once(monkeypatch):
+    """Below 1 nothing is asked, and at 1 with f = d mod 2 every f-odd set
+    has an odd cut: both answer True with no flow, as the oracles agree."""
+    rng = random.Random(83)
+    monkeypatch.setattr(connectivity, "FlowNetwork", lambda n: pytest.fail("a flow network was built"))
+    for _ in range(150):
+        g = random_multigraph(rng, min_n=1, max_n=8, min_m=0, max_m=16)
+        parity = tuple(d % 2 for d in g.degrees)
+        assert cut_oracles.min_t_odd_cut(g, {v for v in range(g.n) if parity[v]}) >= 1
+        assert connectivity.f_odd_cut_bound(g, parity, 1) == (True, None)
+        f = [rng.randrange(2) for _ in range(g.n)]
+        f[0] ^= sum(f) % 2
+        for lam in (0, -1):
+            assert connectivity.f_odd_cut_bound(g, f, lam) == (True, None)
+            assert connectivity.f_odd_cut_bound(g, None, lam, rng.randrange(3)) == (True, None)
+    with pytest.raises(InvalidInput):
+        connectivity.f_odd_cut_bound(Multigraph(2, []), (1, 0), 0)  # an odd sum of f is still refused
+
+
 def test_analyze_k4():
     assert connectivity.analyze(complete_graph(4)) == (3, 3, 2)
 

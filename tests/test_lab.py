@@ -5,6 +5,7 @@ import pytest
 from eqfactor.errors import InvalidInput, Undecided
 from conftest import audit_passes, random_multigraph
 from eqfactor.lab import (
+    decimal_ratio,
     generate,
     measure,
     oracle_equitable,
@@ -76,6 +77,21 @@ def test_weighted_deviation_is_judged_exactly():
                   "deviation<1:0.5", "deviation<1:1/2/3;1"):
         with pytest.raises(InvalidInput):
             measure(g, [[7, 7], [93, 93]], [claim])
+
+
+def test_eps_window_is_judged_exactly():
+    """0.07 is 7/100: on 100 parallel edges eps*d = 7 exactly, so a degree of
+    9 is 2 away and fails, as deviation<2 says; in floats 0.07 * 100 is
+    7.000000000000001 and the window used to pass it."""
+    g = Multigraph(2, [(0, 1)] * 100)
+    assert measure(g, [[9, 9]], ["eps-window:0.07"]) == [("eps-window", 2, 2.0, False)]
+    assert measure(g, [[9, 9]], ["deviation<2:0.07"]) == [("deviation<2", 2, 2.0, False)]
+    assert measure(g, [[8, 8]], ["eps-window:7/100"]) == [("eps-window", 2, 1.0, True)]
+    assert decimal_ratio(0.07) == (7, 100) and decimal_ratio(1.5e-05) == (15, 10**6)
+    assert decimal_ratio(1.0) == (10, 10) and decimal_ratio(1e22) == (10**22, 1)
+    for claim in ("eps-window:1e-05", "eps-window:nan", "eps-window:0.5;0.5"):
+        with pytest.raises(InvalidInput):
+            measure(g, [[9, 9]], [claim])
 
 
 def test_generate_observation_c5():

@@ -73,6 +73,23 @@ def test_near_balanced_orientation_unbalances_only_odd_degrees():
         assert eulerian_orientation(g).tails == orientation.near_balanced_orientation(g).tails == tails
 
 
+def test_trail_walk_writes_the_near_balanced_arcs():
+    """The walk writes a tail and a head per edge: the tails are the
+    near-balanced orientation's, each head is the other endpoint (the same
+    vertex for a loop), and the arcs alone give |d+(v) - d-(v)| = d(v) mod 2."""
+    rng = random.Random(79)
+    for _ in range(300):
+        g = random_multigraph(rng, max_n=12, max_m=40)
+        tails, heads = orientation.trail_walk(g)
+        assert tails == list(orientation.near_balanced_orientation(g).tails)
+        out, into = [0] * g.n, [0] * g.n
+        for t, h, (u, w) in zip(tails, heads, g.edges):
+            assert (t, h) in ((u, w), (w, u))
+            out[t] += 1
+            into[h] += 1
+        assert [abs(o - i) for o, i in zip(out, into)] == [d % 2 for d in g.degrees]
+
+
 def test_realize_triangle_cyclic():
     g = cycle_graph(3)
     d = realize_out_degrees(g, (1, 1, 1))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -109,6 +110,22 @@ def test_epsilon_windows_shape():
     g0, f0 = epsilon_windows(g, (1, 1, 1, 1), 0.5)
     assert g0 == (1, 1, 1, 1)
     assert f0 == (3, 3, 3, 3)
+
+
+def test_epsilon_windows_are_exact():
+    """The windows take floor and ceil of eps*d(v) in integers: 0.07 * 100 is
+    7 exactly, not the float 7.000000000000001, so the odd window is [7, 7]
+    (it was [7, 9]) and steering at least eps*d keeps it. On the benchmark's
+    6-regular graphs (eps 0.5 and 0.34) the windows are the float ones."""
+    g = Multigraph(2, [(0, 1)] * 100)
+    assert epsilon_windows(g, (1, 1), 0.07) == ((7, 7), (7, 7))
+    assert len(epsilon_parity_factor(g, (1, 1), 0.07, z=(0, "at_least"))) == 7
+    six = eulerian_union(random.Random(89), 12, 3)
+    for eps in (0.5, 0.34):
+        for f in ((0,) * 12, (1,) * 12):
+            float_windows = ([math.floor(eps * 6) - (math.floor(eps * 6) % 2 != x) for x in f],
+                             [math.ceil(eps * 6) + (math.ceil(eps * 6) % 2 != x) for x in f])
+            assert epsilon_windows(six, f, eps) == tuple(map(tuple, float_windows))
 
 
 def test_epsilon_parity_factor_k4():

@@ -27,6 +27,20 @@ def measured(audit, claim):
     return {c: m for c, _, m, _ in audit}[claim]
 
 
+def test_k1_factors_of_a_matching_build_no_network(monkeypatch):
+    """k = 1 on a perfect matching, where lambda = 0: every check holds, and
+    neither the checks nor the orientation build a flow network. The
+    regular check alone took 0.2 s at n = 4000 when it ran its T flows."""
+    g = Multigraph(4000, [(2 * i, 2 * i + 1) for i in range(2000)])
+    built = []
+    monkeypatch.setattr(connectivity, "FlowNetwork", lambda n: built.append(n))
+    monkeypatch.setattr(orientation, "FlowNetwork", lambda n: built.append(n))
+    for solve in (regular_factorize, equitable_factorize, parity_factorize):
+        fz, audit, warnings = solve(g, 1)
+        assert fz.assignment == (1,) * g.m and audit_passes(audit) and warnings == []
+    assert built == []
+
+
 def test_find_z_set_frozen():
     assert find_Z_set(complete_graph(7), 3) == frozenset()
     g = Multigraph(4, [(0, 1)] * 2 + [(0, 2), (1, 3), (2, 3), (2, 3), (3, 2)])

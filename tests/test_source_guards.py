@@ -27,7 +27,7 @@ def itertools_enumerators(tree):
 
 # the line count of src/eqfactor/*.py; a change that grows the package raises
 # it and says why in CHANGES.md
-SOURCE_LINES = 3049
+SOURCE_LINES = 3100
 
 
 def test_source_stays_within_its_line_count():
@@ -48,6 +48,56 @@ def test_only_the_oracles_enumerate_subsets():
     assert offenders == {}
     assert itertools_enumerators(ast.parse("from itertools import accumulate, combinations")) == {"combinations"}
     assert itertools_enumerators(ast.parse("import itertools\nitertools.product(a)")) == {"product"}
+
+
+def compiles_at_import(tree):
+    """Line numbers of the re.compile calls of a module that run when it is
+    imported: every call outside a function body, the defaults and
+    decorators of a function included."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "re"}
+    functions = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "re"
+                 for alias in node.names if alias.name == "compile"}
+    found = []
+
+    def visit(node):
+        func = getattr(node, "func", None)
+        if (isinstance(func, ast.Name) and func.id in functions
+                or isinstance(func, ast.Attribute) and func.attr == "compile"
+                and isinstance(func.value, ast.Name) and func.value.id in modules):
+            found.append(node.lineno)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            children = node.decorator_list + [node.args]
+        elif isinstance(node, ast.Lambda):
+            children = [node.args]
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_no_module_compiles_a_pattern_at_import():
+    """A pattern compiled at import is paid by every command's start-up (the
+    benchmark's setup_s; about 1 ms for the canonical graph text): src/
+    compiles patterns on first use, as re.fullmatch(pattern, text) does."""
+    offenders = {}
+    for path in sorted(Path(eqfactor.__file__).parent.glob("*.py")):
+        found = compiles_at_import(ast.parse(path.read_text(), str(path)))
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+    for text, found in [
+        ("import re\nP = re.compile('x')", [2]),
+        ("import re as r\nclass A:\n    P = r.compile('x')", [3]),
+        ("from re import compile as c\nP = [c('x')]", [2]),
+        ("import re\ndef f(p=re.compile('x')):\n    return re.compile('y')", [2]),
+        ("import re\ndef f():\n    return re.compile('x')\ng = lambda: re.compile('y')", []),
+    ]:
+        assert compiles_at_import(ast.parse(text)) == found
 
 
 # Top-level public modules that `import eqfactor.cli` loads into a bare
