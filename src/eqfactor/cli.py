@@ -177,7 +177,7 @@ def cmd_parity_factor(args):
     if args.z is not None:
         side = (args.z, "at_least" if args.side == "at-least" else "at_most")
     edge_ids = parity.epsilon_parity_factor(g, f, args.epsilon, z=side)
-    window = "eps-window:%d/%d" % lab.decimal_ratio(args.epsilon)
+    window = "eps-window:%d/%d" % parity.window_ratio(args.epsilon)
     fz, audit = _one_factor(g, edge_ids, [lab.parity_claim(f), window])
     _emit(args, fz, audit, lambda: [f"factor edges: {sorted(edge_ids)}"])
     return 0
@@ -192,8 +192,8 @@ def cmd_even_factor(args):
         raise InvalidInput("even-factor takes exactly one of --epsilon, --epsilons, --k")
     if args.epsilon is not None:
         edge_ids = parity.even_factor_eps(g, args.epsilon)
-        # even_factor_eps rounds eps*d(v)/2 in floats: within 1 of it for eps's exact binary value
-        fz, audit = _one_factor(g, edge_ids, ["even", "eps-window:%d/%d" % args.epsilon.as_integer_ratio()])
+        window = "eps-window:%d/%d" % parity.circulation_ratio(args.epsilon)
+        fz, audit = _one_factor(g, edge_ids, ["even", window])
         _emit(args, fz, audit, lambda: [f"factor edges: {sorted(edge_ids)}"])
         return 0
     if args.k is not None:
@@ -202,7 +202,7 @@ def cmd_even_factor(args):
     else:
         eps_list = _csv_floats(args.epsilons)
         fz = parity.weighted_even_factorization(g, eps_list)
-        claims = ["even", "deviation<6:" + ";".join("%d/%d" % e.as_integer_ratio() for e in eps_list)]
+        claims = ["even", "deviation<6:" + ";".join("%d/%d" % parity.circulation_ratio(e) for e in eps_list)]
     audit = lab.verify(g, fz, claims)
     _emit(args, fz, audit, lambda: _factor_lines(fz))
     return 0

@@ -130,16 +130,26 @@ def _gadget(g: Multigraph, windows):
     return adj, mate
 
 
+def window_ratio(eps: float) -> tuple:
+    """p/q that the eps windows are exact for: the decimal repr prints (0.07 is 7/100)."""
+    return decimal_ratio(eps)
+
+
+def circulation_ratio(eps: float) -> tuple:
+    """p/q that the even circulations' float floor and ceil stay within 1 of: eps's binary value."""
+    return float(eps).as_integer_ratio()
+
+
 def epsilon_windows(g: Multigraph, f, eps: float):
     """Per-vertex parity windows around eps*d(v): the closest values of the
     parity f(v) to floor(eps*d) from below and ceil(eps*d) from above, in
-    integers for eps read as the decimal it prints as (0.07 is 7/100)."""
+    integers for eps read by ``window_ratio``."""
     f = tuple(int(x) % 2 for x in f)
     if len(f) != g.n:
         raise InvalidInput("f must assign a parity to every vertex")
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie strictly between 0 and 1")
-    p, q = decimal_ratio(eps)
+    p, q = window_ratio(eps)
     g0 = []
     f0 = []
     for v in range(g.n):
@@ -171,7 +181,7 @@ def epsilon_parity_factor(g: Multigraph, f, eps: float, z=None):
             raise InvalidInput(f"unknown steering side {side!r}")
         if not 0 <= zv < g.n:
             raise InvalidInput(f"vertex {zv} out of range")
-        p, q = decimal_ratio(eps)
+        p, q = window_ratio(eps)
         ed = p * g.degree(zv)  # eps*d(z), scaled by q
         if side == "at_least" and q * g0[zv] < ed:
             g0[zv] += 2
@@ -267,7 +277,8 @@ def _even_circulation(n: int, arcs, num, den) -> list:
 
 
 def even_factor_eps(g: Multigraph, eps: float):
-    """Even factor with |d_F(v) - eps*d(v)| < 2 on an even-degree graph.
+    """Even factor with |d_F(v) - eps*d(v)| < 2 on an even-degree graph, for
+    eps read by ``circulation_ratio``.
 
     A sub-circulation of one Eulerian orientation with per-vertex throughput
     in [floor(eps*d/2), ceil(eps*d/2)]: greedily taken arcs first, and a unit

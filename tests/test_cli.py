@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from conftest import eulerian_union, random_multigraph
-from eqfactor import cli, graphio, lab, orientation, pipelines
+from eqfactor import cli, graphio, lab, orientation, parity, pipelines
 from eqfactor.cli import build_parser, main
 from eqfactor.graphio import (
     REPORT_SCHEMA,
@@ -628,6 +628,26 @@ def test_canonical_text_parses_in_bulk_within_8_mb(monkeypatch):
         tracemalloc.stop()
     assert parsed == g
     assert peak < 8 * 10**6
+
+
+def test_eps_claims_are_written_from_the_ratio_each_solver_bounds_by(tmp_path, capsys, monkeypatch):
+    """parity-factor's windows read eps as the decimal it prints as, and
+    even-factor's circulation rounds eps's binary value; each command writes
+    its eps-window claim from the ratio that its solver's module gives, and
+    the factor meets it."""
+    claims = []
+    one_factor = cli._one_factor
+    monkeypatch.setattr(cli, "_one_factor", lambda g, ids, c: claims.append(c[-1]) or one_factor(g, ids, c))
+    hundred = write_graph(tmp_path, Multigraph(2, [(0, 1)] * 100))
+    assert main(["parity-factor", hundred, "--f", "0,1", "--epsilon", "0.07"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [len(f["edges"]) for f in report["factors"]] == [7, 93]
+    assert all(entry["pass"] for entry in report["audit"].values())
+    assert main(["even-factor", write_graph(tmp_path, Multigraph(2, [(0, 1)] * 200), "m.txt"),
+                 "--epsilon", "0.29"]) == 0
+    assert all(entry["pass"] for entry in json.loads(capsys.readouterr().out)["audit"].values())
+    assert claims == ["eps-window:7/100", "eps-window:%d/%d" % (0.29).as_integer_ratio()]
+    assert parity.window_ratio(0.07) == (7, 100) and parity.circulation_ratio(0.07) == (0.07).as_integer_ratio()
 
 
 def _random_report(rng):
