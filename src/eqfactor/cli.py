@@ -73,7 +73,7 @@ def _emit(args, fz: Factorization, audit, text_lines):
 
 
 def _factor_lines(fz: Factorization) -> list:
-    return [f"factor {i}: edges {fz.factor_edges(i)}" for i in range(1, fz.k + 1)]
+    return [f"factor {i}: edges {edges}" for i, edges in enumerate(fz.all_factor_edges(), start=1)]
 
 
 def _one_factor(g: Multigraph, edge_ids, claims) -> tuple:

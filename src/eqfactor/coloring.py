@@ -4,12 +4,16 @@ A directed multigraph is split into a loopless bipartite graph of maximum
 degree <= k (out-chunks vs in-chunks), properly k-edge-colored by alternating
 path swaps, optionally rebalanced so color-class sizes differ by at most one,
 and the colors are pulled back to a factorization of the original edges.
-The split holds only its chunk graph, a plain Multigraph, and a coloring is
-a plain tuple of colors 1..k, one per chunk-graph edge. The chunk graph is
-bipartite by construction, so no odd-cycle test runs.
+The chunk graph is a chunk count and two flat int lists, the out-chunk and
+the in-chunk of each chunk edge; the coloring and the rebalancing read those
+lists, and no Multigraph is built for them. A coloring is a plain tuple of
+colors 1..k, one per chunk-graph edge. The chunk graph is bipartite by
+construction, so no odd-cycle test runs.
 """
 
 from __future__ import annotations
+
+from operator import eq
 
 from .errors import InvalidInput
 from .multigraph import Factorization, Multigraph, Orientation
@@ -17,13 +21,21 @@ from .orientation import near_balanced_orientation
 
 
 class BipartiteSplit:
-    """The chunk graph b of an orientation. bench/tracer.py reads the result
-    of split_to_bipartite as .b, so the chunk graph keeps this holder."""
+    """The chunk graph of an orientation: ``chunks`` vertices, and chunk edge
+    i from out-chunk ``out_chunk[i]`` to in-chunk ``in_chunk[i]``. ``b`` is
+    the same graph as a Multigraph, built on each read (bench/tracer.py
+    reads ``b.m``); the decomposition never reads it."""
 
-    __slots__ = ("b",)
+    __slots__ = ("chunks", "out_chunk", "in_chunk")
 
-    def __init__(self, b: Multigraph):
-        self.b = b
+    def __init__(self, chunks: int, out_chunk: list, in_chunk: list):
+        self.chunks = chunks
+        self.out_chunk = out_chunk
+        self.in_chunk = in_chunk
+
+    @property
+    def b(self) -> Multigraph:
+        return Multigraph(self.chunks, zip(self.out_chunk, self.in_chunk))
 
 
 def split_to_bipartite(d: Orientation, k: int, parity_mode: bool = False) -> BipartiteSplit:
@@ -31,10 +43,11 @@ def split_to_bipartite(d: Orientation, k: int, parity_mode: bool = False) -> Bip
 
     Chunks are numbered vertex by vertex: the ceil(d+(v)/k) out-chunks of v,
     then its ceil(d-(v)/k) in-chunks, then those of v + 1. Edges fill chunks
-    contiguously in edge-id order, so edge i of b is edge i of the
-    orientation for i < m. In parity mode, for each vertex u with d+(u) =
+    contiguously in edge-id order, so edge i of the chunk graph is edge i of
+    the orientation for i < m. In parity mode, for each vertex u with d+(u) =
     d-(u) != 0 (mod k), the two deficient chunks are padded to degree k with
-    artificial parallel edges between them, numbered after the m edges.
+    artificial parallel edges between them, numbered after the m edges. The
+    slot counters live only in this call, so they are freed before coloring.
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")
@@ -48,48 +61,62 @@ def split_to_bipartite(d: Orientation, k: int, parity_mode: bool = False) -> Bip
         chunks += -(-outd[v] // k)
         in_first[v] = chunks
         chunks += -(-ind[v] // k)
-    # slot counters: the next edge at v's out side goes to chunk out_slot[v] // k
-    out_slot = [c * k for c in out_first]
-    in_slot = [c * k for c in in_first]
-    b_edges = []
+    # slot counters: the next edge at v's out side goes to chunk slot[v] // k
+    out_chunk = []
+    add = out_chunk.append
+    slot = [c * k for c in out_first]
+    for t in d.tails:
+        s = slot[t]
+        add(s // k)
+        slot[t] = s + 1
+    in_chunk = []
+    add = in_chunk.append
+    slot = [c * k for c in in_first]
     for (u, v), t in zip(g.edges, d.tails):
         h = u + v - t
-        b_edges.append((out_slot[t] // k, in_slot[h] // k))
-        out_slot[t] += 1
-        in_slot[h] += 1
+        s = slot[h]
+        add(s // k)
+        slot[h] = s + 1
     if parity_mode:
         for u in range(g.n):
             r = outd[u] % k
             if r and r == ind[u] % k:
                 pad = k - r
-                b_edges += [(out_first[u] + outd[u] // k, in_first[u] + ind[u] // k)] * pad
-    return BipartiteSplit(Multigraph(chunks, b_edges))
+                out_chunk += [out_first[u] + outd[u] // k] * pad
+                in_chunk += [in_first[u] + ind[u] // k] * pad
+    return BipartiteSplit(chunks, out_chunk, in_chunk)
 
 
-def konig_edge_coloring(b: Multigraph, k: int) -> tuple:
-    """Proper <=k-edge-coloring of a bipartite multigraph with max degree <= k:
+def konig_edge_coloring(n: int, us: list, ws: list, k: int) -> tuple:
+    """Proper <=k-edge-coloring of a bipartite multigraph with max degree <= k,
+    given as its vertex count n and the ends us[i], ws[i] of each edge i:
     the color of each edge, in 1..k.
 
     Each edge takes a color missing at both ends, or a two-color alternating
     path is swapped to free one (always possible in bipartite graphs). The
     color slots of all vertices live in one flat list: at[v * (k + 1) + c] is
-    the edge of color c at v, or -1. The caller vouches that b is bipartite,
-    as split_to_bipartite's chunk graph is by construction.
+    the edge of color c at v, or -1. The caller vouches that the graph is
+    bipartite with every end in range(n), as split_to_bipartite's chunk
+    graph is by construction.
     """
-    if b.has_loops():
+    if any(map(eq, us, ws)):
         raise InvalidInput("edge coloring requires a loopless graph")
-    if any(d > k for d in b.degrees):
-        raise InvalidInput(f"maximum degree {max(b.degrees)} exceeds k = {k}")
-    edges = b.edges
     stride = k + 1
-    at = [-1] * (b.n * stride)
-    color = [0] * b.m
-    for eid, (u, w) in enumerate(edges):
+    at = [-1] * (n * stride)
+    free = at.index
+    color = [0] * len(us)
+    for eid, u, w in zip(range(len(us)), us, ws):
         bu, bw = u * stride, w * stride
-        # a free color exists at both ends: fewer than d <= k of their edges
-        # are colored so far
-        a = at.index(-1, bu + 1, bu + stride) - bu
-        c = at.index(-1, bw + 1, bw + stride) - bw
+        # a free color exists at both ends while fewer than k of their edges
+        # are colored: only a degree above k finds none
+        try:
+            a = free(-1, bu + 1, bu + stride) - bu
+            c = free(-1, bw + 1, bw + stride) - bw
+        except ValueError:
+            deg = [0] * n
+            for x in us + ws:
+                deg[x] += 1
+            raise InvalidInput(f"maximum degree {max(deg)} exceeds k = {k}") from None
         if at[bw + a] < 0:
             chosen = a
         elif at[bu + c] < 0:
@@ -102,22 +129,20 @@ def konig_edge_coloring(b: Multigraph, k: int) -> tuple:
             while at[x * stride + cur] >= 0:
                 pe = at[x * stride + cur]
                 path.append(pe)
-                pu, pw = edges[pe]
-                x = pw if pu == x else pu
+                x = us[pe] + ws[pe] - x
                 cur = c if cur == a else a
             # two phases: consecutive path edges share vertices, so clearing
             # and refilling per edge would clobber neighbors' slots
             for pe in path:
                 old = color[pe]
-                for y in edges[pe]:
+                for y in (us[pe], ws[pe]):
                     if at[y * stride + old] == pe:
                         at[y * stride + old] = -1
             for pe in path:
                 new = c if color[pe] == a else a
                 color[pe] = new
-                pu, pw = edges[pe]
-                at[pu * stride + new] = pe
-                at[pw * stride + new] = pe
+                at[us[pe] * stride + new] = pe
+                at[ws[pe] * stride + new] = pe
             chosen = a
         color[eid] = chosen
         at[bu + chosen] = eid
@@ -125,8 +150,9 @@ def konig_edge_coloring(b: Multigraph, k: int) -> tuple:
     return tuple(color)
 
 
-def balance_color_sizes(b: Multigraph, color, k: int) -> tuple:
-    """Swap alternating paths until color-class sizes differ by at most 1.
+def balance_color_sizes(n: int, us: list, ws: list, color, k: int) -> tuple:
+    """Swap alternating paths until color-class sizes differ by at most 1, on
+    the graph of konig_edge_coloring (n vertices, edge i from us[i] to ws[i]).
 
     Each round takes the largest class hi and the smallest lo, builds their
     subgraph once (paths and even cycles, as the coloring is proper), and
@@ -134,7 +160,6 @@ def balance_color_sizes(b: Multigraph, color, k: int) -> tuple:
     one. Each swap moves one edge from a class to one at least two smaller,
     so the sum of squared sizes drops and the rounds end.
     """
-    edges = b.edges
     color = list(color)
     sizes = [0] * (k + 1)
     for c in color:
@@ -144,14 +169,13 @@ def balance_color_sizes(b: Multigraph, color, k: int) -> tuple:
         lo = min(range(1, k + 1), key=lambda c: (sizes[c], c))
         if sizes[hi] - sizes[lo] <= 1:
             return tuple(color)
-        sub_adj = [[] for _ in range(b.n)]
+        sub_adj = [[] for _ in range(n)]
         for eid, c in enumerate(color):
             if c == hi or c == lo:
-                u, w = edges[eid]
-                sub_adj[u].append(eid)
-                sub_adj[w].append(eid)
-        seen_edge = [False] * b.m
-        for start in range(b.n):
+                sub_adj[us[eid]].append(eid)
+                sub_adj[ws[eid]].append(eid)
+        seen_edge = [False] * len(color)
+        for start in range(n):
             if len(sub_adj[start]) != 1 or seen_edge[sub_adj[start][0]]:
                 continue
             path = []
@@ -159,8 +183,7 @@ def balance_color_sizes(b: Multigraph, color, k: int) -> tuple:
             while eid is not None:
                 seen_edge[eid] = True
                 path.append(eid)
-                u, w = edges[eid]
-                x = w if u == x else u
+                x = us[eid] + ws[eid] - x
                 eid = next((e for e in sub_adj[x] if not seen_edge[e]), None)
             gain = sum(1 if color[e] == hi else -1 for e in path)
             if gain >= 1:
@@ -191,9 +214,10 @@ def decompose_directed(d: Orientation, k: int, mode: str = "size") -> Factorizat
     split = split_to_bipartite(d, k, parity_mode=(mode == "parity"))
     # every chunk-graph edge, padding included, runs from an out-chunk to an
     # in-chunk, so the split is bipartite
-    color = konig_edge_coloring(split.b, k)
+    ends = split.chunks, split.out_chunk, split.in_chunk
+    color = konig_edge_coloring(*ends, k)
     if mode == "size":  # no padding: only parity mode pads
-        color = balance_color_sizes(split.b, color, k)
+        color = balance_color_sizes(*ends, color, k)
     # chunk-graph edge i is edge i of g for i < m; padding edges come after
     return Factorization(g, k, color[: g.m])
 

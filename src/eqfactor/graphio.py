@@ -127,7 +127,7 @@ def factorization_report(fz: Factorization, audit=None) -> dict:
     """Build the report object matching REPORT_SCHEMA."""
     return {
         "k": fz.k,
-        "factors": [{"edges": fz.factor_edges(i)} for i in range(1, fz.k + 1)],
+        "factors": [{"edges": edges} for edges in fz.all_factor_edges()],
         "audit": {
             claim: {"bound": float(bound), "measured": float(measured), "pass": bool(ok)}
             for claim, bound, measured, ok in (audit or [])

@@ -8,9 +8,9 @@ Conventions:
 
 All objects are immutable after construction and safe to share. The one
 exception is a multigraph's incidence lists: they are built on the first read
-of ``incidence`` and cached, so a graph that is only counted and coloured (the
-chunk graph of ``coloring``) never pays for them. The cache is derived from
-the edges and takes no part in equality, hashing or pickling.
+of ``incidence`` and cached, so a graph that is never walked never pays for
+them. The cache is derived from the edges and takes no part in equality,
+hashing or pickling.
 """
 
 from __future__ import annotations
@@ -165,8 +165,13 @@ class Factorization:
         self.k = k
         self.assignment = assignment
 
-    def factor_edges(self, i: int) -> list:
-        return [eid for eid, a in enumerate(self.assignment) if a == i]
+    def all_factor_edges(self) -> list:
+        """List of ascending edge-id lists, one per factor, in one pass."""
+        lists = [[] for _ in range(self.k + 1)]
+        adds = [edges.append for edges in lists]
+        for eid, a in enumerate(self.assignment):
+            adds[a](eid)
+        return lists[1:]
 
     def factor_sizes(self) -> list:
         sizes = [0] * self.k

@@ -100,8 +100,8 @@ def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:
     that it is computed once), and reverses edges along paths
     of D from vertices with too much out-degree to vertices with too little:
     a max-flow on the vertex digraph of D, one unit arc per non-loop edge,
-    where flow on an arc reverses its edge. No network is built when D already
-    meets the plan.
+    where flow on an arc reverses its edge. When D already meets the plan,
+    D itself is returned and no network is built.
 
     Raises Infeasible with a certificate set A such that
     sum_{v in A} o(v) < |E(G[A])| (Hakimi violation) when no orientation exists.
@@ -117,12 +117,10 @@ def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:
         start = near_balanced_orientation(g)
     elif start.base is not g and start.base != g:
         raise InvalidInput("start orientation is not defined on this graph")
-    tails = list(start.tails)
-    excess = [-x for x in o]
-    for tail in tails:
-        excess[tail] += 1
+    excess = [out - x for out, x in zip(start.out_degrees, o)]
     if not any(excess):
-        return Orientation(g, tails)
+        return start
+    tails = list(start.tails)
     s, t = g.n, g.n + 1
     net = FlowNetwork(g.n + 2)
     arcs = []
@@ -154,16 +152,22 @@ def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:
 
 
 def _plan_candidates(g: Multigraph, v: int, residue: int, k: int) -> list:
-    """Residue-compliant out-degree values at v, nearest d(v)/2 first."""
-    d = g.degree(v)
-    lo, hi = g.loops_at(v), d - g.loops_at(v)
-    vals = [c for c in range(residue, d + 1, k) if lo <= c <= hi]
-    vals.sort(key=lambda c: (abs(2 * c - d), c))
-    return vals
+    """Residue-compliant out-degree values at v in [loops(v), d(v) - loops(v)],
+    nearest d(v)/2 first, ties to the smaller: the nearest value, then the
+    values stepping outward from it by -k and by +k, merged by distance."""
+    import heapq  # here, as in _first_plan: only the plan search needs it
+
+    d, loops = g.degree(v), g.loops_at(v)
+    c = _nearest_candidate(d, loops, residue, k)
+    if c is None:
+        return []
+    # c is the nearest, so the values below it lie below d/2 and those above it above
+    below, above = range(c - k, loops - 1, -k), range(c + k, d - loops + 1, k)
+    return [c, *heapq.merge(below, above, key=lambda x: (abs(2 * x - d), x))]
 
 
 def _nearest_candidate(d: int, loops: int, residue: int, k: int):
-    """``_plan_candidates(...)[0]`` in O(1): the value = residue (mod k) in
+    """The first of ``_plan_candidates``, in O(1): the value = residue (mod k) in
     [loops, d - loops] nearest d/2, ties to the smaller; None if there is none."""
     half = d // 2
     c = half - (half - residue) % k  # the largest value = residue (mod k) up to d/2

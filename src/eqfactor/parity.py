@@ -213,20 +213,22 @@ def _check_even_degrees(g: Multigraph):
             raise InvalidInput(f"vertex {v} has odd degree {g.degree(v)}")
 
 
-def _eulerian_arcs(g: Multigraph) -> list:
-    """(tail, head) per edge id of an even-degree graph, as the trail walk
-    writes them: no Orientation is built or checked again."""
+def _eulerian_arcs(g: Multigraph) -> tuple:
+    """(tails, heads), the tail and the head of each edge id of an even-degree
+    graph, as the trail walk writes them: no Orientation is built or checked
+    again, and no (tail, head) pair is made per edge. orientation is imported
+    here, so that parity-factor never loads it."""
     from .orientation import trail_walk
 
-    return list(zip(*trail_walk(g)))
+    return trail_walk(g)
 
 
-def _even_circulation(n: int, arcs, num, den) -> list:
-    """Flags over arcs, an Eulerian digraph given as (tail, head) pairs, that
-    mark a sub-circulation of throughput floor or ceil of num*d+(v)/den (in
-    integers for integer num and den) at every vertex v. Its edges form an
-    even factor with |d_F(v) - (num/den)*d(v)| < 2, and the unmarked arcs
-    form an Eulerian digraph again.
+def _even_circulation(n: int, tails, heads, num, den) -> list:
+    """Flags over arcs, an Eulerian digraph given as the tail and the head of
+    each arc, that mark a sub-circulation of throughput floor or ceil of
+    num*d+(v)/den (in integers for integer num and den) at every vertex v.
+    Its edges form an even factor with |d_F(v) - (num/den)*d(v)| < 2, and the
+    unmarked arcs form an Eulerian digraph again.
 
     Greedy first: an arc u->w is taken while out(u) and in(w) are both below
     their lower bounds. When every bound is met, the taken arcs have out = in
@@ -243,13 +245,13 @@ def _even_circulation(n: int, arcs, num, den) -> list:
     from .maxflow import FlowNetwork
 
     outdeg = [0] * n
-    for u, _ in arcs:
+    for u in tails:
         outdeg[u] += 1
     lo = [int(num * x // den) for x in outdeg]
     got_out = [0] * n
     got_in = [0] * n
     taken = []
-    for u, w in arcs:
+    for u, w in zip(tails, heads):
         take = got_out[u] < lo[u] and got_in[w] < lo[w]
         if take:
             got_out[u] += 1
@@ -260,7 +262,7 @@ def _even_circulation(n: int, arcs, num, den) -> list:
     s, t = 2 * n, 2 * n + 1
     net = FlowNetwork(2 * n + 2)
     arc_ids = [net.add_edge(w, n + u, 1) if take else net.add_edge(n + u, w, 1)
-               for (u, w), take in zip(arcs, taken)]
+               for u, w, take in zip(tails, heads, taken)]
     need = 0
     for v in range(n):
         spare = -int(-num * outdeg[v] // den) - lo[v]
@@ -294,7 +296,7 @@ def even_factor_eps(g: Multigraph, eps: float):
         return frozenset()
     if eps == 1:
         return frozenset(range(g.m))
-    taken = _even_circulation(g.n, _eulerian_arcs(g), eps, 1)
+    taken = _even_circulation(g.n, *_eulerian_arcs(g), eps, 1)
     return frozenset(eid for eid, take in enumerate(taken) if take)
 
 
@@ -311,11 +313,11 @@ def hilton_even_factorization(g: Multigraph, k: int) -> Factorization:
     if k < 1:
         raise InvalidInput("k must be >= 1")
     _check_even_degrees(g)
-    arcs = _eulerian_arcs(g)
+    tails, heads = _eulerian_arcs(g)
     assignment = [1] * g.m
     ids = list(range(g.m))
     for step in range(k, 1, -1):
-        taken = _even_circulation(g.n, [arcs[eid] for eid in ids], 1, step)
+        taken = _even_circulation(g.n, [tails[eid] for eid in ids], [heads[eid] for eid in ids], 1, step)
         rest = []
         for eid, take in zip(ids, taken):
             if take:
@@ -342,7 +344,7 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
     if abs(sum(eps_list) - 1.0) > 1e-9:
         raise InvalidInput("weights must sum to 1")
     _check_even_degrees(g)
-    arcs = _eulerian_arcs(g)
+    tails, heads = _eulerian_arcs(g)
     assignment = [0] * g.m
     pending = [(list(range(g.m)), list(range(len(eps_list))))]
     while pending:
@@ -361,7 +363,8 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
             else:
                 right.append(i)
                 sr += eps_list[i]
-        taken = _even_circulation(g.n, [arcs[eid] for eid in edge_ids], sl, sl + sr)
+        taken = _even_circulation(
+            g.n, [tails[eid] for eid in edge_ids], [heads[eid] for eid in edge_ids], sl, sl + sr)
         pending.append(([eid for eid, take in zip(edge_ids, taken) if take], left))
         pending.append(([eid for eid, take in zip(edge_ids, taken) if not take], right))
     return Factorization(g, len(eps_list), assignment)

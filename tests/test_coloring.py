@@ -1,8 +1,17 @@
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import audit_passes, eulerian_union, proper_coloring, random_multigraph, random_orientation
+from conftest import (
+    audit_passes,
+    eulerian_union,
+    irregular_union,
+    proper_coloring,
+    random_multigraph,
+    random_orientation,
+)
 from eqfactor.coloring import (
     anstee_decomposition,
     balance_color_sizes,
@@ -13,7 +22,7 @@ from eqfactor.coloring import (
 from eqfactor.errors import InvalidInput
 from eqfactor.lab import verify
 from eqfactor.multigraph import Multigraph, Orientation, complete_graph, cycle_graph
-from eqfactor.orientation import eulerian_orientation
+from eqfactor.orientation import balanced_mod_k_orientation, near_balanced_orientation
 
 
 def chunk_of(d: Orientation, k: int) -> list:
@@ -26,6 +35,12 @@ def chunk_of(d: Orientation, k: int) -> list:
         for side, deg in (("out", d.out_degrees[v]), ("in", d.in_degrees[v]))
         for c in range(-(-deg // k))
     ]
+
+
+def ends(b: Multigraph) -> tuple:
+    """b as konig_edge_coloring and balance_color_sizes read it: the vertex
+    count and the two ends of each edge."""
+    return b.n, [u for u, _ in b.edges], [w for _, w in b.edges]
 
 
 def directed_triangle():
@@ -71,15 +86,15 @@ def test_split_parity_padding():
 
 def test_konig_parallel_edges():
     b = Multigraph(2, [(0, 1)] * 3)
-    col = konig_edge_coloring(b, 3)
+    col = konig_edge_coloring(*ends(b), 3)
     assert sorted(col) == [1, 2, 3]
 
 
 def test_konig_rejects_bad_input():
     with pytest.raises(InvalidInput):
-        konig_edge_coloring(Multigraph(1, [(0, 0)]), 2)  # loop
+        konig_edge_coloring(*ends(Multigraph(1, [(0, 0)])), 2)  # loop
     with pytest.raises(InvalidInput):
-        konig_edge_coloring(Multigraph(2, [(0, 1)] * 3), 2)  # degree > k
+        konig_edge_coloring(*ends(Multigraph(2, [(0, 1)] * 3)), 2)  # degree > k
 
 
 def test_konig_random_properness():
@@ -94,7 +109,7 @@ def test_konig_random_properness():
         b = Multigraph(left + right, edges)
         if any(d > k for d in b.degrees):
             continue
-        col = konig_edge_coloring(b, k)
+        col = konig_edge_coloring(*ends(b), k)
         assert proper_coloring(b, col)
         assert all(1 <= c <= k for c in col)
 
@@ -111,7 +126,7 @@ def test_balance_evens_out_one_pair_per_subgraph_build():
     # takes three swaps in its pass, then (2, 1) one and (2, 3) one, each
     # swapping the first gain-1 paths in vertex order
     b = Multigraph(24, [(2 * i, 2 * i + 1) for i in range(12)])
-    col = balance_color_sizes(b, (1,) * 6 + (2,) * 6, 3)
+    col = balance_color_sizes(*ends(b), (1,) * 6 + (2,) * 6, 3)
     assert col == (3, 3, 3, 1, 1, 1, 1, 3, 2, 2, 2, 2)
 
 
@@ -158,7 +173,8 @@ def test_decompose_colors_the_split_without_the_odd_cycle_test():
             chunks = chunk_of(d, k)
             assert len(chunks) == split.b.n
             assert all({chunks[u][1], chunks[w][1]} == {"out", "in"} for u, w in split.b.edges)
-            assert proper_coloring(split.b, konig_edge_coloring(split.b, k))
+            color = konig_edge_coloring(split.chunks, split.out_chunk, split.in_chunk, k)
+            assert proper_coloring(split.b, color)
 
 
 def test_decompose_k1_identity():
@@ -217,7 +233,7 @@ def test_konig_swaps_alternating_paths_where_first_fit_fails():
     # path w-y-z frees color 2 at w
     b = Multigraph(5, [(0, 2), (1, 3), (1, 4), (0, 4)])
     assert _first_fit_fails(b, 2)
-    col = konig_edge_coloring(b, 2)
+    col = konig_edge_coloring(*ends(b), 2)
     assert proper_coloring(b, col)
     assert col == (1, 2, 1, 2)
     rng = random.Random(43)
@@ -235,16 +251,83 @@ def test_konig_swaps_alternating_paths_where_first_fit_fails():
                 edges.append((u, w))
         b = Multigraph(left + right, edges)
         swapped += _first_fit_fails(b, k)
-        col = konig_edge_coloring(b, k)
+        col = konig_edge_coloring(*ends(b), k)
         assert proper_coloring(b, col)
         assert all(1 <= c <= k for c in col)
     assert swapped >= 50  # the path-swap branch is what these instances test
 
 
-def test_chunk_graph_never_builds_incidence_lists():
-    split = split_to_bipartite(eulerian_orientation(complete_graph(7)), 2)
-    balance_color_sizes(split.b, konig_edge_coloring(split.b, 2), 2)
-    assert split.b._incidence is None
+def test_decompose_builds_no_multigraph(monkeypatch):
+    """The chunk graph stays two flat lists: decompose_directed on a
+    10^4-vertex orientation constructs no Multigraph in either mode, and a
+    split's ``b`` is built only when it is read."""
+    d = balanced_mod_k_orientation(eulerian_union(random.Random(97), 10_000, 3), 3)
+    built = []
+    init = Multigraph.__init__
+
+    def counted(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(Multigraph, "__init__", counted)
+    for mode in ("size", "parity"):
+        decompose_directed(d, 3, mode=mode)
+    split = split_to_bipartite(d, 3, parity_mode=True)
+    assert built == []
+    b = split.b
+    assert built == [split.chunks]
+    assert b.edges == tuple(zip(split.out_chunk, split.in_chunk))
+    assert b.m == d.base.m  # d+ = d- = 3 at every vertex: no padding
+
+
+# sha256 prefixes of decompose_directed(...).assignment, recorded when the
+# chunk graph was a Multigraph: the flat lists keep every color
+ASSIGNMENT_DIGESTS = (
+    "5cf0d611e6dfe279", "9488ed06b0eace5f", "37f885a7735edd5e", "f342759dfbc5c013", "592aeeab723f424f",
+    "a25ac3eb4fb5f7ef", "1c07518fb5cf49a1", "3b25b52cbf752822", "09286d75295b109c", "904652e8d038d311",
+    "f18dc92429e47f62", "d374ad4c88a6bf06", "d4026afc91c160e9", "f2b3d9baceb901c4", "03d254082506ed59",
+    "4ce59fbcdac2274d", "2ac84579a51085d4", "3935d27741b51876", "4ae00acc642c54d2", "a64284dda18399c2",
+    "fab568c303394e61", "928d37b680b490fb", "2dee5e7f92bffbce", "d04ba9d89dcad5d7", "fdf00fac92e78bc1",
+    "5d2b88dcda30a71b", "f29bf2ee9f51ac93", "1217367fe59f3c8e", "4af33cf500032288", "7d11dfc49bfe66d5",
+    "06b9e3eaa956cf83", "b7ca65d5b9b7b749", "19aa6d36e0ed74be", "f89dd28494c7336d", "5baeb93115dd5ef9",
+    "451b12008d8e8397", "430c0b141604cf16", "38deb4b6d42018c8", "84b3b856daa17575", "19dd75eb0e07bfee",
+    "c471b00e5dc28207", "e72db0d2c9884d0b", "50a126e25572033c", "a043b2a59bccda93", "6b609d8510df9572",
+    "2899c08534a1e31a", "bd1a56c38fa2918c", "8889b88a6b057ebe", "04fb88ae5e923c53", "5cc69f61c2e32554",
+)
+
+
+def test_decompose_keeps_every_color():
+    """50 seeded cases, k in {2, 3, 4}, both modes: random orientations of
+    multigraphs with loops and parallel edges (n <= 40, m <= 160), then two
+    near-balanced irregular graphs at n = 400; 45 of them need a path swap
+    and 21 a rebalancing. Each assignment hashes to its recorded digest."""
+    got = []
+    for i in range(50):
+        rng = random.Random(f"assignment:{i}")
+        if i < 48:
+            g = random_multigraph(rng, max_n=40, max_m=160)
+            d = random_orientation(rng, g)
+        else:
+            d = near_balanced_orientation(irregular_union(rng, 400, 3))
+        k = (2, 3, 4)[i % 3]
+        mode = ("size", "parity")[i // 3 % 2]
+        got.append(hashlib.sha256(bytes(decompose_directed(d, k, mode=mode).assignment)).hexdigest()[:16])
+    assert tuple(got) == ASSIGNMENT_DIGESTS
+
+
+def test_decompose_peak_memory_at_10k():
+    """The split's slot counters are freed before coloring and no chunk
+    Multigraph is built: parity mode at n = 10^4 (6-regular, k = 3, as the
+    benchmark's factor requests) peaks below 5.3 MB inside decompose_directed,
+    where a chunk Multigraph's edge tuples took it to 6.2 MB."""
+    d = balanced_mod_k_orientation(eulerian_union(random.Random(97), 10_000, 3), 3)
+    tracemalloc.start()
+    try:
+        decompose_directed(d, 3, mode="parity")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.3 * 10**6
 
 
 def _irregular(rng, n):

@@ -50,7 +50,7 @@ def test_factorization_bounds_checked():
         Factorization(g, 2, [1, 2, 3])
     fz = Factorization(g, 2, [1, 2, 1])
     assert fz.factor_sizes() == [2, 1]
-    assert fz.factor_edges(2) == [1]
+    assert fz.all_factor_edges() == [[0, 2], [1]]
 
 
 def test_subgraph_redensifies():

@@ -9,7 +9,7 @@ from eqfactor import orientation
 from eqfactor.errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
 from eqfactor.coloring import decompose_directed
 from eqfactor.lab import ORIENTATION_EDGE_BUDGET, oracle_orientation, parity_claim, verify
-from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
+from eqfactor.multigraph import Multigraph, Orientation, complete_graph, cycle_graph
 from eqfactor.orientation import (
     DEFAULT_BUDGET,
     balanced_mod_k_orientation,
@@ -238,6 +238,33 @@ def test_realize_from_any_start_orientation():
     g = cycle_graph(3)
     with pytest.raises(InvalidInput):
         realize_out_degrees(g, (1, 1, 1), start=eulerian_orientation(cycle_graph(4)))
+
+
+def test_a_start_that_meets_the_plan_is_returned_itself(monkeypatch):
+    """realize_out_degrees returns ``start`` itself, with no FlowNetwork
+    built, when the start already meets the plan. So on a 6-regular
+    10^4-vertex graph with k = 3, whose first plan the Eulerian start meets,
+    mod_k_orientation builds one Orientation, the start's, in the balanced
+    (parity) and the zero-residue (regular) route alike."""
+    built = []
+    monkeypatch.setattr(orientation, "FlowNetwork", lambda n: built.append(n))
+    rng = random.Random(67)
+    for _ in range(100):
+        g = random_multigraph(rng, max_n=7, max_m=12)
+        start = random_orientation(rng, g)
+        assert realize_out_degrees(g, start.out_degrees, start=start) is start
+    oriented = []
+    init = Orientation.__init__
+
+    def counted(self, base, tails):
+        oriented.append(base)
+        init(self, base, tails)
+
+    monkeypatch.setattr(Orientation, "__init__", counted)
+    g = eulerian_union(random.Random(89), 10_000, 3)
+    for d in (balanced_mod_k_orientation(g, 3), mod_k_orientation(g, 3, (0,) * g.n)):
+        assert d.out_degrees == (3,) * g.n
+    assert oriented == [g, g] and built == []
 
 
 def assert_parity_orientation(g, k, q, d):
@@ -482,8 +509,10 @@ def consistent_residues(rng, g, k):
 
 
 def test_nearest_candidate_is_the_first_plan_candidate():
-    """The O(1) nearest candidate is _plan_candidates(...)[0], or both are
-    empty, for every vertex and residue."""
+    """_plan_candidates, stepping outward from the nearest value, lists the
+    residue-compliant out-degrees in [loops, d - loops] sorted nearest d/2
+    first, ties to the smaller; the O(1) nearest candidate is its first, or
+    both are empty, for every vertex and residue."""
     rng = random.Random(71)
     shapes, empty = set(), set()
     for _ in range(500):
@@ -491,9 +520,12 @@ def test_nearest_candidate_is_the_first_plan_candidate():
         shapes.add((g.has_loops(), len(set(map(frozenset, g.edges))) < g.m))
         k = rng.randint(2, 6)
         for v in range(g.n):
+            d, loops = g.degree(v), g.loops_at(v)
             for r in range(k):
                 cand = orientation._plan_candidates(g, v, r, k)
-                c = orientation._nearest_candidate(g.degree(v), g.loops_at(v), r, k)
+                assert cand == sorted((c for c in range(r, d + 1, k) if loops <= c <= d - loops),
+                                      key=lambda c: (abs(2 * c - d), c))
+                c = orientation._nearest_candidate(d, loops, r, k)
                 assert c == (cand[0] if cand else None)
                 empty.add(c is None)
     assert empty == {True, False}
