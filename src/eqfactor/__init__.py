@@ -17,8 +17,7 @@ _HOME = {
                      "tree_connectivity"), "connectivity"),
     **dict.fromkeys(("Infeasible", "InvalidInput", "ResidueObstruction", "Undecided"), "errors"),
     **dict.fromkeys(("parse_graph", "serialize_graph"), "graphio"),
-    **dict.fromkeys(("Factorization", "Multigraph", "Orientation", "complete_graph", "cut_size",
-                     "cycle_graph", "subgraph"), "multigraph"),
+    **dict.fromkeys(("Factorization", "Multigraph", "Orientation", "complete_graph", "cut_size"), "multigraph"),
     **dict.fromkeys(("balanced_mod_k_orientation", "eulerian_orientation",
                      "mod_k_orientation", "realize_out_degrees"), "orientation"),
     **dict.fromkeys(("ParitySpec", "epsilon_parity_factor", "even_factor_eps", "find_parity_factor",

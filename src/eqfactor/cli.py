@@ -21,18 +21,12 @@ from .graphio import check_report, dump_report, factorization_report, parse_grap
 from .multigraph import Factorization, Multigraph
 
 
-def _csv_ints(text: str) -> list:
+def _csv(text: str, kind=int) -> list:
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise InvalidInput(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _csv_floats(text: str) -> list:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise InvalidInput(f"expected comma-separated reals, got {text!r}") from None
+        noun = "integers" if kind is int else "reals"
+        raise InvalidInput(f"expected comma-separated {noun}, got {text!r}") from None
 
 
 def _read_graph(path: str) -> Multigraph:
@@ -53,7 +47,7 @@ def _parity_map(g: Multigraph, odd_vertices) -> tuple:
 
 
 def _zset(args):
-    return frozenset(_csv_ints(args.Z)) if args.Z is not None else None
+    return frozenset(_csv(args.Z)) if args.Z is not None else None
 
 
 def _residue_map(g: Multigraph, args) -> tuple:
@@ -152,7 +146,7 @@ def cmd_factor(args):
     if args.mode == "equitable":
         fz, audit, warnings = pipelines.equitable_factorize(g, args.k, z=args.z, Z=_zset(args), budget=args.budget)
     elif args.mode == "parity":
-        f = _parity_map(g, _csv_ints(args.f)) if args.f is not None else None
+        f = _parity_map(g, _csv(args.f)) if args.f is not None else None
         fz, audit, warnings = pipelines.parity_factorize(g, args.k, f=f, budget=args.budget)
     elif args.mode == "anstee":
         fz = anstee_decomposition(g, args.k)
@@ -161,7 +155,7 @@ def cmd_factor(args):
         fz, audit, warnings = pipelines.regular_factorize(g, args.k, budget=args.budget)
     else:
         fz, audit, warnings = pipelines.regular_split(
-            g, _csv_ints(args.r_list), args.k, bounded_mode=args.bounded, budget=args.budget)
+            g, _csv(args.r_list), args.k, bounded_mode=args.bounded, budget=args.budget)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     _emit(args, fz, audit, lambda: [f"k = {fz.k}", *_factor_lines(fz)])
@@ -172,7 +166,7 @@ def cmd_parity_factor(args):
     from . import lab, parity
 
     g = _read_graph(args.graph)
-    f = _parity_map(g, _csv_ints(args.f))
+    f = _parity_map(g, _csv(args.f))
     side = None
     if args.z is not None:
         side = (args.z, "at_least" if args.side == "at-least" else "at_most")
@@ -200,7 +194,7 @@ def cmd_even_factor(args):
         fz = parity.hilton_even_factorization(g, args.k)
         claims = ["even", "deviation<2"]
     else:
-        eps_list = _csv_floats(args.epsilons)
+        eps_list = _csv(args.epsilons, float)
         fz = parity.weighted_even_factorization(g, eps_list)
         claims = ["even", "deviation<6:" + ";".join("%d/%d" % parity.circulation_ratio(e) for e in eps_list)]
     audit = lab.verify(g, fz, claims)
@@ -274,7 +268,7 @@ def cmd_oracle(args):
             raise InvalidInput("oracle parity_gf requires --f and --epsilon")
         from . import parity
 
-        f = _parity_map(g, _csv_ints(args.f))
+        f = _parity_map(g, _csv(args.f))
         g0, f0 = parity.epsilon_windows(g, f, args.epsilon)
         answer = lab.oracle_parity_gf(g, parity.ParitySpec(f=f, g0=g0, f0=f0), jobs=args.jobs)
     print("true" if answer else "false")

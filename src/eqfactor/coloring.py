@@ -209,8 +209,6 @@ def decompose_directed(d: Orientation, k: int, mode: str = "size") -> Factorizat
     if mode not in ("size", "parity"):
         raise InvalidInput(f"unknown mode {mode!r}")
     g = d.base
-    if k == 1:
-        return Factorization(g, 1, [1] * g.m)
     split = split_to_bipartite(d, k, parity_mode=(mode == "parity"))
     # every chunk-graph edge, padding included, runs from an out-chunk to an
     # in-chunk, so the split is bipartite

@@ -300,22 +300,18 @@ class _ForestPacking:
             x, i = came[x]
 
 
-def _forest_count_bound(g: Multigraph) -> int:
-    """floor(m'/(n-1)) with m' the non-loop edges: k spanning trees need k(n-1)."""
-    if g.n < 2:
-        raise InvalidInput("tree connectivity needs at least two vertices")
-    return sum(1 for u, v in g.edges if u != v) // (g.n - 1)
-
-
 def _tree_connectivity(g: Multigraph, lam, cap=math.inf) -> int:
     """Tree connectivity tau given lam = lambda(g); with a finite cap, only
     whether tau >= cap: cap if so, some smaller value if not.
 
     Nash-Williams-Tutte give floor(lam/2) <= tau <= min(lam, floor(m'/(n-1))),
-    and forests are packed only while these bounds leave the answer open:
-    one more at a time for tau, and exactly cap of them, once, for the cap.
+    with m' the non-loop edges (k spanning trees need k(n-1) of them), and
+    forests are packed only while these bounds leave the answer open: one
+    more at a time for tau, and exactly cap of them, once, for the cap.
     """
-    lo, hi = lam // 2, min(lam, _forest_count_bound(g))
+    if g.n < 2:
+        raise InvalidInput("tree connectivity needs at least two vertices")
+    lo, hi = lam // 2, min(lam, sum(1 for u, v in g.edges if u != v) // (g.n - 1))
     if cap < math.inf:
         lo, hi = max(lo, cap - 1), min(hi, cap)
     packing = _ForestPacking(g)

@@ -233,12 +233,6 @@ def _observation_family(params: dict, rng: random.Random) -> Multigraph:
 # --- oracles -----------------------------------------------------------------
 
 
-def _equitable_bounds(g: Multigraph, k: int):
-    lower = [g.degree(v) // k for v in range(g.n)]
-    upper = [-(-g.degree(v) // k) for v in range(g.n)]
-    return lower, upper
-
-
 def _equitable_dfs(g, k, lower, upper, assign, start):
     """Exhaustive search over factor assignments of edges[start:]."""
     deg = [[0] * g.n for _ in range(k + 1)]
@@ -298,7 +292,8 @@ def _equitable_dfs(g, k, lower, upper, assign, start):
 def _equitable_worker(args):
     n, edges, k, prefix = args
     g = Multigraph(n, edges)
-    lower, upper = _equitable_bounds(g, k)
+    lower = [g.degree(v) // k for v in range(g.n)]
+    upper = [-(-g.degree(v) // k) for v in range(g.n)]
     return _equitable_dfs(g, k, lower, upper, list(prefix) + [0] * (g.m - len(prefix)), len(prefix))
 
 
@@ -347,7 +342,7 @@ def oracle_orientation(g: Multigraph, p, k: int, jobs: int = 1) -> bool:
     if g.m > ORIENTATION_EDGE_BUDGET:
         raise Undecided(f"orientation oracle above budget ({g.m} > {ORIENTATION_EDGE_BUDGET})")
     base_out = [g.loops_at(v) for v in range(g.n)]
-    nonloop = [eid for eid in range(g.m) if not g.is_loop(eid)]
+    nonloop = [eid for eid, (u, v) in enumerate(g.edges) if u != v]
 
     def task(bits):
         return (g.n, g.edges, p, k, tuple(zip(nonloop, bits)), tuple(nonloop[len(bits):]),

@@ -78,15 +78,8 @@ class Multigraph:
             self._incidence = tuple(map(tuple, lists))
         return self._incidence
 
-    def is_loop(self, eid: int) -> bool:
-        u, v = self.edges[eid]
-        return u == v
-
     def loops_at(self, v: int) -> int:
         return self._loops.get(v, 0)
-
-    def has_loops(self) -> bool:
-        return bool(self._loops)
 
     def __eq__(self, other):
         return (
@@ -173,12 +166,6 @@ class Factorization:
             adds[a](eid)
         return lists[1:]
 
-    def factor_sizes(self) -> list:
-        sizes = [0] * self.k
-        for a in self.assignment:
-            sizes[a - 1] += 1
-        return sizes
-
     def factor_degrees(self, i: int) -> list:
         # bench/tracer.py wraps this method by name; callers read all_factor_degrees
         return self.all_factor_degrees()[i - 1]
@@ -196,16 +183,5 @@ class Factorization:
         return f"Factorization(k={self.k}, m={self.base.m})"
 
 
-def subgraph(g: Multigraph, edge_ids) -> Multigraph:
-    """Spanning subgraph of g keeping the given edges (edge ids are re-densified)."""
-    return Multigraph(g.n, [g.edges[eid] for eid in sorted(edge_ids)])
-
-
 def complete_graph(n: int) -> Multigraph:
     return Multigraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def cycle_graph(n: int) -> Multigraph:
-    if n < 1:
-        raise InvalidInput("cycle needs at least one vertex")
-    return Multigraph(n, [(i, (i + 1) % n) for i in range(n)])

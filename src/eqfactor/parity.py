@@ -7,7 +7,8 @@ window) and solves that with the in-house cardinality blossom of
 ``matching``, warm-started from a greedy factor. It stays fully independent
 of the brute-force subset oracle used for cross-checking. Both take a
 ParitySpec, a plain record whose constructor enforces the window condition:
-g0(v) <= f0(v), both of f(v)'s parity.
+g0(v) <= f0(v), both of f(v)'s parity. The even factorizations orient by
+``orientation.trail_walk``, imported in each, so parity-factor never loads it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def find_parity_factor(g: Multigraph, spec: ParitySpec):
     """An edge set F with g0(v) <= d_F(v) <= f0(v) and d_F(v) = f(v) (mod 2)
     for every v, or None when no such factor exists.
 
-    Exact at every size: solved through a perfect-matching gadget reduction.
+    Exact at every size: a perfect matching of ``_gadget`` is a factor, and
+    the search stops at the first node shown exposed in a maximum matching.
     """
     if len(spec.f) != g.n:
         raise InvalidInput("spec must cover every vertex")
@@ -63,13 +65,6 @@ def find_parity_factor(g: Multigraph, spec: ParitySpec):
         return None
     if sum(spec.f) % 2 != 0:
         return None  # handshake: sum of factor degrees is even
-    return _matching_factor(g, windows)
-
-
-def _matching_factor(g: Multigraph, windows):
-    """Tutte gadget: demand h(v) = f0(v), with (f0-g0)/2 padding loops per
-    vertex absorbing the parity window; a perfect matching <=> a factor.
-    The search stops at the first node shown exposed in a maximum matching."""
     adj, mate = _gadget(g, windows)
     if maximum_matching(adj, mate, perfect=True) is None:
         return None
@@ -213,16 +208,6 @@ def _check_even_degrees(g: Multigraph):
             raise InvalidInput(f"vertex {v} has odd degree {g.degree(v)}")
 
 
-def _eulerian_arcs(g: Multigraph) -> tuple:
-    """(tails, heads), the tail and the head of each edge id of an even-degree
-    graph, as the trail walk writes them: no Orientation is built or checked
-    again, and no (tail, head) pair is made per edge. orientation is imported
-    here, so that parity-factor never loads it."""
-    from .orientation import trail_walk
-
-    return trail_walk(g)
-
-
 def _even_circulation(n: int, tails, heads, num, den) -> list:
     """Flags over arcs, an Eulerian digraph given as the tail and the head of
     each arc, that mark a sub-circulation of throughput floor or ceil of
@@ -287,16 +272,15 @@ def even_factor_eps(g: Multigraph, eps: float):
     flow network, solved by the Dinic of ``maxflow``, only for the lower
     bounds the greedy pass leaves unmet (see ``_even_circulation``).
     The all-arcs-at-eps fractional circulation witnesses feasibility, so an
-    integral one always exists.
+    integral one always exists. At eps = 0 or 1 the greedy pass takes no arc,
+    or every arc.
     """
+    from .orientation import trail_walk
+
     _check_even_degrees(g)
     if not 0 <= eps <= 1:
         raise InvalidInput("eps must lie in [0, 1]")
-    if eps == 0:
-        return frozenset()
-    if eps == 1:
-        return frozenset(range(g.m))
-    taken = _even_circulation(g.n, *_eulerian_arcs(g), eps, 1)
+    taken = _even_circulation(g.n, *trail_walk(g), eps, 1)
     return frozenset(eid for eid, take in enumerate(taken) if take)
 
 
@@ -310,10 +294,12 @@ def hilton_even_factorization(g: Multigraph, k: int) -> Factorization:
     and the next step works on the same arcs, with no new graph or
     orientation.
     """
+    from .orientation import trail_walk
+
     if k < 1:
         raise InvalidInput("k must be >= 1")
     _check_even_degrees(g)
-    tails, heads = _eulerian_arcs(g)
+    tails, heads = trail_walk(g)
     assignment = [1] * g.m
     ids = list(range(g.m))
     for step in range(k, 1, -1):
@@ -336,6 +322,8 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
     As in ``hilton_even_factorization``, one Eulerian orientation serves every
     split: both sides of a sub-circulation are Eulerian again.
     """
+    from .orientation import trail_walk
+
     eps_list = [float(x) for x in eps_list]
     if not eps_list or any(x <= 0 for x in eps_list):
         raise InvalidInput("weights must be positive")
@@ -344,7 +332,7 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
     if abs(sum(eps_list) - 1.0) > 1e-9:
         raise InvalidInput("weights must sum to 1")
     _check_even_degrees(g)
-    tails, heads = _eulerian_arcs(g)
+    tails, heads = trail_walk(g)
     assignment = [0] * g.m
     pending = [(list(range(g.m)), list(range(len(eps_list))))]
     while pending:

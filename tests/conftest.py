@@ -3,6 +3,15 @@ import random
 from eqfactor.multigraph import Multigraph, Orientation
 
 
+def cycle_graph(n):
+    return Multigraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def subgraph(g, edge_ids):
+    """Spanning subgraph of g keeping the given edges (edge ids are re-densified)."""
+    return Multigraph(g.n, [g.edges[eid] for eid in sorted(edge_ids)])
+
+
 def random_multigraph(rng, max_n=10, max_m=30, min_n=2, min_m=1, allow_loops=True):
     n = rng.randint(min_n, max_n)
     m = rng.randint(min_m, max_m)

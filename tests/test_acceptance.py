@@ -11,14 +11,22 @@ import time
 import jsonschema
 import pytest
 
-from conftest import audit_passes, eulerian_union, random_multigraph, random_orientation, random_two_edge_connected
+from conftest import (
+    audit_passes,
+    cycle_graph,
+    eulerian_union,
+    random_multigraph,
+    random_orientation,
+    random_two_edge_connected,
+    subgraph,
+)
 from cut_oracles import check_lovasz
 from eqfactor import lab, parity, pipelines
 from eqfactor.cli import main as cli_main
 from eqfactor.coloring import decompose_directed
 from eqfactor.errors import Infeasible, ResidueObstruction
 from eqfactor.graphio import REPORT_SCHEMA, parse_graph, serialize_graph
-from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph, subgraph
+from eqfactor.multigraph import Multigraph, complete_graph
 from eqfactor.orientation import mod_k_orientation
 
 
@@ -69,7 +77,7 @@ def test_acceptance_01_directed_decomposition():
                         assert d.out_degrees[v] // k <= outs[i][v] <= -(-d.out_degrees[v] // k)
                         assert d.in_degrees[v] // k <= ins[i][v] <= -(-d.in_degrees[v] // k)
                 if mode == "size":
-                    assert all(abs(s - g.m / k) < 1 for s in fz.factor_sizes())
+                    assert all(abs(len(edges) - g.m / k) < 1 for edges in fz.all_factor_edges())
                 else:
                     for v in range(g.n):
                         dp, dm = d.out_degrees[v], d.in_degrees[v]

@@ -9,7 +9,7 @@ import tracemalloc
 import jsonschema
 import pytest
 
-from conftest import eulerian_union, random_multigraph
+from conftest import audit_passes, cycle_graph, eulerian_union, random_multigraph
 from eqfactor import cli, graphio, lab, orientation, parity, pipelines
 from eqfactor.cli import build_parser, main
 from eqfactor.graphio import (
@@ -20,8 +20,8 @@ from eqfactor.graphio import (
     parse_graph,
     serialize_graph,
 )
-from eqfactor.errors import InvalidInput
-from eqfactor.multigraph import Factorization, Multigraph, complete_graph, cycle_graph
+from eqfactor.errors import Infeasible, InvalidInput
+from eqfactor.multigraph import Factorization, Multigraph, complete_graph
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -40,7 +40,7 @@ def test_parse_round_trip_random():
 def test_parse_comments_and_errors():
     g = parse_graph("# a comment\nn 3\n\ne 0 1\ne 1 1\ne 0 1\n")
     assert g.n == 3 and g.m == 3
-    assert g.is_loop(1)
+    assert g.edges[1] == (1, 1)
     for bad, lineno in [
         ("e 0 1\nn 2\n", 1),
         ("n 2\ne 0 5\n", 2),
@@ -244,6 +244,41 @@ def test_cli_z_fallback_audits_deviation_below_two(tmp_path, capsys):
     assert "fell back to special vertex z = 0" in err
     audit = json.loads(out)["audit"]
     assert sorted(audit) == ["deviation<2", "size±1"] and all(e["pass"] for e in audit.values())
+
+
+def test_k3_fallback_is_exactly_the_three_factor_impossibility(tmp_path, capsys):
+    """On 6-edge-connected multigraphs (three Hamiltonian cycles, plus up to
+    three loops or edges), find_Z_set(g, 3) is None exactly when one vertex
+    has degree != 0 (mod 3); there `factor --k 3` falls back to a special
+    vertex with a passing deviation<2 audit, and three_factor_criterion
+    proves no equitable 3-factorization exists. So the CLI's fallback is
+    precisely the paper's exceptional case, and elsewhere both give a passing
+    deviation<1 audit."""
+    rng = random.Random(2113)
+    seen = {"impossible": 0, "loops": 0}
+    for _ in range(60):
+        n = rng.randint(4, 12)
+        edges = list(eulerian_union(rng, n, 3).edges)
+        for _ in range(rng.randint(0, 3)):
+            u = rng.randrange(n)
+            edges.append((u, u) if rng.random() < 0.5 else (u, rng.randrange(n)))
+        g = Multigraph(n, edges)
+        impossible = sum(d % 3 != 0 for d in g.degrees) == 1
+        seen["impossible"] += impossible
+        seen["loops"] += any(u == v for u, v in g.edges)
+        assert (pipelines.find_Z_set(g, 3) is None) == impossible
+        assert main(["factor", write_graph(tmp_path, g), "--k", "3"]) == 0
+        out, err = capsys.readouterr()
+        audit = json.loads(out)["audit"]
+        assert ("fell back to special vertex" in err) == impossible
+        assert sorted(audit) == ["deviation<2" if impossible else "deviation<1", "size±1"]
+        assert all(e["pass"] for e in audit.values())
+        if impossible:
+            with pytest.raises(Infeasible, match="exactly one vertex"):
+                pipelines.three_factor_criterion(g)
+        else:
+            assert audit_passes(pipelines.three_factor_criterion(g)[1])
+    assert seen["impossible"] >= 5 and 60 - seen["impossible"] >= 5 and seen["loops"] >= 10
 
 
 # the shared flags, with the subcommands that read each

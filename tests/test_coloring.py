@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     audit_passes,
+    cycle_graph,
     eulerian_union,
     irregular_union,
     proper_coloring,
@@ -21,7 +22,7 @@ from eqfactor.coloring import (
 )
 from eqfactor.errors import InvalidInput
 from eqfactor.lab import verify
-from eqfactor.multigraph import Multigraph, Orientation, complete_graph, cycle_graph
+from eqfactor.multigraph import Multigraph, Orientation, complete_graph
 from eqfactor.orientation import balanced_mod_k_orientation, near_balanced_orientation
 
 
@@ -118,7 +119,7 @@ def test_balance_two_disjoint_edges():
     g = Multigraph(4, [(0, 1), (2, 3)])
     d = Orientation(g, (0, 2))
     fz = decompose_directed(d, 2, mode="size")
-    assert sorted(fz.factor_sizes()) == [1, 1]
+    assert sorted(map(len, fz.all_factor_edges())) == [1, 1]
 
 
 def test_balance_evens_out_one_pair_per_subgraph_build():
@@ -149,7 +150,7 @@ def test_decompose_windows_random():
                     assert d.out_degrees[v] // k <= outs[i][v] <= -(-d.out_degrees[v] // k)
                     assert d.in_degrees[v] // k <= ins[i][v] <= -(-d.in_degrees[v] // k)
             if mode == "size":
-                assert all(abs(s - g.m / k) < 1 for s in fz.factor_sizes())
+                assert all(abs(len(edges) - g.m / k) < 1 for edges in fz.all_factor_edges())
             else:
                 for v in range(g.n):
                     dp, dm = d.out_degrees[v], d.in_degrees[v]
@@ -178,23 +179,28 @@ def test_decompose_colors_the_split_without_the_odd_cycle_test():
 
 
 def test_decompose_k1_identity():
+    """k = 1 takes the general path: one-edge chunks, every edge coloured 1."""
     g = cycle_graph(4)
     d = Orientation(g, (0, 1, 2, 3))
     fz = decompose_directed(d, 1)
-    assert fz.factor_sizes() == [4]
+    assert list(map(len, fz.all_factor_edges())) == [4]
+    rng = random.Random(11)
+    for g in [Multigraph(3, [])] + [random_multigraph(rng) for _ in range(50)]:
+        for mode in ("size", "parity"):
+            assert decompose_directed(random_orientation(rng, g), 1, mode).assignment == (1,) * g.m
 
 
 def test_anstee_k5():
     fz = anstee_decomposition(complete_graph(5), 2)
     assert all(d == 2 for degs in fz.all_factor_degrees() for d in degs)
-    assert sorted(fz.factor_sizes()) == [5, 5]
+    assert sorted(map(len, fz.all_factor_edges())) == [5, 5]
 
 
 def test_anstee_single_edge_and_c5():
     fz = anstee_decomposition(Multigraph(2, [(0, 1)]), 2)
-    assert sorted(fz.factor_sizes()) == [0, 1]
+    assert sorted(map(len, fz.all_factor_edges())) == [0, 1]
     fz = anstee_decomposition(cycle_graph(5), 2)
-    assert sorted(fz.factor_sizes()) == [2, 3]
+    assert sorted(map(len, fz.all_factor_edges())) == [2, 3]
     for degs in fz.all_factor_degrees():
         assert all(0 <= x <= 2 for x in degs)
 
@@ -211,7 +217,7 @@ def test_anstee_window_random():
                 lo = dv // 2 // k + (dv + 1) // 2 // k
                 hi = -(-(dv // 2) // k) + -(-((dv + 1) // 2) // k)
                 assert lo <= degs[v] <= hi
-        assert all(abs(s - g.m / k) < 1 for s in fz.factor_sizes())
+        assert all(abs(len(edges) - g.m / k) < 1 for edges in fz.all_factor_edges())
 
 
 def _first_fit_fails(b, k):

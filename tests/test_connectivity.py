@@ -5,10 +5,10 @@ import networkx as nx
 import pytest
 
 import cut_oracles
-from conftest import eulerian_union, random_multigraph
+from conftest import cycle_graph, eulerian_union, random_multigraph
 from eqfactor import connectivity
 from eqfactor.errors import InvalidInput
-from eqfactor.multigraph import Multigraph, complete_graph, cut_size, cycle_graph
+from eqfactor.multigraph import Multigraph, complete_graph, cut_size
 
 
 def doubled(g):
@@ -94,7 +94,7 @@ def test_exact_algorithms_match_oracles():
     seen = {"loops": 0, "parallel": 0, "disconnected": 0}
     for trial in range(240):
         g = random_multigraph(rng, min_n=1, max_n=8, min_m=0, max_m=3 * (trial % 7) + 2)
-        seen["loops"] += g.has_loops()
+        seen["loops"] += any(u == v for u, v in g.edges)
         seen["parallel"] += len(set(map(frozenset, g.edges))) < g.m
         seen["disconnected"] += len(cut_oracles.components(g)) > 1
 

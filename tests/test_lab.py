@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eqfactor.errors import InvalidInput, Undecided
-from conftest import audit_passes, random_multigraph
+from conftest import audit_passes, cycle_graph, random_multigraph, subgraph
 from eqfactor.lab import (
     decimal_ratio,
     generate,
@@ -13,7 +13,7 @@ from eqfactor.lab import (
     oracle_parity_gf,
     verify,
 )
-from eqfactor.multigraph import Factorization, Multigraph, complete_graph, cycle_graph, subgraph
+from eqfactor.multigraph import Factorization, Multigraph, complete_graph
 from eqfactor.parity import ParitySpec
 from eqfactor.pipelines import equitable_factorize, regular_split
 

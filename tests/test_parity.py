@@ -3,12 +3,20 @@ import random
 
 import pytest
 
-from conftest import audit_passes, eulerian_union, random_even_multigraph, random_multigraph, random_two_edge_connected
+from conftest import (
+    audit_passes,
+    cycle_graph,
+    eulerian_union,
+    random_even_multigraph,
+    random_multigraph,
+    random_two_edge_connected,
+    subgraph,
+)
 from cut_oracles import ConditionCertificate, check_lovasz, omega_f
 from eqfactor import maxflow
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
 from eqfactor.lab import generate, measure, oracle_parity_gf, verify
-from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph, subgraph
+from eqfactor.multigraph import Multigraph, complete_graph
 from eqfactor.parity import (
     ParitySpec,
     epsilon_parity_factor,
@@ -170,9 +178,12 @@ def test_epsilon_parity_factor_validations():
 
 
 def test_even_factor_eps_extremes_and_k5():
+    """eps = 0 and 1 take the general path: the greedy pass takes no arc, or every arc."""
+    rng = random.Random(5)
+    for g in [complete_graph(5)] + [random_even_multigraph(rng, rng.randint(1, 8), 12, 24) for _ in range(50)]:
+        assert even_factor_eps(g, 0) == frozenset()
+        assert even_factor_eps(g, 1) == frozenset(range(g.m))
     g = complete_graph(5)
-    assert even_factor_eps(g, 0) == frozenset()
-    assert even_factor_eps(g, 1) == frozenset(range(g.m))
     factor = even_factor_eps(g, 0.5)
     assert subgraph(g, factor).degrees == (2,) * 5
     with pytest.raises(InvalidInput):
@@ -199,7 +210,7 @@ def test_hilton_k5_and_doubled_c6():
     fz = hilton_even_factorization(c6x2, 2)
     assert all(d == 2 for degs in fz.all_factor_degrees() for d in degs)
     fz = hilton_even_factorization(complete_graph(5), 1)
-    assert fz.factor_sizes() == [10]
+    assert list(map(len, fz.all_factor_edges())) == [10]
 
 
 def test_hilton_peels_one_over_k_exactly():
@@ -263,7 +274,7 @@ def test_even_factors_audited_on_small_multigraphs(network_builds):
     shapes = set()
     for _ in range(300):
         g = random_even_multigraph(rng, rng.randint(1, 8), 12, 24)
-        shapes.add((g.has_loops(), len(set(g.edges)) < g.m))
+        shapes.add((any(u == v for u, v in g.edges), len(set(g.edges)) < g.m))
         eps = rng.choice((0.25, 1 / 3, 0.5, 0.7))
         before = network_builds[0]
         factor = even_factor_eps(g, eps)

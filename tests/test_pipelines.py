@@ -3,11 +3,11 @@ import random
 import pytest
 
 import cut_oracles
-from conftest import audit_passes, eulerian_union, irregular_union, random_multigraph
+from conftest import audit_passes, cycle_graph, eulerian_union, irregular_union, random_multigraph
 from eqfactor import connectivity, orientation
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
 from eqfactor.lab import oracle_equitable
-from eqfactor.multigraph import Multigraph, complete_graph, cycle_graph
+from eqfactor.multigraph import Multigraph, complete_graph
 from eqfactor.pipelines import (
     equitable_factorize,
     find_Z_set,
@@ -54,14 +54,14 @@ def test_find_z_set_frozen():
 def test_equitable_k7():
     fz, audit, _ = equitable_factorize(complete_graph(7), 3, Z=frozenset())
     assert measured(audit, "deviation<1") == 0
-    assert fz.factor_sizes() == [7, 7, 7]
+    assert list(map(len, fz.all_factor_edges())) == [7, 7, 7]
     assert all(d == 2 for degs in fz.all_factor_degrees() for d in degs)
 
 
 def test_equitable_k4():
     fz, audit, _ = equitable_factorize(complete_graph(4), 2, Z=frozenset())
     assert measured(audit, "deviation<1") < 1
-    assert sorted(fz.factor_sizes()) == [3, 3]
+    assert sorted(map(len, fz.all_factor_edges())) == [3, 3]
     for degs in fz.all_factor_degrees():
         assert all(1 <= d <= 2 for d in degs)
 
