@@ -1,9 +1,10 @@
 """Directed decomposition engine: vertex splitting, Konig coloring, rebalancing.
 
 A directed multigraph is split into a loopless bipartite graph of maximum
-degree <= k (out-chunks vs in-chunks), properly k-edge-colored by alternating
-path swaps, optionally rebalanced so color-class sizes differ by at most one,
-and the colors are pulled back to a factorization of the original edges.
+degree <= k (out-chunks vs in-chunks), properly k-edge-colored greedily on
+free-color bitmasks with an alternating path swap where greedy is stuck,
+optionally rebalanced so color-class sizes differ by at most one, and the
+colors are pulled back to a factorization of the original edges.
 The chunk graph is a chunk count and two flat int lists, the out-chunk and
 the in-chunk of each chunk edge; the coloring and the rebalancing read those
 lists, and no Multigraph is built for them. A coloring is a plain tuple of
@@ -92,61 +93,64 @@ def konig_edge_coloring(n: int, us: list, ws: list, k: int) -> tuple:
     given as its vertex count n and the ends us[i], ws[i] of each edge i:
     the color of each edge, in 1..k.
 
-    Each edge takes a color missing at both ends, or a two-color alternating
-    path is swapped to free one (always possible in bipartite graphs). The
-    color slots of all vertices live in one flat list: at[v * (k + 1) + c] is
-    the edge of color c at v, or -1. The caller vouches that the graph is
-    bipartite with every end in range(n), as split_to_bipartite's chunk
-    graph is by construction.
+    Edges are colored in id order. Each vertex keeps its free colors as one
+    int bitmask, bit c - 1 for color c, so a color is picked by bit tests:
+    the lowest color free at u if it is free at w, else the lowest free at w
+    if it is free at u. When neither is, the two-color alternating path from
+    w is swapped to free the first at w (always possible in bipartite graphs).
+    The swap reads a flat slot table, at[v * (k + 1) + c] the edge of color
+    c at v or -1, built from the colors so far at the first swap and kept up
+    to date from then on. The caller vouches that the graph is bipartite
+    with every end in range(n), as split_to_bipartite's chunk graph is by
+    construction.
     """
     if any(map(eq, us, ws)):
         raise InvalidInput("edge coloring requires a loopless graph")
-    stride = k + 1
-    at = [-1] * (n * stride)
-    free = at.index
+    free = [(1 << k) - 1] * n
     color = [0] * len(us)
+    stride = k + 1
+    at = None  # the slot table, from the first swap on
     for eid, u, w in zip(range(len(us)), us, ws):
-        bu, bw = u * stride, w * stride
+        fu, fw = free[u], free[w]
         # a free color exists at both ends while fewer than k of their edges
         # are colored: only a degree above k finds none
-        try:
-            a = free(-1, bu + 1, bu + stride) - bu
-            c = free(-1, bw + 1, bw + stride) - bw
-        except ValueError:
+        if not (fu and fw):
             deg = [0] * n
             for x in us + ws:
                 deg[x] += 1
-            raise InvalidInput(f"maximum degree {max(deg)} exceeds k = {k}") from None
-        if at[bw + a] < 0:
-            chosen = a
-        elif at[bu + c] < 0:
-            chosen = c
-        else:
-            # swap the (a, c) alternating path starting at w along color a;
-            # bipartiteness keeps it away from u
-            path = []
-            x, cur = w, a
-            while at[x * stride + cur] >= 0:
-                pe = at[x * stride + cur]
-                path.append(pe)
-                x = us[pe] + ws[pe] - x
-                cur = c if cur == a else a
-            # two phases: consecutive path edges share vertices, so clearing
-            # and refilling per edge would clobber neighbors' slots
-            for pe in path:
-                old = color[pe]
-                for y in (us[pe], ws[pe]):
-                    if at[y * stride + old] == pe:
-                        at[y * stride + old] = -1
-            for pe in path:
-                new = c if color[pe] == a else a
-                color[pe] = new
-                at[us[pe] * stride + new] = pe
-                at[ws[pe] * stride + new] = pe
-            chosen = a
-        color[eid] = chosen
-        at[bu + chosen] = eid
-        at[bw + chosen] = eid
+            raise InvalidInput(f"maximum degree {max(deg)} exceeds k = {k}")
+        chosen = fu & -fu
+        if not fw & chosen:
+            c = fw & -fw
+            if fu & c:
+                chosen = c
+            else:
+                if at is None:
+                    at = [-1] * (n * stride)
+                    for e, x, y, cx in zip(range(eid), us, ws, color):
+                        at[x * stride + cx] = at[y * stride + cx] = e
+                # swap the (a, c) alternating path starting at w along color
+                # a (bipartiteness keeps it away from u): each edge on it takes
+                # the other color, and each vertex on it swaps its two slots
+                a, c, both = chosen.bit_length(), c.bit_length(), chosen | c
+                x, cur, new = w, a, c
+                while True:
+                    i, j = x * stride + cur, x * stride + new
+                    pe = at[i]
+                    at[i], at[j] = at[j], pe
+                    if pe < 0:
+                        break
+                    color[pe] = new
+                    x = us[pe] + ws[pe] - x
+                    cur, new = new, cur
+                # inner path vertices keep both colors; the two ends trade them
+                fw ^= both
+                free[x] ^= both
+        free[u] = fu ^ chosen
+        free[w] = fw ^ chosen
+        col = color[eid] = chosen.bit_length()
+        if at is not None:
+            at[u * stride + col] = at[w * stride + col] = eid
     return tuple(color)
 
 

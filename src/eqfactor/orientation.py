@@ -24,6 +24,7 @@ same route.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import accumulate, chain
 
 from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, ResidueObstruction, Undecided
@@ -64,30 +65,36 @@ def near_balanced_orientation(g: Multigraph) -> Orientation:
 
 def trail_walk(g: Multigraph) -> tuple:
     """(tails, heads), one tail and one head per edge id, with |d+(v) - d-(v)|
-    <= 1: trails walked from the odd-degree vertices, then from every vertex.
-    A trail from a vertex of odd remaining degree stops only at another one,
-    so only open trail ends are unbalanced; on an even-degree graph the arcs
-    are Eulerian."""
-    edges, incidence = g.edges, g.incidence
+    <= 1: trails walked from the odd-degree vertices, then from every vertex,
+    each step along the least unused edge id at the current vertex. A trail
+    from a vertex of odd remaining degree stops only at another one, so only
+    open trail ends are unbalanced; on an even-degree graph the arcs are
+    Eulerian.
+
+    Each vertex's edge ids sit on a stack, descending, so that ``pop()``
+    gives the least; an edge is on the stacks of both its ends (a loop twice
+    on one), and a pop that finds it used drops it. Each id is popped at most
+    twice: O(n + m).
+    """
+    edges = g.edges
     tails = [None] * g.m
     heads = [None] * g.m
-    ptr = [0] * g.n
+    stacks = [[] for _ in range(g.n)]
+    for eid in range(g.m - 1, -1, -1):
+        u, w = edges[eid]
+        stacks[u].append(eid)
+        stacks[w].append(eid)
     for v0 in chain((v for v, d in enumerate(g.degrees) if d % 2 == 1), range(g.n)):
         x = v0
-        while True:
-            inc = incidence[x]
-            i = ptr[x]
-            end = len(inc)
-            while i < end and tails[inc[i]] is not None:
-                i += 1
-            if i == end:
-                ptr[x] = i
-                break  # back at the start, or at a vertex of odd remaining degree
-            ptr[x] = i + 1
-            eid = inc[i]
-            tails[eid] = x
-            u, w = edges[eid]
-            x = heads[eid] = w if u == x else u
+        stack = stacks[x]
+        # an empty stack: back at the start, or at a vertex of odd remaining degree
+        while stack:
+            eid = stack.pop()
+            if tails[eid] is None:
+                tails[eid] = x
+                u, w = edges[eid]
+                x = heads[eid] = w if u == x else u
+                stack = stacks[x]
     return tails, heads
 
 
@@ -188,7 +195,9 @@ def _first_plan(g: Multigraph, k: int, p):
     Raises Infeasible when some vertex has no candidate; returns None when
     the shifts run out of range.
     """
-    o = [_nearest_candidate(d, g.loops_at(v), r, k) for v, (d, r) in enumerate(zip(g.degrees, p))]
+    # most vertices share their (degree, loops, residue): one answer per key
+    nearest = cache(partial(_nearest_candidate, k=k))
+    o = list(map(nearest, g.degrees, map(g.loops_at, range(g.n)), p))
     if None in o:
         v = o.index(None)
         raise Infeasible(

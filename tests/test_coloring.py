@@ -263,6 +263,119 @@ def test_konig_swaps_alternating_paths_where_first_fit_fails():
     assert swapped >= 50  # the path-swap branch is what these instances test
 
 
+def slot_table_coloring(n, us, ws, k, swaps):
+    """The reference for konig_edge_coloring: the same rule on a slot table
+    alone, at[v * (k + 1) + c] the edge of color c at v or -1, each free
+    color found by scanning v's slots. Appends to swaps the id of each edge
+    that needed a path swap."""
+    if any(u == w for u, w in zip(us, ws)):
+        raise InvalidInput("edge coloring requires a loopless graph")
+    stride = k + 1
+    at = [-1] * (n * stride)
+    color = [0] * len(us)
+    for eid, (u, w) in enumerate(zip(us, ws)):
+        bu, bw = u * stride, w * stride
+        try:
+            a = at.index(-1, bu + 1, bu + stride) - bu
+            c = at.index(-1, bw + 1, bw + stride) - bw
+        except ValueError:
+            deg = [0] * n
+            for x in us + ws:
+                deg[x] += 1
+            raise InvalidInput(f"maximum degree {max(deg)} exceeds k = {k}") from None
+        if at[bw + a] < 0:
+            chosen = a
+        elif at[bu + c] < 0:
+            chosen = c
+        else:
+            swaps.append(eid)
+            path = []
+            x, cur = w, a
+            while at[x * stride + cur] >= 0:
+                pe = at[x * stride + cur]
+                path.append(pe)
+                x = us[pe] + ws[pe] - x
+                cur = c if cur == a else a
+            for pe in path:
+                old = color[pe]
+                for y in (us[pe], ws[pe]):
+                    if at[y * stride + old] == pe:
+                        at[y * stride + old] = -1
+            for pe in path:
+                new = c if color[pe] == a else a
+                color[pe] = new
+                at[us[pe] * stride + new] = pe
+                at[ws[pe] * stride + new] = pe
+            chosen = a
+        color[eid] = chosen
+        at[bu + chosen] = eid
+        at[bw + chosen] = eid
+    return tuple(color)
+
+
+def late_swap_graph(rng, side, k, prefix, m):
+    """Ends (us, ws) of a bipartite multigraph on side + side vertices with
+    max degree <= k and at most m edges: first ``prefix`` random edges that
+    the reference colors with no path swap (an edge that would need one is
+    drawn again), then random edges."""
+    used = [set() for _ in range(2 * side)]  # the prefix's colors at each vertex
+    deg = [0] * (2 * side)
+    us, ws = [], []
+    for _ in range(50 * m):
+        if len(us) == m:
+            break
+        u, w = rng.randrange(side), side + rng.randrange(side)
+        if deg[u] == k or deg[w] == k:
+            continue
+        if len(us) < prefix:
+            a = min(set(range(1, k + 1)) - used[u])
+            c = min(set(range(1, k + 1)) - used[w])
+            if a in used[w] and c in used[u]:
+                continue
+            chosen = c if a in used[w] else a
+            used[u].add(chosen)
+            used[w].add(chosen)
+        deg[u] += 1
+        deg[w] += 1
+        us.append(u)
+        ws.append(w)
+    return us, ws
+
+
+def test_konig_matches_the_slot_table_reference():
+    """Bitmask colors equal the slot-table reference's, edge for edge, on
+    seeded bipartite multigraphs whose first path swap comes after a long
+    swap-free prefix, so that the slot table is built late, for k in 2..6
+    and k = 70; a degree above k raises the reference's InvalidInput both
+    before and after the first swap."""
+    rng = random.Random(61)
+    late = set()  # the k with a first swap past a third of the edges
+    for i in range(150):
+        k = 70 if i % 30 == 0 else 2 + i % 5
+        side = rng.randint(3, 12)
+        m = rng.randint(side * k // 2, side * k)
+        prefix = rng.randint(m // 3, 2 * m // 3)
+        us, ws = late_swap_graph(rng, side, k, prefix, m)
+        swaps = []
+        want = slot_table_coloring(2 * side, us, ws, k, swaps)
+        assert konig_edge_coloring(2 * side, us, ws, k) == want
+        if swaps:
+            assert swaps[0] >= min(prefix, len(us))
+            if swaps[0] >= len(us) // 3:
+                late.add(k)
+            # k + 1 parallel edges between two new vertices, placed before
+            # the first swap and after it
+            for cut in (swaps[0], len(us)):
+                bad_us = us[:cut] + [2 * side] * (k + 1) + us[cut:]
+                bad_ws = ws[:cut] + [2 * side + 1] * (k + 1) + ws[cut:]
+                with pytest.raises(InvalidInput) as want_error:
+                    slot_table_coloring(2 * side + 2, bad_us, bad_ws, k, [])
+                with pytest.raises(InvalidInput, match=f"maximum degree {k + 1} exceeds k = {k}") as got:
+                    konig_edge_coloring(2 * side + 2, bad_us, bad_ws, k)
+                assert str(got.value) == str(want_error.value)
+    assert late == {2, 3, 4, 5, 6, 70}
+
+
 def test_decompose_builds_no_multigraph(monkeypatch):
     """The chunk graph stays two flat lists: decompose_directed on a
     10^4-vertex orientation constructs no Multigraph in either mode, and a

@@ -50,11 +50,12 @@ def test_eulerian_rejects_odd_degree():
 
 
 def walked_tails(g):
-    """Tails of the closed trails walked from each vertex in turn, each step
-    along the lowest-numbered unused edge at the current vertex: the
-    Eulerian orientation that an even-degree graph gets."""
+    """Tails of the trails walked from the odd-degree vertices, then from
+    each vertex in turn, each step along the lowest-numbered unused edge at
+    the current vertex: the near-balanced orientation, and on an
+    even-degree graph the Eulerian one."""
     tails = [None] * g.m
-    for x in range(g.n):
+    for x in [v for v, d in enumerate(g.degrees) if d % 2 == 1] + list(range(g.n)):
         while True:
             free = [eid for eid in g.incidence[x] if tails[eid] is None]
             if not free:
@@ -95,6 +96,21 @@ def test_trail_walk_writes_the_near_balanced_arcs():
             out[t] += 1
             into[h] += 1
         assert [abs(o - i) for o, i in zip(out, into)] == [d % 2 for d in g.degrees]
+
+
+def test_trail_walk_takes_the_least_unused_edge_on_odd_degrees():
+    """On the 400 multigraphs of the test above (loops, parallel edges, odd
+    degrees), the walk's tails are the reference walk's exactly, and each
+    head is the other endpoint of its edge."""
+    rng = random.Random(47)
+    odd = 0
+    for _ in range(400):
+        g = random_multigraph(rng, max_n=12, max_m=40)
+        odd += any(d % 2 for d in g.degrees)
+        tails, heads = orientation.trail_walk(g)
+        assert tuple(tails) == walked_tails(g)
+        assert heads == [u + w - t for (u, w), t in zip(g.edges, tails)]
+    assert odd >= 300
 
 
 def test_realize_triangle_cyclic():
