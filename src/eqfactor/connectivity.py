@@ -4,7 +4,8 @@ One exact polynomial algorithm per quantity, at every input size:
 
 - edge connectivity: one maximum-adjacency (Nagamochi-Ibaraki) ordering of
   the vertices; a step whose attachment weight does not already certify the
-  best cut so far runs at most that many augmenting-path searches.
+  best cut so far pushes its two-edge paths into the scanned set, then runs
+  one stack-ordered augmenting-path search per path still missing.
 - minimum T-odd cut (odd edge connectivity, d(X) on f-odd sets): Gusfield's
   non-contracting cut construction over the terminal set T only, at most
   |T| - 1 max flows; the smallest T-odd cut among them is the answer
@@ -65,9 +66,13 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
     holds t_1 is separated from S_i by that cut. Each step only decides
     lambda(S_i, t_i) >= best, the smallest cut found so far (initially the
     minimum degree). The attachment weight r(t_i) of t_i to S_i certifies it
-    when r >= best; otherwise at most best - r augmenting paths from t_i to
-    S_i decide it, and a failed search leaves the residual reach of t_i as a
-    smaller cut.
+    when r >= best; otherwise at most best - r units of flow from t_i into
+    S_i decide it. The paths t_i -> y -> S_i come first, one walk of each
+    neighbour y's arcs into S_i; then each path still missing takes one
+    stack-ordered search (pop a vertex, scan its arcs) that stops at S_i.
+    A failed search leaves the residual reach of t_i as a smaller cut. That
+    reach is the least minimum-cut side holding t_i, whatever paths built
+    the flow, so the order of the searches cannot change the witness.
     """
     n = g.n
     if n < 2:
@@ -83,6 +88,7 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
     in_s = [False] * n
     r = [0] * n
     mark = [0] * n  # id of the last search that reached each vertex
+    parent = [0] * n  # the arc that search reached each vertex by
     search = 0
     # bucket queue keyed by min(r, best); entries go stale when r grows
     buckets = [[] for _ in range(best + 1)]
@@ -109,28 +115,43 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
         value = r[x]
         if value >= best:
             continue
-        # augment from x into S along shortest residual paths; arcs from x
-        # straight into S are already counted in r(x)
+        # two-edge paths x -> y -> S; x's own arcs into S are counted in r(x)
         touched = []
+        for a in out[x]:
+            if value == best:
+                break
+            y = head[a]
+            if in_s[y] or not r[y]:
+                continue
+            for b in out[y]:
+                if in_s[head[b]]:
+                    push = min(cap[a], cap[b], best - value)
+                    for c in a, b:
+                        cap[c] -= push
+                        cap[c ^ 1] += push
+                    touched += (a, b)
+                    value += push
+                    if not cap[a] or value == best:
+                        break
+        # then one stack-ordered search per path still missing
         while value < best:
             search += 1
             mark[x] = search
-            parent = {}
-            reach = [x]
+            stack = [x]
             hit = -1
-            for y in reach:
+            while stack and hit < 0:
+                y = stack.pop()
                 for a in out[y]:
                     z = head[a]
-                    if mark[z] == search or not cap[a] or (y == x and in_s[z]):
+                    if mark[z] == search or not cap[a]:
                         continue
                     parent[z] = a
-                    if in_s[z]:
+                    if not in_s[z]:
+                        mark[z] = search
+                        stack.append(z)
+                    elif y != x:
                         hit = z
                         break
-                    mark[z] = search
-                    reach.append(z)
-                if hit >= 0:
-                    break
             if hit < 0:
                 break
             path = []
@@ -148,7 +169,7 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
             cap[a] = cap[a ^ 1] = full[a]
         if value < best:
             # no key changes: every vertex outside S has r <= r(x) <= value
-            best, witness = value, reach
+            best, witness = value, [v for v in range(n) if mark[v] == search]
     return best, None if witness is None else frozenset(witness)
 
 

@@ -341,12 +341,10 @@ def oracle_orientation(g: Multigraph, p, k: int, jobs: int = 1) -> bool:
         return False
     if g.m > ORIENTATION_EDGE_BUDGET:
         raise Undecided(f"orientation oracle above budget ({g.m} > {ORIENTATION_EDGE_BUDGET})")
-    base_out = [g.loops_at(v) for v in range(g.n)]
     nonloop = [eid for eid, (u, v) in enumerate(g.edges) if u != v]
 
     def task(bits):
-        return (g.n, g.edges, p, k, tuple(zip(nonloop, bits)), tuple(nonloop[len(bits):]),
-                tuple(base_out))
+        return (g.n, g.edges, p, k, tuple(zip(nonloop, bits)), tuple(nonloop[len(bits):]), g.loops)
 
     return _sharded(_orientation_worker, task, (0, 1), len(nonloop), jobs)
 

@@ -21,14 +21,14 @@ from .errors import InvalidInput
 class Multigraph:
     """An undirected multigraph. Loops and parallel edges are first-class."""
 
-    __slots__ = ("vertex_count", "edges", "_degrees", "_incidence", "_loops")
+    __slots__ = ("vertex_count", "edges", "loops", "_degrees", "_incidence")
 
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
             raise InvalidInput("vertex_count must be nonnegative")
         n = vertex_count
         degrees = [0] * n
-        loops = {}  # vertex -> loop count, only vertices with loops
+        loops = [0] * n
         kept = []
         keep = kept.append
         for e in edges:
@@ -42,12 +42,12 @@ class Multigraph:
             degrees[u] += 1
             degrees[v] += 1
             if u == v:
-                loops[u] = loops.get(u, 0) + 1
+                loops[u] += 1
             keep(e)
         self.vertex_count = n
         self.edges = tuple(kept)
         self._degrees = tuple(degrees)
-        self._loops = loops
+        self.loops = tuple(loops)  # the loop count of each vertex
         self._incidence = None  # see the incidence property
 
     @property
@@ -79,7 +79,7 @@ class Multigraph:
         return self._incidence
 
     def loops_at(self, v: int) -> int:
-        return self._loops.get(v, 0)
+        return self.loops[v]
 
     def __eq__(self, other):
         return (

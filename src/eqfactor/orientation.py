@@ -197,7 +197,7 @@ def _first_plan(g: Multigraph, k: int, p):
     """
     # most vertices share their (degree, loops, residue): one answer per key
     nearest = cache(partial(_nearest_candidate, k=k))
-    o = list(map(nearest, g.degrees, map(g.loops_at, range(g.n)), p))
+    o = list(map(nearest, g.degrees, g.loops, p))
     if None in o:
         v = o.index(None)
         raise Infeasible(
@@ -212,8 +212,8 @@ def _first_plan(g: Multigraph, k: int, p):
 
     def entry(v):
         """Heap entry for one more shift at v, or None when out of range."""
-        c, d = o[v] + step, g.degrees[v]
-        if g.loops_at(v) <= c <= d - g.loops_at(v):
+        c, d, loops = o[v] + step, g.degrees[v], g.loops[v]
+        if loops <= c <= d - loops:
             return (abs(2 * c - d) - abs(2 * o[v] - d), d, -v)
         return None
 

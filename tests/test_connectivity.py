@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 import cut_oracles
-from conftest import cycle_graph, eulerian_union, random_multigraph
+from conftest import cycle_graph, eulerian_union, irregular_union, random_multigraph
 from eqfactor import connectivity
 from eqfactor.errors import InvalidInput
 from eqfactor.multigraph import Multigraph, complete_graph, cut_size
@@ -378,6 +378,183 @@ def test_edge_connectivity_builds_one_network(monkeypatch):
         built.clear()
         assert connectivity.edge_connectivity_witness(g) == pair
         assert built == [g.n]
+
+
+def reference_edge_connectivity_witness(g, limit=None):
+    """The maximum-adjacency scan with one breadth-first augmenting search,
+    on a fresh parent dict, per path: the reference for the two-edge pushes
+    and stack-ordered searches of edge_connectivity_witness."""
+    n = g.n
+    if n < 2:
+        return math.inf, None
+    net = connectivity._cut_network(g)
+    out, head, cap = net.graph, net.to, net.cap
+    full = list(cap)
+    degree = [sum(full[a] for a in out[v]) for v in range(n)]
+    best = min(degree)
+    witness = [degree.index(best)]
+    if limit is not None and limit < best:
+        best, witness = limit, None
+    in_s = [False] * n
+    r = [0] * n
+    mark = [0] * n
+    search = 0
+    buckets = [[] for _ in range(best + 1)]
+    buckets[0] = list(range(n - 1, 0, -1))
+    top = 0
+    x = 0
+    for _ in range(n - 1):
+        in_s[x] = True
+        for a in out[x]:
+            y = head[a]
+            if not in_s[y]:
+                old = r[y]
+                r[y] = old + full[a]
+                if old < best:
+                    key = min(r[y], best)
+                    buckets[key].append(y)
+                    top = max(top, key)
+        while True:
+            while not buckets[top]:
+                top -= 1
+            x = buckets[top].pop()
+            if not in_s[x] and min(r[x], best) == top:
+                break
+        value = r[x]
+        if value >= best:
+            continue
+        touched = []
+        while value < best:
+            search += 1
+            mark[x] = search
+            parent = {}
+            reach = [x]
+            hit = -1
+            for y in reach:
+                for a in out[y]:
+                    z = head[a]
+                    if mark[z] == search or not cap[a] or (y == x and in_s[z]):
+                        continue
+                    parent[z] = a
+                    if in_s[z]:
+                        hit = z
+                        break
+                    mark[z] = search
+                    reach.append(z)
+                if hit >= 0:
+                    break
+            if hit < 0:
+                break
+            path = []
+            while hit != x:
+                a = parent[hit]
+                path.append(a)
+                hit = head[a ^ 1]
+            push = min(best - value, min(cap[a] for a in path))
+            for a in path:
+                cap[a] -= push
+                cap[a ^ 1] += push
+            touched += path
+            value += push
+        for a in touched:
+            cap[a] = cap[a ^ 1] = full[a]
+        if value < best:
+            best, witness = value, reach
+    return best, None if witness is None else frozenset(witness)
+
+
+def test_edge_connectivity_matches_the_breadth_first_reference():
+    """The same (value, witness) as the reference, uncapped and at every
+    limit 0..8, on seeded multigraphs with loops, parallel edges and several
+    components: the witness is the least minimum-cut side holding the step's
+    vertex, whatever augmenting paths built the flow."""
+    rng = random.Random(47)
+    seen = {"loops": 0, "parallel": 0, "disconnected": 0, "witness below the limit": 0}
+    for trial in range(400):
+        g = random_multigraph(rng, min_n=1, max_n=12, min_m=0, max_m=4 * (trial % 10) + 2)
+        seen["loops"] += any(u == v for u, v in g.edges)
+        seen["parallel"] += len(set(map(frozenset, g.edges))) < g.m
+        seen["disconnected"] += len(cut_oracles.components(g)) > 1
+        for limit in (None, *range(9)):
+            pair = connectivity.edge_connectivity_witness(g, limit)
+            assert pair == reference_edge_connectivity_witness(g, limit), (g.edges, limit)
+            seen["witness below the limit"] += pair[1] is not None and pair[0] > 0
+    assert min(seen.values()) >= 40, seen
+
+
+def test_edge_connectivity_restores_every_capacity(monkeypatch):
+    """Each step's pushes, two-edge paths and searched paths alike, are
+    undone before the next step: the network ends at its full capacities.
+    On the four-vertex multigraph below, the step of vertex 2 pushes a unit
+    along 2 -> 1 -> 0, then one along the searched path 2 -> 1 -> 3 -> 0.
+    Restoring only the searched arcs resets 1 -> 2 but leaves 1 -> 0 empty,
+    so vertex 1 loses a unit into S and lambda would read 5, not 6."""
+    networks = []
+
+    class RecordingNetwork(connectivity.FlowNetwork):
+        def __init__(self, n):
+            super().__init__(n)
+            networks.append(self)
+
+    monkeypatch.setattr(connectivity, "FlowNetwork", RecordingNetwork)
+    g = Multigraph(4, [(0, 1), (0, 3), (1, 2), (1, 2), (1, 3), (1, 3), (1, 3), (2, 0), (2, 0), (2, 0), (2, 3), (3, 0)])
+    assert connectivity.edge_connectivity_witness(g) == (6, frozenset({0}))
+    rng = random.Random(61)
+    graphs = [g, complete_graph(12), eulerian_union(rng, 300, 3)]
+    graphs += [random_multigraph(rng, min_n=3, max_n=12, min_m=10, max_m=60) for _ in range(60)]
+    for g in graphs:
+        for limit in (None, 4, 6):
+            networks.clear()
+            connectivity.edge_connectivity_witness(g, limit)
+            (net,) = networks
+            assert net.cap == connectivity._cut_network(g).cap
+
+
+def two_halves(rng, n, swaps):
+    """Two 8-regular halves, each four random Hamiltonian cycles on n/2
+    vertices, with `swaps` pairs of edges swapped across: 2 * swaps edges
+    cross, and every degree stays 8."""
+    h = n // 2
+    left, right = list(eulerian_union(rng, h, 4).edges), list(eulerian_union(rng, h, 4).edges)
+    right = [(u + h, v + h) for u, v in right]
+    for i in rng.sample(range(len(left)), swaps):
+        (a, b), (c, d) = left[i], right[i]
+        left[i], right[i] = (a, d), (c, b)
+    return Multigraph(n, left + right)
+
+
+@pytest.mark.parametrize("n", [400, 2000])
+def test_edge_connectivity_matches_the_reference_at_scale(n):
+    """Unions of Hamiltonian cycles, regular and irregular, capped at 6 and
+    exact; two halves joined by fewer crossing edges than the limit, so that
+    the witness comes from a failed search at scale."""
+    rng = random.Random(n)
+    for g in (eulerian_union(rng, n, 3), irregular_union(rng, n, 3)):
+        for limit in (6, None):
+            pair = connectivity.edge_connectivity_witness(g, limit)
+            assert pair == reference_edge_connectivity_witness(g, limit)
+            assert pair[0] >= 6
+    for swaps in (1, 2, 3):
+        g = two_halves(rng, n, swaps)
+        for limit in (6, 9, None):
+            pair = connectivity.edge_connectivity_witness(g, limit)
+            assert pair == reference_edge_connectivity_witness(g, limit)
+            if limit is not None and limit <= 2 * swaps:
+                assert pair == (limit, None)
+                continue
+            assert pair[0] == 2 * swaps and cut_size(g, pair[1]) == 2 * swaps
+            assert pair[1] in (frozenset(range(n // 2)), frozenset(range(n // 2, n)))
+
+
+def test_complete_graph_edge_connectivity_matches_the_reference():
+    """On K_n every neighbour of a step's vertex reaches the scanned set in
+    one more edge, so the two-edge paths settle almost every step."""
+    for n in range(2, 61):
+        g = complete_graph(n)
+        for limit in (None, n // 2, n - 1, n):
+            pair = connectivity.edge_connectivity_witness(g, limit)
+            assert pair == reference_edge_connectivity_witness(g, limit)
+            assert pair[0] == (n - 1 if limit is None else min(limit, n - 1))
 
 
 def test_f_odd_cut_bound_tries_lambda_first(monkeypatch):
