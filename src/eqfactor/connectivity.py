@@ -9,7 +9,9 @@ One exact polynomial algorithm per quantity, at every input size:
 - minimum T-odd cut (odd edge connectivity, d(X) on f-odd sets): Gusfield's
   non-contracting cut construction over the terminal set T only, at most
   |T| - 1 max flows; the smallest T-odd cut among them is the answer
-  (Padberg-Rao). Both run on one ``maxflow.FlowNetwork`` (``_cut_network``).
+  (Padberg-Rao). Both run on one ``maxflow.FlowNetwork`` built from flat
+  arc lists (``_cut_network``); a flow's cut side is the residual reach of
+  its source, read off the level list its last BFS leaves on the network.
 - tree connectivity: the Nash-Williams-Tutte bounds floor(lambda/2) <= tau <=
   min(lambda, floor(m/(n-1))); matroid-union forest packing runs only when
   they leave the answer open, growing one forest at a time.
@@ -41,15 +43,8 @@ def _cut_network(g: Multigraph) -> FlowNetwork:
         if u != v:
             key = (u, v) if u < v else (v, u)
             weights[key] = weights.get(key, 0) + 1
-    net = FlowNetwork(g.n)
-    graph, to, cap = net.graph, net.to, net.cap
-    for (u, v), w in weights.items():
-        graph[u].append(len(to))
-        to.append(v)
-        graph[v].append(len(to))
-        to.append(u)
-        cap += (w, w)
-    return net
+    caps = list(weights.values())
+    return FlowNetwork(g.n, [u for u, _ in weights], [v for _, v in weights], caps, caps)
 
 
 def edge_connectivity_witness(g: Multigraph, limit=None):
@@ -185,7 +180,8 @@ def _min_t_odd_cut(g: Multigraph, t: set, limit=None):
     simple methods for all pairs network flow analysis", SIAM J. Comput.
     1990): every terminal starts with the smallest one as its parent. Each
     later terminal s, in order, takes a minimum cut between s and its parent
-    in the whole graph, with s's side the residual reach of s; the later
+    in the whole graph, with s's side the residual reach of s, as the
+    flow's last level list marks it (``FlowNetwork.level``); the later
     terminals on that side that share s's parent move under s. As with
     Padberg-Rao over a Gomory-Hu tree, the smallest of these |t| - 1 cuts
     whose side holds an odd number of terminals is a minimum T-odd cut (the
@@ -220,12 +216,12 @@ def _min_t_odd_cut(g: Multigraph, t: set, limit=None):
         value = net.max_flow(s, parent[s], limit)
         if value == limit:
             continue
-        side = net.residual_reachable(s)
+        level = net.level
         for u in terminals[i + 1 :]:
-            if u in side and parent[u] == parent[s]:
+            if level[u] >= 0 and parent[u] == parent[s]:
                 parent[u] = s
-        if value < best and len(side.intersection(t)) % 2 == 1:
-            best, witness = value, frozenset(side)
+        if value < best and sum(level[u] >= 0 for u in terminals) % 2 == 1:
+            best, witness = value, frozenset(v for v in range(g.n) if level[v] >= 0)
     return best, witness
 
 

@@ -1,6 +1,7 @@
-"""Small integer-capacity Dinic max-flow, with residual reachability access.
+"""Small integer-capacity Dinic max-flow on a network built from flat arc lists.
 
-A flow may stop at a limit: it then answers "is the cut at least limit?"."""
+A flow may stop at a limit: it then answers "is the cut at least limit?".
+Below it, the flow's last level list marks the side of a minimum cut."""
 
 from __future__ import annotations
 
@@ -8,31 +9,36 @@ from collections import deque
 
 
 class FlowNetwork:
-    def __init__(self, n: int):
+    def __init__(self, n: int, tails, heads, caps, back=None):
+        """Arc i runs tails[i] -> heads[i] with capacity caps[i], and its
+        reverse with back[i] (0 when back is None): the pair (2i, 2i + 1),
+        listed at each end in the order of i. With back None, the flow on
+        arc i is cap[2i + 1]."""
         self.n = n
-        self.graph = [[] for _ in range(n)]  # per node: list of arc indices
-        self.to = []
-        self.cap = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        """Add arc u->v with capacity cap; returns its index (reverse at idx+1)."""
-        idx = len(self.to)
-        self.graph[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.graph[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def flow_on(self, idx: int) -> int:
-        return self.cap[idx + 1]
+        self.to = to = [0] * (2 * len(caps))
+        to[::2] = heads
+        to[1::2] = tails
+        self.cap = cap = [0] * len(to)
+        cap[::2] = caps
+        if back is not None:
+            cap[1::2] = back
+        self.graph = graph = [[] for _ in range(n)]  # per node: its arc indices
+        a = 0
+        for u, v in zip(tails, heads):
+            graph[u].append(a)
+            graph[v].append(a + 1)
+            a += 2
+        self.level = None
 
     def max_flow(self, s: int, t: int, limit=None) -> int:
         """Dinic: BFS levels, then blocking flows found by an iterative DFS.
 
         With a limit, pushing stops once limit units are pushed, so the value
         is min(max flow, limit); the residual network then holds that flow.
+        A flow that reaches its limit sets ``level`` to None. One that stops
+        below it leaves the level list of its last BFS, which did not reach
+        t: level[v] >= 0 exactly for the nodes s reaches in the residual
+        network, the side of a minimum s-t cut.
 
         The DFS keeps its path on an explicit stack, so the depth of the
         level graph is not limited by the interpreter's recursion limit.
@@ -40,6 +46,7 @@ class FlowNetwork:
         to[idx ^ 1].
         """
         graph, to, cap = self.graph, self.to, self.cap
+        self.level = None
         total = 0
         while limit is None or total < limit:
             level = [-1] * self.n
@@ -53,6 +60,7 @@ class FlowNetwork:
                         level[y] = level[x] + 1
                         queue.append(y)
             if level[t] < 0:
+                self.level = level
                 return total
             it = [0] * self.n
             path = []  # arc indices from s to x
@@ -96,15 +104,3 @@ class FlowNetwork:
                 else:
                     break
         return total
-
-    def residual_reachable(self, s: int) -> set:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for idx in self.graph[x]:
-                y = self.to[idx]
-                if self.cap[idx] > 0 and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen

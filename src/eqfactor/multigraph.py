@@ -78,9 +78,6 @@ class Multigraph:
             self._incidence = tuple(map(tuple, lists))
         return self._incidence
 
-    def loops_at(self, v: int) -> int:
-        return self.loops[v]
-
     def __eq__(self, other):
         return (
             isinstance(other, Multigraph)

@@ -106,9 +106,10 @@ def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:
     (callers that realize many plans on one graph pass it as ``start``, so
     that it is computed once), and reverses edges along paths
     of D from vertices with too much out-degree to vertices with too little:
-    a max-flow on the vertex digraph of D, one unit arc per non-loop edge,
-    where flow on an arc reverses its edge. When D already meets the plan,
-    D itself is returned and no network is built.
+    a max-flow on the vertex digraph of D, one unit arc per edge, listed in
+    edge order before the source and sink arcs (a loop's arc never carries
+    flow), where flow on an arc reverses its edge. When D already meets the
+    plan, D itself is returned and no network is built.
 
     Raises Infeasible with a certificate set A such that
     sum_{v in A} o(v) < |E(G[A])| (Hakimi violation) when no orientation exists.
@@ -128,34 +129,26 @@ def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:
     if not any(excess):
         return start
     tails = list(start.tails)
+    heads = [u + v - x for (u, v), x in zip(g.edges, tails)]
+    caps = [1] * g.m
     s, t = g.n, g.n + 1
-    net = FlowNetwork(g.n + 2)
-    arcs = []
-    for eid, (u, v) in enumerate(g.edges):
-        if u != v:
-            tail = tails[eid]
-            arcs.append((eid, net.add_edge(tail, u + v - tail, 1)))
-    need = 0
     for v, x in enumerate(excess):
-        if x > 0:
-            net.add_edge(s, v, x)
-            need += x
-        elif x < 0:
-            net.add_edge(v, t, -x)
-    if net.max_flow(s, t) < need:
+        if x:
+            tails.append(s if x > 0 else v)
+            heads.append(v if x > 0 else t)
+            caps.append(abs(x))
+    net = FlowNetwork(g.n + 2, tails, heads, caps)
+    if net.max_flow(s, t) < sum(x for x in excess if x > 0):
         # The residual arcs among vertices are the edges as now oriented, so
         # every edge between the reachable set A and the rest points into A,
         # and sum_{v in A} d+(v) = e(G[A]) (a loop at v adds one to each side;
         # loops are never reversed, so a plan with o(v) < loops(v) or
         # d(v) - o(v) < loops(v) ends here too). No deficit is left in A (t is
         # not reachable) and some excess is, so sum_{v in A} o(v) < e(G[A]).
-        cert = frozenset(v for v in net.residual_reachable(s) if v < g.n)
-        raise Infeasible("out-degree plan is not realizable (Hakimi violation)", certificate=cert)
-    for eid, arc in arcs:
-        if net.flow_on(arc):
-            u, v = g.edges[eid]
-            tails[eid] = u + v - tails[eid]
-    return Orientation(g, tails)
+        raise Infeasible("out-degree plan is not realizable (Hakimi violation)",
+                         certificate=frozenset(v for v in range(g.n) if net.level[v] >= 0))
+    # a unit of flow on an edge's arc reverses the edge
+    return Orientation(g, [y if flow else x for x, y, flow in zip(tails, heads, net.cap[1 : 2 * g.m : 2])])
 
 
 def _plan_candidates(g: Multigraph, v: int, residue: int, k: int) -> list:
@@ -164,7 +157,7 @@ def _plan_candidates(g: Multigraph, v: int, residue: int, k: int) -> list:
     values stepping outward from it by -k and by +k, merged by distance."""
     import heapq  # here, as in _first_plan: only the plan search needs it
 
-    d, loops = g.degree(v), g.loops_at(v)
+    d, loops = g.degree(v), g.loops[v]
     c = _nearest_candidate(d, loops, residue, k)
     if c is None:
         return []

@@ -222,7 +222,9 @@ def _even_circulation(n: int, tails, heads, num, den) -> list:
     u->w is u_out -> w_in; lower bounds moved to s -> v_out and v_in -> t;
     capacity hi - lo on v_in -> v_out) in which the greedy flow is already
     pushed: a taken arc enters reversed, as its residual arc, and s and t keep
-    only the unmet part of each bound. The max flow completes it exactly.
+    only the unmet part of each bound. The network is one ``FlowNetwork``
+    call on flat lists, arc i first for every i, so a unit of flow on arc i
+    (cap[2i + 1]) flips its greedy choice. The max flow completes it exactly.
     Putting num/den on every arc is a fractional circulation within the
     bounds, so an integral one exists and a short flow means the input was
     not Eulerian.
@@ -245,22 +247,27 @@ def _even_circulation(n: int, tails, heads, num, den) -> list:
     if got_out == lo and got_in == lo:
         return taken
     s, t = 2 * n, 2 * n + 1
-    net = FlowNetwork(2 * n + 2)
-    arc_ids = [net.add_edge(w, n + u, 1) if take else net.add_edge(n + u, w, 1)
-               for u, w, take in zip(tails, heads, taken)]
-    need = 0
+    arc_tails = [w if take else n + u for u, w, take in zip(tails, heads, taken)]
+    arc_heads = [n + u if take else w for u, w, take in zip(tails, heads, taken)]
+    caps = [1] * len(taken)
     for v in range(n):
         spare = -int(-num * outdeg[v] // den) - lo[v]
         if spare:
-            net.add_edge(v, n + v, spare)
+            arc_tails.append(v)
+            arc_heads.append(n + v)
+            caps.append(spare)
         if got_out[v] < lo[v]:
-            net.add_edge(s, n + v, lo[v] - got_out[v])
-            need += lo[v] - got_out[v]
+            arc_tails.append(s)
+            arc_heads.append(n + v)
+            caps.append(lo[v] - got_out[v])
         if got_in[v] < lo[v]:
-            net.add_edge(v, t, lo[v] - got_in[v])
-    if net.max_flow(s, t) < need:
+            arc_tails.append(v)
+            arc_heads.append(t)
+            caps.append(lo[v] - got_in[v])
+    net = FlowNetwork(2 * n + 2, arc_tails, arc_heads, caps)
+    if net.max_flow(s, t) < sum(lo) - sum(got_out):
         raise Infeasible("circulation infeasible; even-degree precondition violated?")
-    return [take != bool(net.flow_on(idx)) for take, idx in zip(taken, arc_ids)]
+    return [take != bool(flow) for take, flow in zip(taken, net.cap[1::2])]
 
 
 def even_factor_eps(g: Multigraph, eps: float):

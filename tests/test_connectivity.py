@@ -272,30 +272,29 @@ def test_scale_t_odd_cut_many_terminals():
 
 
 def test_t_odd_cut_builds_one_network_and_runs_t_minus_one_flows(monkeypatch):
-    """Uncapped: one network, |T| - 1 flows, each side read. Capped: one
-    network and |T| - 1 capped flows, no flow runs on uncapped, and a side
-    is read only for a step below the limit; on a graph whose every cut
-    reaches the cap (a union of three Hamiltonian cycles, lambda >= 6 > 4)
-    none is."""
+    """Uncapped: one network and |T| - 1 flows, each leaving its level list,
+    from which the side is read. Capped: one network and |T| - 1 capped
+    flows, no flow runs on uncapped, and the level list is None exactly
+    after the flows that reach the limit; on a graph whose every cut reaches
+    the cap (a union of three Hamiltonian cycles, lambda >= 6 > 4) every
+    flow does."""
     counts = {}
     capped = []
 
     class CountingNetwork(connectivity.FlowNetwork):
-        def __init__(self, n):
+        def __init__(self, *args):
             counts["networks"] += 1
-            super().__init__(n)
+            super().__init__(*args)
 
         def max_flow(self, s, t, limit=None):
             value = super().max_flow(s, t, limit)
             if limit is None:
                 counts["flows"] += 1
+                assert self.level is not None
             else:
                 capped.append(value)
+                assert (self.level is None) == (value == limit)
             return value
-
-        def residual_reachable(self, s):
-            counts["sides"] += 1
-            return super().residual_reachable(s)
 
     monkeypatch.setattr(connectivity, "FlowNetwork", CountingNetwork)
     rng = random.Random(29)
@@ -305,16 +304,16 @@ def test_t_odd_cut_builds_one_network_and_runs_t_minus_one_flows(monkeypatch):
         else:
             g = eulerian_union(rng, rng.randint(4, 12), 3)
         t = set(rng.sample(range(g.n), 2 * rng.randint(1, g.n // 2)))
-        counts.update(networks=0, flows=0, sides=0)
+        counts.update(networks=0, flows=0)
         connectivity._min_t_odd_cut(g, t)
-        assert counts == {"networks": 1, "flows": len(t) - 1, "sides": len(t) - 1}
-        counts.update(networks=0, flows=0, sides=0)
+        assert counts == {"networks": 1, "flows": len(t) - 1}
+        counts.update(networks=0, flows=0)
         capped.clear()
         connectivity._min_t_odd_cut(g, t, 4)
-        assert counts == {"networks": 1, "flows": 0, "sides": sum(value < 4 for value in capped)}
+        assert counts == {"networks": 1, "flows": 0}
         assert len(capped) == len(t) - 1
         if trial % 2 == 0:
-            assert counts["sides"] == 0
+            assert capped == [4] * (len(t) - 1)
 
 
 def test_capped_t_odd_cut_matches_the_oracle():
@@ -362,9 +361,9 @@ def test_edge_connectivity_builds_one_network(monkeypatch):
     built = []
 
     class CountingNetwork(connectivity.FlowNetwork):
-        def __init__(self, n):
-            built.append(n)
-            super().__init__(n)
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
 
         def max_flow(self, s, t, limit=None):
             raise AssertionError("lambda runs its own augmenting searches")
@@ -492,8 +491,8 @@ def test_edge_connectivity_restores_every_capacity(monkeypatch):
     networks = []
 
     class RecordingNetwork(connectivity.FlowNetwork):
-        def __init__(self, n):
-            super().__init__(n)
+        def __init__(self, *args):
+            super().__init__(*args)
             networks.append(self)
 
     monkeypatch.setattr(connectivity, "FlowNetwork", RecordingNetwork)

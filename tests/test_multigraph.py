@@ -90,7 +90,7 @@ def test_equality_hash_and_pickling_before_and_after_incidence():
         for copy in (twin, fresh, cached):
             assert copy == g and hash(copy) == hash(g) and copy.edges == g.edges
             assert copy.degrees == g.degrees
-            assert [copy.loops_at(v) for v in range(g.n)] == [g.loops_at(v) for v in range(g.n)]
+            assert copy.loops == g.loops
             assert copy.incidence == built
             assert {g: 1}[copy] == 1
     assert Multigraph(2, [(0, 1)]) != Multigraph(3, [(0, 1)])
@@ -110,7 +110,7 @@ def test_build_checks_and_converts_edges():
     g = Multigraph(3, [(0.0, 1), ("2", 2), (True, 0)])
     assert g.edges == ((0, 1), (2, 2), (1, 0))
     assert all(type(x) is int for e in g.edges for x in e)
-    assert g.degrees == (2, 2, 2) and g.loops_at(2) == 1
+    assert g.degrees == (2, 2, 2) and g.loops == (0, 0, 1)
     for bad, eid in (([(0, 1), (0, 3)], 1), ([(-1, 0)], 0), ([(1, 0), (0, -2)], 1), ([(1, 0), (0, 1), (2, 5)], 2)):
         with pytest.raises(InvalidInput, match=f"edge {eid} endpoint out of range"):
             Multigraph(3, bad)

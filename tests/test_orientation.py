@@ -206,14 +206,14 @@ def test_realize_plans_that_cannot_host_their_loops():
     tried = 0
     while tried < 200:
         g = random_multigraph(rng, max_n=6, max_m=10)
-        looped = [v for v in range(g.n) if g.loops_at(v)]
+        looped = [v for v in range(g.n) if g.loops[v]]
         if not looped:
             continue
         v = rng.choice(looped)
         o = list(random_orientation(rng, g).out_degrees)
         # set o(v) below loops(v), or above d(v) - loops(v), and move the
         # difference to the other vertices
-        target = rng.randrange(g.loops_at(v))
+        target = rng.randrange(g.loops[v])
         if rng.random() < 0.5:
             target = g.degree(v) - target
         shift = o[v] - target
@@ -543,7 +543,7 @@ def test_nearest_candidate_is_the_first_plan_candidate():
         shapes.add((any(u == v for u, v in g.edges), len(set(map(frozenset, g.edges))) < g.m))
         k = rng.randint(2, 6)
         for v in range(g.n):
-            d, loops = g.degree(v), g.loops_at(v)
+            d, loops = g.degree(v), g.loops[v]
             for r in range(k):
                 cand = orientation._plan_candidates(g, v, r, k)
                 assert cand == sorted((c for c in range(r, d + 1, k) if loops <= c <= d - loops),

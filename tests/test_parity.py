@@ -247,9 +247,9 @@ def network_builds(monkeypatch):
     count = [0]
 
     class Counted(maxflow.FlowNetwork):
-        def __init__(self, n):
+        def __init__(self, *args):
             count[0] += 1
-            super().__init__(n)
+            super().__init__(*args)
 
     monkeypatch.setattr(maxflow, "FlowNetwork", Counted)
     return count
