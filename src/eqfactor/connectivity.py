@@ -4,14 +4,13 @@ One exact polynomial algorithm per quantity, at every input size:
 
 - edge connectivity: one maximum-adjacency (Nagamochi-Ibaraki) ordering of
   the vertices; a step whose attachment weight does not already certify the
-  best cut so far pushes its two-edge paths into the scanned set, then runs
-  one stack-ordered augmenting-path search per path still missing.
+  best cut so far pushes its two-edge paths into the scanned set first.
 - minimum T-odd cut (odd edge connectivity, d(X) on f-odd sets): Gusfield's
   non-contracting cut construction over the terminal set T only, at most
   |T| - 1 max flows; the smallest T-odd cut among them is the answer
-  (Padberg-Rao). Both run on one ``maxflow.FlowNetwork`` built from flat
-  arc lists (``_cut_network``); a flow's cut side is the residual reach of
-  its source, read off the level list its last BFS leaves on the network.
+  (Padberg-Rao). Both push flow on one ``maxflow.FlowNetwork`` built from
+  flat arc lists (``_cut_network``) with one augmenting search,
+  ``_push_paths``, whose last, failed search marks the cut side.
 - tree connectivity: the Nash-Williams-Tutte bounds floor(lambda/2) <= tau <=
   min(lambda, floor(m/(n-1))); matroid-union forest packing runs only when
   they leave the answer open, growing one forest at a time.
@@ -47,6 +46,53 @@ def _cut_network(g: Multigraph) -> FlowNetwork:
     return FlowNetwork(g.n, [u for u, _ in weights], [v for _, v in weights], caps, caps)
 
 
+def _push_paths(net: FlowNetwork, full, sink, mark, parent, search: int, x: int, value: int, goal, touched):
+    """Push paths from x into the sink {v : sink[v]} until value reaches
+    goal or a search fails; x's arcs into the sink are counted in value,
+    never searched. Each path is one stack-ordered search (pop a vertex,
+    scan its arcs) under the next id, which marks what it reaches and notes
+    in parent the arc it came by. Every arc in touched or pushed on is reset
+    to full. Returns (value, id of the last search); below goal that search
+    failed, and the vertices it marked are the residual reach of x, the
+    least minimum-cut side holding x whatever paths built the flow.
+    """
+    out, head, cap = net.graph, net.to, net.cap
+    while value < goal:
+        search += 1
+        mark[x] = search
+        stack = [x]
+        hit = -1
+        while stack and hit < 0:
+            y = stack.pop()
+            for a in out[y]:
+                z = head[a]
+                if mark[z] == search or not cap[a]:
+                    continue
+                parent[z] = a
+                if not sink[z]:
+                    mark[z] = search
+                    stack.append(z)
+                elif y != x:
+                    hit = z
+                    break
+        if hit < 0:
+            break
+        path = []
+        while hit != x:
+            a = parent[hit]
+            path.append(a)
+            hit = head[a ^ 1]
+        push = min(goal - value, min(cap[a] for a in path))
+        for a in path:
+            cap[a] -= push
+            cap[a ^ 1] += push
+        touched += path
+        value += push
+    for a in touched:
+        cap[a] = cap[a ^ 1] = full[a]
+    return value, search
+
+
 def edge_connectivity_witness(g: Multigraph, limit=None):
     """(lambda, witness A) with d(A) = lambda minimal over proper nonempty A.
 
@@ -63,11 +109,8 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
     minimum degree). The attachment weight r(t_i) of t_i to S_i certifies it
     when r >= best; otherwise at most best - r units of flow from t_i into
     S_i decide it. The paths t_i -> y -> S_i come first, one walk of each
-    neighbour y's arcs into S_i; then each path still missing takes one
-    stack-ordered search (pop a vertex, scan its arcs) that stops at S_i.
-    A failed search leaves the residual reach of t_i as a smaller cut. That
-    reach is the least minimum-cut side holding t_i, whatever paths built
-    the flow, so the order of the searches cannot change the witness.
+    neighbour y's arcs into S_i; ``_push_paths`` finds those still missing,
+    and a failed search leaves a smaller cut.
     """
     n = g.n
     if n < 2:
@@ -80,11 +123,8 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
     witness = [degree.index(best)]
     if limit is not None and limit < best:
         best, witness = limit, None
-    in_s = [False] * n
-    r = [0] * n
+    in_s, r, parent, search = [False] * n, [0] * n, [0] * n, 0
     mark = [0] * n  # id of the last search that reached each vertex
-    parent = [0] * n  # the arc that search reached each vertex by
-    search = 0
     # bucket queue keyed by min(r, best); entries go stale when r grows
     buckets = [[] for _ in range(best + 1)]
     buckets[0] = list(range(n - 1, 0, -1))
@@ -128,40 +168,7 @@ def edge_connectivity_witness(g: Multigraph, limit=None):
                     value += push
                     if not cap[a] or value == best:
                         break
-        # then one stack-ordered search per path still missing
-        while value < best:
-            search += 1
-            mark[x] = search
-            stack = [x]
-            hit = -1
-            while stack and hit < 0:
-                y = stack.pop()
-                for a in out[y]:
-                    z = head[a]
-                    if mark[z] == search or not cap[a]:
-                        continue
-                    parent[z] = a
-                    if not in_s[z]:
-                        mark[z] = search
-                        stack.append(z)
-                    elif y != x:
-                        hit = z
-                        break
-            if hit < 0:
-                break
-            path = []
-            while hit != x:
-                a = parent[hit]
-                path.append(a)
-                hit = head[a ^ 1]
-            push = min(best - value, min(cap[a] for a in path))
-            for a in path:
-                cap[a] -= push
-                cap[a ^ 1] += push
-            touched += path
-            value += push
-        for a in touched:
-            cap[a] = cap[a ^ 1] = full[a]
+        value, search = _push_paths(net, full, in_s, mark, parent, search, x, value, best, touched)
         if value < best:
             # no key changes: every vertex outside S has r <= r(x) <= value
             best, witness = value, [v for v in range(n) if mark[v] == search]
@@ -180,15 +187,15 @@ def _min_t_odd_cut(g: Multigraph, t: set, limit=None):
     simple methods for all pairs network flow analysis", SIAM J. Comput.
     1990): every terminal starts with the smallest one as its parent. Each
     later terminal s, in order, takes a minimum cut between s and its parent
-    in the whole graph, with s's side the residual reach of s, as the
-    flow's last level list marks it (``FlowNetwork.level``); the later
-    terminals on that side that share s's parent move under s. As with
-    Padberg-Rao over a Gomory-Hu tree, the smallest of these |t| - 1 cuts
-    whose side holds an odd number of terminals is a minimum T-odd cut (the
-    tests check this against exhaustive enumeration and networkx's Gomory-Hu
-    tree). All flows run on one ``_cut_network``, reset between flows. |t|
-    must be even (it is whenever t comes from degree or parity sums).
-    Returns (math.inf, None) when t is empty or no T-odd cut is found.
+    in the whole graph, with s's side the residual reach of s, marked by
+    the last, failed search of ``_push_paths`` from s into {parent[s]}; the
+    later terminals on that side that share s's parent move under s. As
+    with Padberg-Rao over a Gomory-Hu tree, the smallest of these |t| - 1
+    cuts whose side holds an odd number of terminals is a minimum T-odd cut
+    (the tests check this against exhaustive enumeration and networkx's
+    Gomory-Hu tree). |t| must be even (it is whenever t comes from degree
+    or parity sums). Returns (math.inf, None) when t is empty or no T-odd
+    cut is found.
 
     With a limit, the answer is exact below it and some value >= limit
     otherwise (a partial cut tree, as in Hariharan, Kavitha and Panigrahi,
@@ -207,21 +214,24 @@ def _min_t_odd_cut(g: Multigraph, t: set, limit=None):
         return math.inf, None
     terminals = sorted(t)
     net = _cut_network(g)
-    full = list(net.cap) if len(terminals) > 2 else None
+    out, head, full = net.graph, net.to, list(net.cap)
+    goal = math.inf if limit is None else limit
+    sink, mark, via = [False] * g.n, [0] * g.n, [0] * g.n
     parent = dict.fromkeys(terminals, terminals[0])
-    best, witness = math.inf, None
+    best, witness, search = math.inf, None, 0
     for i, s in enumerate(terminals[1:], 1):
-        if i > 1:
-            net.cap[:] = full
-        value = net.max_flow(s, parent[s], limit)
-        if value == limit:
+        p = parent[s]
+        sink[p] = True
+        value = sum(full[a] for a in out[s] if head[a] == p)
+        value, search = _push_paths(net, full, sink, mark, via, search, s, value, goal, [])
+        sink[p] = False
+        if value >= goal:
             continue
-        level = net.level
         for u in terminals[i + 1 :]:
-            if level[u] >= 0 and parent[u] == parent[s]:
+            if mark[u] == search and parent[u] == p:
                 parent[u] = s
-        if value < best and sum(level[u] >= 0 for u in terminals) % 2 == 1:
-            best, witness = value, frozenset(v for v in range(g.n) if level[v] >= 0)
+        if value < best and sum(mark[u] == search for u in terminals) % 2 == 1:
+            best, witness = value, frozenset(v for v in range(g.n) if mark[v] == search)
     return best, witness
 
 

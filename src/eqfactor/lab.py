@@ -370,7 +370,7 @@ def _parity_worker(args):
     return False
 
 
-def oracle_parity_gf(g: Multigraph, spec: ParitySpec, jobs: int = 1) -> bool:
+def oracle_parity_gf(g: Multigraph, spec, jobs: int = 1) -> bool:
     """Does a parity (g0,f0)-factor exist? Exhaustive over all 2^|E| subsets."""
     _check_jobs(jobs)
     if len(spec.f) != g.n:

@@ -1,7 +1,6 @@
 """Small integer-capacity Dinic max-flow on a network built from flat arc lists.
 
-A flow may stop at a limit: it then answers "is the cut at least limit?".
-Below it, the flow's last level list marks the side of a minimum cut."""
+A flow's last level list marks the side of a minimum cut."""
 
 from __future__ import annotations
 
@@ -30,15 +29,12 @@ class FlowNetwork:
             a += 2
         self.level = None
 
-    def max_flow(self, s: int, t: int, limit=None) -> int:
+    def max_flow(self, s: int, t: int) -> int:
         """Dinic: BFS levels, then blocking flows found by an iterative DFS.
 
-        With a limit, pushing stops once limit units are pushed, so the value
-        is min(max flow, limit); the residual network then holds that flow.
-        A flow that reaches its limit sets ``level`` to None. One that stops
-        below it leaves the level list of its last BFS, which did not reach
-        t: level[v] >= 0 exactly for the nodes s reaches in the residual
-        network, the side of a minimum s-t cut.
+        The flow leaves the level list of its last BFS, which did not reach
+        t, as ``level``: level[v] >= 0 exactly for the nodes s reaches in the
+        residual network, the side of a minimum s-t cut.
 
         The DFS keeps its path on an explicit stack, so the depth of the
         level graph is not limited by the interpreter's recursion limit.
@@ -46,9 +42,8 @@ class FlowNetwork:
         to[idx ^ 1].
         """
         graph, to, cap = self.graph, self.to, self.cap
-        self.level = None
         total = 0
-        while limit is None or total < limit:
+        while True:
             level = [-1] * self.n
             level[s] = 0
             queue = deque([s])
@@ -68,8 +63,6 @@ class FlowNetwork:
             while True:
                 if x == t:
                     pushed = min(cap[idx] for idx in path)
-                    if limit is not None:
-                        pushed = min(pushed, limit - total)
                     first_saturated = None
                     for i, idx in enumerate(path):
                         cap[idx] -= pushed
@@ -77,8 +70,6 @@ class FlowNetwork:
                         if first_saturated is None and cap[idx] == 0:
                             first_saturated = i
                     total += pushed
-                    if total == limit:
-                        return total
                     # resume from the tail of the first saturated arc, which
                     # is where the search would be after restarting at s
                     del path[first_saturated:]
@@ -103,4 +94,3 @@ class FlowNetwork:
                     it[x] += 1
                 else:
                     break
-        return total

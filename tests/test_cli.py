@@ -21,6 +21,7 @@ from eqfactor.graphio import (
     serialize_graph,
 )
 from eqfactor.errors import Infeasible, InvalidInput
+from eqfactor.maxflow import FlowNetwork
 from eqfactor.multigraph import Factorization, Multigraph, complete_graph
 
 
@@ -427,7 +428,7 @@ def test_cli_factor_k2_on_three_cycles_builds_no_network(tmp_path, capsys, monke
     g = eulerian_union(random.Random(97), 200, 3)
     path = write_graph(tmp_path, g)
     built = []
-    monkeypatch.setattr(orientation, "FlowNetwork", lambda n: built.append(n))
+    monkeypatch.setattr(orientation, "FlowNetwork", lambda *args: built.append(args[0]) or FlowNetwork(*args))
     for mode in (["--mode", "equitable"], ["--mode", "regular"], ["--mode", "parity", "--f", "3,5"]):
         assert main(["factor", path, "--k", "2", "--budget", "0", *mode]) == 0
         report = json.loads(capsys.readouterr().out)

@@ -153,7 +153,7 @@ def test_checks_that_always_hold_answer_at_once(monkeypatch):
     """Below 1 nothing is asked, and at 1 with f = d mod 2 every f-odd set
     has an odd cut: both answer True with no flow, as the oracles agree."""
     rng = random.Random(83)
-    monkeypatch.setattr(connectivity, "FlowNetwork", lambda n: pytest.fail("a flow network was built"))
+    monkeypatch.setattr(connectivity, "FlowNetwork", lambda *args: pytest.fail("a flow network was built"))
     for _ in range(150):
         g = random_multigraph(rng, min_n=1, max_n=8, min_m=0, max_m=16)
         parity = tuple(d % 2 for d in g.degrees)
@@ -272,48 +272,102 @@ def test_scale_t_odd_cut_many_terminals():
 
 
 def test_t_odd_cut_builds_one_network_and_runs_t_minus_one_flows(monkeypatch):
-    """Uncapped: one network and |T| - 1 flows, each leaving its level list,
-    from which the side is read. Capped: one network and |T| - 1 capped
-    flows, no flow runs on uncapped, and the level list is None exactly
-    after the flows that reach the limit; on a graph whose every cut reaches
-    the cap (a union of three Hamiltonian cycles, lambda >= 6 > 4) every
-    flow does."""
+    """Uncapped and capped: one network, no max_flow call, and |T| - 1 flows,
+    one _push_paths call each, with the same (value, witness) as before the
+    doubles. Uncapped, every flow runs to a failed search, with no goal;
+    capped at 4 on a union of three Hamiltonian cycles (lambda >= 6 > 4),
+    every flow reaches the cap."""
     counts = {}
-    capped = []
+    flows = []
 
     class CountingNetwork(connectivity.FlowNetwork):
         def __init__(self, *args):
             counts["networks"] += 1
             super().__init__(*args)
 
-        def max_flow(self, s, t, limit=None):
-            value = super().max_flow(s, t, limit)
-            if limit is None:
-                counts["flows"] += 1
-                assert self.level is not None
-            else:
-                capped.append(value)
-                assert (self.level is None) == (value == limit)
-            return value
+        def max_flow(self, *args):
+            raise AssertionError("the T-odd cut runs its own augmenting searches")
 
-    monkeypatch.setattr(connectivity, "FlowNetwork", CountingNetwork)
+    push_paths = connectivity._push_paths
+
+    def counted(*args):
+        value, search = push_paths(*args)
+        flows.append((value, args[-2]))  # the value reached, and the goal
+        return value, search
+
     rng = random.Random(29)
+    cases = []
     for trial in range(40):
         if trial % 2:
             g = random_multigraph(rng, min_n=4, max_n=12, max_m=30)
         else:
             g = eulerian_union(rng, rng.randint(4, 12), 3)
         t = set(rng.sample(range(g.n), 2 * rng.randint(1, g.n // 2)))
-        counts.update(networks=0, flows=0)
-        connectivity._min_t_odd_cut(g, t)
-        assert counts == {"networks": 1, "flows": len(t) - 1}
-        counts.update(networks=0, flows=0)
-        capped.clear()
-        connectivity._min_t_odd_cut(g, t, 4)
-        assert counts == {"networks": 1, "flows": 0}
-        assert len(capped) == len(t) - 1
+        cases.append((trial, g, t, connectivity._min_t_odd_cut(g, t), connectivity._min_t_odd_cut(g, t, 4)))
+    monkeypatch.setattr(connectivity, "FlowNetwork", CountingNetwork)
+    monkeypatch.setattr(connectivity, "_push_paths", counted)
+    for trial, g, t, exact, capped in cases:
+        counts.update(networks=0)
+        flows.clear()
+        assert connectivity._min_t_odd_cut(g, t) == exact
+        assert counts == {"networks": 1} and len(flows) == len(t) - 1
+        assert all(goal == math.inf for _, goal in flows)
+        counts.update(networks=0)
+        flows.clear()
+        assert connectivity._min_t_odd_cut(g, t, 4) == capped
+        assert counts == {"networks": 1} and len(flows) == len(t) - 1
         if trial % 2 == 0:
-            assert capped == [4] * (len(t) - 1)
+            assert flows == [(4, 4)] * (len(t) - 1)
+
+
+def reference_min_t_odd_cut(g, t, limit=None):
+    """Gusfield's construction on Dinic: one uncapped max_flow per step on
+    the reset cut network, the side read off its level list, and a step
+    skipped when its value reaches the limit: the reference for the
+    augmenting searches of _min_t_odd_cut."""
+    if not t:
+        return math.inf, None
+    terminals = sorted(t)
+    net = connectivity._cut_network(g)
+    full = list(net.cap)
+    parent = dict.fromkeys(terminals, terminals[0])
+    best, witness = math.inf, None
+    for i, s in enumerate(terminals[1:], 1):
+        net.cap[:] = full
+        value = net.max_flow(s, parent[s])
+        if limit is not None and value >= limit:
+            continue
+        level = net.level
+        for u in terminals[i + 1 :]:
+            if level[u] >= 0 and parent[u] == parent[s]:
+                parent[u] = s
+        if value < best and sum(level[u] >= 0 for u in terminals) % 2 == 1:
+            best, witness = value, frozenset(v for v in range(g.n) if level[v] >= 0)
+    return best, witness
+
+
+def test_t_odd_cut_matches_the_dinic_reference():
+    """The same (value, witness) as the reference, uncapped and at every
+    limit 1..7: on the 1500 graphs of the capped oracle test below, and on
+    unions of three Hamiltonian cycles with |T| <= 40. A step's side is the
+    least minimum-cut side holding s, whatever paths built the flow."""
+    rng = random.Random(31)
+    for trial in range(1500):
+        g = random_multigraph(rng, min_n=2, max_n=9, min_m=0, max_m=30)
+        if trial >= 1000:
+            g = clustered(rng, g)
+        t = set(rng.sample(range(g.n), 2 * rng.randint(1, g.n // 2)))
+        for limit in (None, *range(1, 8)):
+            assert connectivity._min_t_odd_cut(g, t, limit) == reference_min_t_odd_cut(g, t, limit)
+    rng = random.Random(33)
+    for n in (20, 60, 150, 400):
+        g = eulerian_union(rng, n, 3)
+        for size in (2, 4, 10, 40):
+            t = set(rng.sample(range(n), min(size, n)))
+            for limit in (None, *range(1, 8)):
+                pair = connectivity._min_t_odd_cut(g, t, limit)
+                assert pair == reference_min_t_odd_cut(g, t, limit)
+                assert (pair[0] == 6) == (limit in (None, 7))
 
 
 def test_capped_t_odd_cut_matches_the_oracle():
@@ -483,7 +537,8 @@ def test_edge_connectivity_matches_the_breadth_first_reference():
 
 def test_edge_connectivity_restores_every_capacity(monkeypatch):
     """Each step's pushes, two-edge paths and searched paths alike, are
-    undone before the next step: the network ends at its full capacities.
+    undone before the next step: the network ends at its full capacities,
+    for lambda and for the T-odd cut, whose flows share no reset.
     On the four-vertex multigraph below, the step of vertex 2 pushes a unit
     along 2 -> 1 -> 0, then one along the searched path 2 -> 1 -> 3 -> 0.
     Restoring only the searched arcs resets 1 -> 2 but leaves 1 -> 0 empty,
@@ -502,11 +557,14 @@ def test_edge_connectivity_restores_every_capacity(monkeypatch):
     graphs = [g, complete_graph(12), eulerian_union(rng, 300, 3)]
     graphs += [random_multigraph(rng, min_n=3, max_n=12, min_m=10, max_m=60) for _ in range(60)]
     for g in graphs:
+        t = set(rng.sample(range(g.n), 2 * rng.randint(1, min(g.n // 2, 20))))
         for limit in (None, 4, 6):
-            networks.clear()
-            connectivity.edge_connectivity_witness(g, limit)
-            (net,) = networks
-            assert net.cap == connectivity._cut_network(g).cap
+            for run in (lambda: connectivity.edge_connectivity_witness(g, limit),
+                        lambda: connectivity._min_t_odd_cut(g, t, limit)):
+                networks.clear()
+                run()
+                (net,) = networks
+                assert net.cap == connectivity._cut_network(g).cap
 
 
 def two_halves(rng, n, swaps):

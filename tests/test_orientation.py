@@ -16,6 +16,7 @@ from eqfactor import orientation
 from eqfactor.errors import Infeasible, InvalidInput, ResidueObstruction, Undecided
 from eqfactor.coloring import decompose_directed
 from eqfactor.lab import ORIENTATION_EDGE_BUDGET, oracle_orientation, parity_claim, verify
+from eqfactor.maxflow import FlowNetwork
 from eqfactor.multigraph import Multigraph, Orientation, complete_graph
 from eqfactor.orientation import (
     DEFAULT_BUDGET,
@@ -270,7 +271,7 @@ def test_a_start_that_meets_the_plan_is_returned_itself(monkeypatch):
     mod_k_orientation builds one Orientation, the start's, in the balanced
     (parity) and the zero-residue (regular) route alike."""
     built = []
-    monkeypatch.setattr(orientation, "FlowNetwork", lambda n: built.append(n))
+    monkeypatch.setattr(orientation, "FlowNetwork", lambda *args: built.append(args[0]) or FlowNetwork(*args))
     rng = random.Random(67)
     for _ in range(100):
         g = random_multigraph(rng, max_n=7, max_m=12)
@@ -497,7 +498,7 @@ def test_scale_balanced_even_k_10k_builds_no_network(monkeypatch):
     q = random.Random(61).sample(range(g.n), 2000)
     leaves = count_leaves(monkeypatch)
     built = []
-    monkeypatch.setattr(orientation, "FlowNetwork", lambda n: built.append(n))
+    monkeypatch.setattr(orientation, "FlowNetwork", lambda *args: built.append(args[0]) or FlowNetwork(*args))
     d = balanced_mod_k_orientation(g, 2, q, budget=0)
     assert leaves == [] and built == []
     assert_parity_orientation(g, 2, q, d)

@@ -7,6 +7,7 @@ from conftest import audit_passes, cycle_graph, eulerian_union, irregular_union,
 from eqfactor import connectivity, orientation
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
 from eqfactor.lab import oracle_equitable
+from eqfactor.maxflow import FlowNetwork
 from eqfactor.multigraph import Multigraph, complete_graph
 from eqfactor.pipelines import (
     equitable_factorize,
@@ -33,8 +34,8 @@ def test_k1_factors_of_a_matching_build_no_network(monkeypatch):
     regular check alone took 0.2 s at n = 4000 when it ran its T flows."""
     g = Multigraph(4000, [(2 * i, 2 * i + 1) for i in range(2000)])
     built = []
-    monkeypatch.setattr(connectivity, "FlowNetwork", lambda n: built.append(n))
-    monkeypatch.setattr(orientation, "FlowNetwork", lambda n: built.append(n))
+    monkeypatch.setattr(connectivity, "FlowNetwork", lambda *args: built.append(args[0]) or FlowNetwork(*args))
+    monkeypatch.setattr(orientation, "FlowNetwork", lambda *args: built.append(args[0]) or FlowNetwork(*args))
     for solve in (regular_factorize, equitable_factorize, parity_factorize):
         fz, audit, warnings = solve(g, 1)
         assert fz.assignment == (1,) * g.m and audit_passes(audit) and warnings == []

@@ -1,6 +1,8 @@
 import ast
+import importlib
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -118,6 +120,38 @@ def unused():
     return B()
 """
     assert unreached_definitions([("cli", cli), ("m", m)]) == {"A.spare", "B", "B.__repr__", "unused"}
+
+
+def annotated(module):
+    """(qualified name, object) for every function and class that a module
+    defines, and for the methods and property getters of its classes."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__ or not callable(obj):
+            continue
+        yield name, obj
+        for attr, item in vars(obj).items() if isinstance(obj, type) else ():
+            item = item.fget if isinstance(item, property) else getattr(item, "__func__", item)
+            if callable(item) and getattr(item, "__module__", None) == module.__name__:
+                yield f"{name}.{attr}", item
+
+
+def test_every_annotation_resolves():
+    """typing.get_type_hints succeeds on every function, class, method and
+    property of src/: an annotation that names a class its module never
+    imports reads fine as a string, and raises NameError only there."""
+    failures = {}
+    for path in sorted(Path(eqfactor.__file__).parent.glob("*.py")):
+        module = importlib.import_module("eqfactor" if path.stem == "__init__" else f"eqfactor.{path.stem}")
+        for name, obj in annotated(module):
+            try:
+                typing.get_type_hints(obj)
+            except Exception as exc:
+                failures[f"{module.__name__}.{name}"] = repr(exc)
+    assert failures == {}
+    probe = type(sys)("probe")
+    exec("from __future__ import annotations\ndef f(x: Missing) -> int:\n    return x", probe.__dict__)
+    with pytest.raises(NameError):
+        typing.get_type_hints(dict(annotated(probe))["f"])
 
 
 def test_only_the_oracles_enumerate_subsets():
