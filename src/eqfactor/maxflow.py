@@ -1,10 +1,11 @@
-"""Small integer-capacity Dinic max-flow on a network built from flat arc lists.
+"""Small integer-capacity flow network built from flat arc lists.
 
-A flow's last level list marks the side of a minimum cut."""
+Its one flow routine routes each node's supply by breadth-first shortest
+augmenting paths (Edmonds-Karp) into nodes with room, one source at a time,
+with no source or sink node. A source whose search fails leaves its residual
+reach marked, the certificate of the shortfall."""
 
 from __future__ import annotations
-
-from collections import deque
 
 
 class FlowNetwork:
@@ -27,70 +28,57 @@ class FlowNetwork:
             graph[u].append(a)
             graph[v].append(a + 1)
             a += 2
-        self.level = None
+        self.mark = [0] * n  # id of the last search that reached each node
+        self.search = 0
 
-    def max_flow(self, s: int, t: int) -> int:
-        """Dinic: BFS levels, then blocking flows found by an iterative DFS.
+    def max_flow(self, supply, room) -> int:
+        """Route supply[x] units out of each node x in turn, one breadth-first
+        search of the residual network per path, into the first node v with
+        room[v] > 0 that the search reaches; a path carries at most room[v]
+        units. supply and room are lowered in place, and no node may have
+        both. Returns the units routed.
 
-        The flow leaves the level list of its last BFS, which did not reach
-        t, as ``level``: level[v] >= 0 exactly for the nodes s reaches in the
-        residual network, the side of a minimum s-t cut.
-
-        The DFS keeps its path on an explicit stack, so the depth of the
-        level graph is not limited by the interpreter's recursion limit.
-        Arcs come in pairs (idx, idx ^ 1), so the tail of arc idx is
-        to[idx ^ 1].
+        Stops at the first source x whose search fails. Then mark[v] ==
+        search exactly on x's residual reach R: no arc with cap > 0 leaves R,
+        and R holds no room. So the flow already moves as much out of R as
+        its arcs allow, with all of R's room filled and x's supply not yet
+        routed: no flow routes every unit. Arcs come in pairs (a, a ^ 1), so
+        the tail of arc a is to[a ^ 1].
         """
-        graph, to, cap = self.graph, self.to, self.cap
+        graph, to, cap, mark = self.graph, self.to, self.cap, self.mark
+        via = [0] * self.n  # the arc each node was last reached by
         total = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = deque([s])
-            while queue:
-                x = queue.popleft()
-                for idx in graph[x]:
-                    y = to[idx]
-                    if cap[idx] > 0 and level[y] < 0:
-                        level[y] = level[x] + 1
-                        queue.append(y)
-            if level[t] < 0:
-                self.level = level
-                return total
-            it = [0] * self.n
-            path = []  # arc indices from s to x
-            x = s
-            while True:
-                if x == t:
-                    pushed = min(cap[idx] for idx in path)
-                    first_saturated = None
-                    for i, idx in enumerate(path):
-                        cap[idx] -= pushed
-                        cap[idx ^ 1] += pushed
-                        if first_saturated is None and cap[idx] == 0:
-                            first_saturated = i
-                    total += pushed
-                    # resume from the tail of the first saturated arc, which
-                    # is where the search would be after restarting at s
-                    del path[first_saturated:]
-                    x = to[path[-1]] if path else s
-                    continue
-                arcs = graph[x]
-                i = it[x]
-                nxt = level[x] + 1
-                while i < len(arcs):
-                    idx = arcs[i]
-                    if cap[idx] > 0 and level[to[idx]] == nxt:
+        for x in range(self.n):
+            while supply[x]:
+                self.search = search = self.search + 1
+                mark[x] = search
+                queue = [x]
+                hit = -1
+                for y in queue:
+                    for a in graph[y]:
+                        z = to[a]
+                        if cap[a] and mark[z] != search:
+                            mark[z] = search
+                            via[z] = a
+                            if room[z]:
+                                hit = z
+                                break
+                            queue.append(z)
+                    if hit >= 0:
                         break
-                    i += 1
-                it[x] = i
-                if i < len(arcs):
-                    path.append(arcs[i])
-                    x = to[arcs[i]]
-                elif path:
-                    # dead end: retreat and skip the arc that led here
-                    idx = path.pop()
-                    x = to[idx ^ 1]
-                    it[x] += 1
-                else:
-                    break
+                if hit < 0:
+                    return total
+                path = []
+                z = hit
+                while z != x:
+                    a = via[z]
+                    path.append(a)
+                    z = to[a ^ 1]
+                push = min(supply[x], room[hit], min(cap[a] for a in path))
+                for a in path:
+                    cap[a] -= push
+                    cap[a ^ 1] += push
+                supply[x] -= push
+                room[hit] -= push
+                total += push
+        return total

@@ -6,11 +6,7 @@ Conventions:
   - a loop at v contributes 2 to d(v) but 0 to any cut d(A);
   - an oriented loop contributes 1 to the out-degree and 1 to the in-degree.
 
-All objects are immutable after construction and safe to share. The one
-exception is a multigraph's incidence lists: they are built on the first read
-of ``incidence`` and cached, so a graph that is never walked never pays for
-them. The cache is derived from the edges and takes no part in equality,
-hashing or pickling.
+All objects are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from .errors import InvalidInput
 class Multigraph:
     """An undirected multigraph. Loops and parallel edges are first-class."""
 
-    __slots__ = ("vertex_count", "edges", "loops", "_degrees", "_incidence")
+    __slots__ = ("vertex_count", "edges", "loops", "_degrees")
 
     def __init__(self, vertex_count: int, edges):
         if vertex_count < 0:
@@ -48,7 +44,6 @@ class Multigraph:
         self.edges = tuple(kept)
         self._degrees = tuple(degrees)
         self.loops = tuple(loops)  # the loop count of each vertex
-        self._incidence = None  # see the incidence property
 
     @property
     def n(self) -> int:
@@ -64,19 +59,6 @@ class Multigraph:
     @property
     def degrees(self) -> tuple:
         return self._degrees
-
-    @property
-    def incidence(self) -> tuple:
-        """incidence[v]: the ids of the edges at v, ascending; a loop appears
-        once. Built on first use and cached."""
-        if self._incidence is None:
-            lists = [[] for _ in range(self.vertex_count)]
-            for eid, (u, w) in enumerate(self.edges):
-                lists[u].append(eid)
-                if u != w:
-                    lists[w].append(eid)
-            self._incidence = tuple(map(tuple, lists))
-        return self._incidence
 
     def __eq__(self, other):
         return (

@@ -12,14 +12,14 @@ realizes it. When that plan is not realizable, a plan search runs: an iterative
 depth-first search over per-vertex residue-compliant out-degrees with
 sum-window and partial Hakimi pruning. Each plan is realized exactly by a
 flow from a near-balanced (Eulerian) start, computed once per call, that
-reverses edges along paths from vertices above their planned out-degree to
-vertices below it on the n + 2 node vertex digraph; no network is built when
-the start already meets the plan. Exhaustion means infeasible; a spent node
-budget raises Undecided instead. The residue map p is a plain tuple, read
-modulo k; residue_map builds it for a special vertex z or a vertex set Z.
-Balanced orientations, for odd k and for even k with a vertex set Q, are
-mod-k orientations for a residue map read off the degrees, so they take the
-same route.
+reverses edges along shortest paths from vertices above their planned
+out-degree to vertices below it on the vertex digraph, with no source or
+sink node; no network is built when the start already meets the plan.
+Exhaustion means infeasible; a spent node budget raises Undecided instead.
+The residue map p is a plain tuple, read modulo k; residue_map builds it for
+a special vertex z or a vertex set Z. Balanced orientations, for odd k and
+for even k with a vertex set Q, are mod-k orientations for a residue map
+read off the degrees, so they take the same route.
 """
 
 from __future__ import annotations
@@ -106,13 +106,16 @@ def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:
     (callers that realize many plans on one graph pass it as ``start``, so
     that it is computed once), and reverses edges along paths
     of D from vertices with too much out-degree to vertices with too little:
-    a max-flow on the vertex digraph of D, one unit arc per edge, listed in
-    edge order before the source and sink arcs (a loop's arc never carries
-    flow), where flow on an arc reverses its edge. When D already meets the
-    plan, D itself is returned and no network is built.
+    one ``max_flow`` on the vertex digraph of D, one unit arc per edge in
+    edge order (a loop's arc never carries flow), with each vertex's excess
+    as its supply and its deficit as its room; flow on an arc reverses its
+    edge. When D already meets the plan, D itself is returned and no
+    network is built.
 
     Raises Infeasible with a certificate set A such that
-    sum_{v in A} o(v) < |E(G[A])| (Hakimi violation) when no orientation exists.
+    sum_{v in A} o(v) < |E(G[A])| (Hakimi violation) when no orientation
+    exists: the residual reach of the first vertex whose excess finds no
+    path to a deficit.
     """
     if len(o) != g.n:
         raise InvalidInput("plan must cover every vertex")
@@ -128,27 +131,22 @@ def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:
     excess = [out - x for out, x in zip(start.out_degrees, o)]
     if not any(excess):
         return start
-    tails = list(start.tails)
+    tails = start.tails
     heads = [u + v - x for (u, v), x in zip(g.edges, tails)]
-    caps = [1] * g.m
-    s, t = g.n, g.n + 1
-    for v, x in enumerate(excess):
-        if x:
-            tails.append(s if x > 0 else v)
-            heads.append(v if x > 0 else t)
-            caps.append(abs(x))
-    net = FlowNetwork(g.n + 2, tails, heads, caps)
-    if net.max_flow(s, t) < sum(x for x in excess if x > 0):
-        # The residual arcs among vertices are the edges as now oriented, so
-        # every edge between the reachable set A and the rest points into A,
-        # and sum_{v in A} d+(v) = e(G[A]) (a loop at v adds one to each side;
+    supply = [max(x, 0) for x in excess]
+    net = FlowNetwork(g.n, tails, heads, [1] * g.m)
+    net.max_flow(supply, [max(-x, 0) for x in excess])
+    if any(supply):
+        # The residual arcs are the edges as now oriented, so every edge
+        # between the failed source's reach A and the rest points into A, and
+        # sum_{v in A} d+(v) = e(G[A]) (a loop at v adds one to each side;
         # loops are never reversed, so a plan with o(v) < loops(v) or
-        # d(v) - o(v) < loops(v) ends here too). No deficit is left in A (t is
-        # not reachable) and some excess is, so sum_{v in A} o(v) < e(G[A]).
+        # d(v) - o(v) < loops(v) ends here too). No deficit is left in A and
+        # some excess is, so sum_{v in A} o(v) < e(G[A]).
         raise Infeasible("out-degree plan is not realizable (Hakimi violation)",
-                         certificate=frozenset(v for v in range(g.n) if net.level[v] >= 0))
+                         certificate=frozenset(v for v in range(g.n) if net.mark[v] == net.search))
     # a unit of flow on an edge's arc reverses the edge
-    return Orientation(g, [y if flow else x for x, y, flow in zip(tails, heads, net.cap[1 : 2 * g.m : 2])])
+    return Orientation(g, [y if flow else x for x, y, flow in zip(tails, heads, net.cap[1::2])])
 
 
 def _plan_candidates(g: Multigraph, v: int, residue: int, k: int) -> list:
@@ -299,7 +297,12 @@ def _mod_2_orientation(g: Multigraph, p) -> Orientation:
     exists, and C is the certificate.
     """
     tails = list(near_balanced_orientation(g).tails)
-    edges, incidence = g.edges, g.incidence
+    edges = g.edges
+    incidence = [[] for _ in range(g.n)]  # the edge ids at each vertex, ascending, a loop once
+    for eid, (u, w) in enumerate(edges):
+        incidence[u].append(eid)
+        if u != w:
+            incidence[w].append(eid)
     odd = list(p)  # 1 at the vertices of W, then summed over subtrees below
     for tail in tails:
         odd[tail] ^= 1

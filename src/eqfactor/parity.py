@@ -219,15 +219,16 @@ def _even_circulation(n: int, tails, heads, num, den) -> list:
     their lower bounds. When every bound is met, the taken arcs have out = in
     = lower bound everywhere and form the circulation. Otherwise the shortfall
     goes to a unit network on split vertices (v_in = v, v_out = n + v; an arc
-    u->w is u_out -> w_in; lower bounds moved to s -> v_out and v_in -> t;
-    capacity hi - lo on v_in -> v_out) in which the greedy flow is already
-    pushed: a taken arc enters reversed, as its residual arc, and s and t keep
-    only the unmet part of each bound. The network is one ``FlowNetwork``
-    call on flat lists, arc i first for every i, so a unit of flow on arc i
-    (cap[2i + 1]) flips its greedy choice. The max flow completes it exactly.
-    Putting num/den on every arc is a fractional circulation within the
-    bounds, so an integral one exists and a short flow means the input was
-    not Eulerian.
+    u->w is u_out -> w_in; capacity hi - lo on v_in -> v_out) in which the
+    greedy flow is already pushed: a taken arc enters reversed, as its
+    residual arc. Each lower bound's unmet part is v_out's supply (out-bound)
+    and v_in's room (in-bound) in one ``max_flow``, with no source or sink
+    node. The network is one ``FlowNetwork`` call on flat lists, arc i first
+    for every i, so a unit of flow on arc i (cap[2i + 1]) flips its greedy
+    choice. The flow completes it exactly. Putting num/den on every arc is a
+    fractional circulation within the bounds, so an integral one exists, and
+    a shortfall means the input was not Eulerian: a bug in the caller, so it
+    raises AssertionError.
     """
     from .maxflow import FlowNetwork
 
@@ -246,7 +247,6 @@ def _even_circulation(n: int, tails, heads, num, den) -> list:
         taken.append(take)
     if got_out == lo and got_in == lo:
         return taken
-    s, t = 2 * n, 2 * n + 1
     arc_tails = [w if take else n + u for u, w, take in zip(tails, heads, taken)]
     arc_heads = [n + u if take else w for u, w, take in zip(tails, heads, taken)]
     caps = [1] * len(taken)
@@ -256,17 +256,11 @@ def _even_circulation(n: int, tails, heads, num, den) -> list:
             arc_tails.append(v)
             arc_heads.append(n + v)
             caps.append(spare)
-        if got_out[v] < lo[v]:
-            arc_tails.append(s)
-            arc_heads.append(n + v)
-            caps.append(lo[v] - got_out[v])
-        if got_in[v] < lo[v]:
-            arc_tails.append(v)
-            arc_heads.append(t)
-            caps.append(lo[v] - got_in[v])
-    net = FlowNetwork(2 * n + 2, arc_tails, arc_heads, caps)
-    if net.max_flow(s, t) < sum(lo) - sum(got_out):
-        raise Infeasible("circulation infeasible; even-degree precondition violated?")
+    supply = [0] * n + [a - b for a, b in zip(lo, got_out)]
+    net = FlowNetwork(2 * n, arc_tails, arc_heads, caps)
+    net.max_flow(supply, [a - b for a, b in zip(lo, got_in)] + [0] * n)
+    if any(supply):
+        raise AssertionError("circulation short of its lower bounds; the arcs were not Eulerian")
     return [take != bool(flow) for take, flow in zip(taken, net.cap[1::2])]
 
 
@@ -276,8 +270,9 @@ def even_factor_eps(g: Multigraph, eps: float):
 
     A sub-circulation of one Eulerian orientation with per-vertex throughput
     in [floor(eps*d/2), ceil(eps*d/2)]: greedily taken arcs first, and a unit
-    flow network, solved by the Dinic of ``maxflow``, only for the lower
-    bounds the greedy pass leaves unmet (see ``_even_circulation``).
+    flow network, solved by the shortest-path searches of ``maxflow``, only
+    for the lower bounds the greedy pass leaves unmet (see
+    ``_even_circulation``).
     The all-arcs-at-eps fractional circulation witnesses feasibility, so an
     integral one always exists. At eps = 0 or 1 the greedy pass takes no arc,
     or every arc.

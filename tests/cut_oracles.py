@@ -86,6 +86,10 @@ def components(g: Multigraph, removed=()) -> list:
     for v in removed:
         if not 0 <= v < g.n:
             raise InvalidInput(f"vertex {v} out of range")
+    neighbours = [[] for _ in range(g.n)]
+    for u, w in g.edges:
+        neighbours[u].append(w)
+        neighbours[w].append(u)
     seen = set(removed)
     comps = []
     for start in range(g.n):
@@ -96,9 +100,7 @@ def components(g: Multigraph, removed=()) -> list:
         stack = [start]
         while stack:
             x = stack.pop()
-            for eid in g.incidence[x]:
-                u, w = g.edges[eid]
-                y = w if u == x else u
+            for y in neighbours[x]:
                 if y not in seen:
                     seen.add(y)
                     comp.add(y)

@@ -78,32 +78,20 @@ def test_factor_degrees_sum(seed):
     assert tuple(totals) == g.degrees
 
 
-def test_equality_hash_and_pickling_before_and_after_incidence():
+def test_equality_hash_and_pickling():
     rng = random.Random(53)
     for _ in range(30):
         g = random_multigraph(rng, max_n=8, max_m=20)
         twin = Multigraph(g.n, [list(e) for e in g.edges])  # lists become int tuples
-        fresh = pickle.loads(pickle.dumps(g))  # taken before any incidence read
-        built = g.incidence
-        cached = pickle.loads(pickle.dumps(g))
-        assert pickle.dumps(g) == pickle.dumps(twin)  # the cache is not pickled
-        for copy in (twin, fresh, cached):
+        fresh = pickle.loads(pickle.dumps(g))
+        assert pickle.dumps(g) == pickle.dumps(twin)
+        for copy in (twin, fresh):
             assert copy == g and hash(copy) == hash(g) and copy.edges == g.edges
             assert copy.degrees == g.degrees
             assert copy.loops == g.loops
-            assert copy.incidence == built
             assert {g: 1}[copy] == 1
     assert Multigraph(2, [(0, 1)]) != Multigraph(3, [(0, 1)])
     assert Multigraph(2, [(0, 1)]) != Multigraph(2, [(1, 0)])
-
-
-def test_incidence_lists_match_the_edges():
-    rng = random.Random(59)
-    for _ in range(50):
-        g = random_multigraph(rng, max_n=8, max_m=20)
-        for v in range(g.n):
-            expected = tuple(eid for eid, (a, b) in enumerate(g.edges) if v in (a, b))
-            assert g.incidence[v] == expected  # ascending ids, a loop once
 
 
 def test_build_checks_and_converts_edges():

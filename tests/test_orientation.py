@@ -56,9 +56,10 @@ def walked_tails(g):
     the current vertex: the near-balanced orientation, and on an
     even-degree graph the Eulerian one."""
     tails = [None] * g.m
+    at = [[eid for eid, e in enumerate(g.edges) if x in e] for x in range(g.n)]
     for x in [v for v, d in enumerate(g.degrees) if d % 2 == 1] + list(range(g.n)):
         while True:
-            free = [eid for eid in g.incidence[x] if tails[eid] is None]
+            free = [eid for eid in at[x] if tails[eid] is None]
             if not free:
                 break
             tails[free[0]] = x

@@ -19,6 +19,7 @@ from eqfactor.lab import generate, measure, oracle_parity_gf, verify
 from eqfactor.multigraph import Multigraph, complete_graph
 from eqfactor.parity import (
     ParitySpec,
+    _even_circulation,
     epsilon_parity_factor,
     epsilon_windows,
     even_factor_eps,
@@ -101,7 +102,9 @@ def test_lovasz_finder_oracle_triple_agreement():
 
 
 def test_scale_epsilon_parity_factor_10k():
-    """ROADMAP item 4 at m = 3 * 10^4, at the default recursion limit."""
+    """The eps-window parity factor of a 10^4-vertex union of three
+    Hamiltonian cycles (m = 3 * 10^4), at eps = 0.5 and 0.34 and steered at
+    vertex 3, runs at the default recursion limit and passes its audits."""
     g = generate("eulerian_cycles", {"n": 10_000, "c": 3}, seed=1)
     f = [0] * g.n
     f[17] = f[5017] = 1
@@ -221,6 +224,15 @@ def test_hilton_peels_one_over_k_exactly():
     fz = hilton_even_factorization(g, 49)
     assert audit_passes(verify(g, fz, ["even", "deviation<2"]))
     assert all(d == 2 for degs in fz.all_factor_degrees() for d in degs)
+
+
+def test_a_circulation_shortfall_is_an_internal_error():
+    """Two arcs 0 -> 1 are not Eulerian: vertex 0 must send one unit at
+    throughput 1/2, but vertex 1, with out-degree 0, takes none in. No
+    caller passes such arcs, so the shortfall is a bug (AssertionError,
+    exit 4 in the CLI), not a proof of infeasibility."""
+    with pytest.raises(AssertionError):
+        _even_circulation(2, [0, 0], [1, 1], 1, 2)
 
 
 def test_weighted_k5_half_half():

@@ -213,15 +213,18 @@ def test_regular_split_validations():
 
 
 def test_scale_parity_and_regular_factorize_10k():
-    """ROADMAP item 3 at n = 10^4, at the default recursion limit."""
+    """The parity and regular factorizations of a 10^4-vertex union of three
+    Hamiltonian cycles run at the default recursion limit and pass their
+    audits."""
     g = eulerian_union(random.Random(3), 10_000, 3)
     for _, audit, _ in (parity_factorize(g, 3), regular_factorize(g, 3)):
         assert audit_passes(audit)
 
 
 def test_scale_equitable_k3_irregular_10k_runs_one_flow(monkeypatch):
-    """ROADMAP item 2: on an irregular 10^4-vertex graph inside the k = 3
-    hypothesis, the first plan is realized by one flow and no search runs."""
+    """On an irregular 10^4-vertex graph inside the k = 3 hypothesis, the
+    equitable factorization realizes its first plan with one call of
+    realize_out_degrees and runs no plan search."""
     g = irregular_union(random.Random(83), 10_000, 3)
     assert len({d % 2 for d in g.degrees}) == 2
     calls = []
