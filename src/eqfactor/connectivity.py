@@ -31,7 +31,7 @@ from collections import deque
 
 from .errors import InvalidInput
 from .maxflow import FlowNetwork
-from .multigraph import Multigraph
+from .multigraph import Multigraph, parity_targets
 
 
 def _cut_network(g: Multigraph) -> FlowNetwork:
@@ -368,11 +368,7 @@ def f_odd_cut_bound(g: Multigraph, f, lam: int, trees: int = 0):
     every f-odd X then has odd d(X) (k = 1 regular and parity factors).
     """
     if f is not None:
-        f = tuple(int(x) % 2 for x in f)
-        if len(f) != g.n:
-            raise InvalidInput("f must assign a parity to every vertex")
-        if sum(f) % 2 == 1:
-            raise InvalidInput("sum of f over V must be even")
+        f = parity_targets(g, f)
         t = {v for v in range(g.n) if f[v] == 1}
         if not t:
             return True, None

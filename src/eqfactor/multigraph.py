@@ -83,6 +83,16 @@ def cut_size(g: Multigraph, a) -> int:
     return sum(1 for u, v in g.edges if u != v and (u in a) != (v in a))
 
 
+def parity_targets(g: Multigraph, f) -> tuple:
+    """f modulo 2 as a tuple, checked to have one entry per vertex and an even sum."""
+    f = tuple(int(x) % 2 for x in f)
+    if len(f) != g.n:
+        raise InvalidInput("f must assign a parity to every vertex")
+    if sum(f) % 2 == 1:
+        raise InvalidInput("sum of f over V must be even")
+    return f
+
+
 class Orientation:
     """A direction per edge of a base multigraph, stored as the tail vertex."""
 

@@ -18,7 +18,7 @@ import math
 from .errors import Infeasible, InvalidInput
 from .lab import decimal_ratio
 from .matching import maximum_matching
-from .multigraph import Factorization, Multigraph
+from .multigraph import Factorization, Multigraph, parity_targets
 
 
 class ParitySpec:
@@ -165,9 +165,7 @@ def epsilon_parity_factor(g: Multigraph, f, eps: float, z=None):
     z = (vertex, side) with side "at_least"/"at_most" steers d_F(z) to the
     requested side of eps*d(z) by tightening its window by 2.
     """
-    f = tuple(int(x) % 2 for x in f)
-    if sum(f) % 2 != 0:
-        raise InvalidInput("sum of f over V must be even")
+    f = parity_targets(g, f)
     g0, f0 = epsilon_windows(g, f, eps)
     g0, f0 = list(g0), list(f0)
     if z is not None:

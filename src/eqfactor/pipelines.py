@@ -4,12 +4,12 @@ Each pipeline is one sufficient construction: a residue orientation, a
 bipartite split, a Konig coloring. Each returns one plain triple
 (factorization, audit, warnings): the audit is ``lab.verify``'s list of
 (claim, bound, measured, passed) entries for the pipeline's claims, and the
-warnings are the messages the CLI prints to stderr. Each connectivity
-hypothesis is one ``connectivity.f_odd_cut_bound`` call, stopping at the
-threshold, and only a warning, never a gate: the solvers may succeed
-below the published thresholds. As the construction is only sufficient, an
-orientation step that finds nothing proves nothing: the pipeline raises
-Undecided, with the warnings that name the unmet hypothesis.
+warnings are the messages the CLI prints to stderr. As the construction is
+only sufficient, an orientation step that finds nothing, or spends its
+budget, proves nothing: the pipeline raises Undecided, and only then checks
+its hypothesis (one ``connectivity.f_odd_cut_bound`` call, stopping at the
+threshold) to name it when unmet. The solvers may succeed below the
+published thresholds; a success is audited and carries no hypothesis warning.
 """
 
 from __future__ import annotations
@@ -18,20 +18,29 @@ from . import connectivity
 from .coloring import decompose_directed
 from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, Undecided
 from .lab import parity_claim, verify
-from .multigraph import Factorization, Multigraph, cut_size
+from .multigraph import Factorization, Multigraph, cut_size, parity_targets
 from .orientation import balanced_mod_k_orientation, mod_k_orientation, residue_map
 
 
-def _orient(warnings, solve, *args, **kwargs):
-    """solve(*args, **kwargs), the pipeline's orientation step. The
-    construction is only sufficient, so its Infeasible is no proof: it becomes
-    Undecided, with the warnings, which name the hypothesis that is not met."""
+def _hypothesis(g: Multigraph, f, lam: int, trees: int, unmet):
+    """The check "every f-odd cut is >= lam, or g has `trees` spanning trees"
+    as a zero-argument callable: [] when it holds, else the one warning that
+    unmet(witness) words."""
+    def check():
+        ok, witness = connectivity.f_odd_cut_bound(g, f, lam, trees)
+        return [] if ok else [f"hypothesis not met: {unmet(witness)}"]
+    return check
+
+
+def _orient(hypothesis, warnings, solve, *args, **kwargs):
+    """solve(*args, **kwargs), the pipeline's orientation step. The construction
+    is only sufficient, so its Infeasible or spent budget is no proof: either
+    becomes Undecided, with hypothesis(), run only now, then the warnings."""
     try:
         return solve(*args, **kwargs)
-    except Infeasible as exc:
-        raise Undecided(
-            f"the residue construction does not apply: {exc}" + "".join(f"; {w}" for w in warnings)
-        ) from None
+    except (Infeasible, Undecided) as exc:
+        lead = f"the residue construction does not apply: {exc}" if isinstance(exc, Infeasible) else str(exc)
+        raise Undecided(lead + "".join(f"; {w}" for w in hypothesis() + warnings)) from None
 
 
 def find_Z_set(g: Multigraph, k: int):
@@ -65,12 +74,6 @@ def equitable_factorize(g: Multigraph, k: int, z=None, Z=None, budget: int = DEF
     if k < 1:
         raise InvalidInput("k must be >= 1")
     warnings = []
-    ok, witness = connectivity.f_odd_cut_bound(g, None, 3 * k - 3, 2 * k - 2)
-    if not ok:
-        warnings.append(
-            f"hypothesis not met: graph is neither ({3 * k - 3})-edge-connected "
-            f"nor ({2 * k - 2})-tree-connected (lambda = {cut_size(g, witness)})"
-        )
     if z is None and Z is None:
         Z = find_Z_set(g, k)
         if Z is None:
@@ -79,7 +82,9 @@ def equitable_factorize(g: Multigraph, k: int, z=None, Z=None, budget: int = DEF
     p = residue_map(g, z=z, Z=Z)
     if Z is not None and (g.m - sum(g.degree(v) for v in Z)) % k != 0:
         raise InvalidInput("Z does not satisfy |E| = sum of Z degrees (mod k)")
-    orientation = _orient(warnings, mod_k_orientation, g, k, p, budget=budget)
+    hypothesis = _hypothesis(g, None, 3 * k - 3, 2 * k - 2, lambda x: f"graph is neither ({3 * k - 3})-edge"
+                             f"-connected nor ({2 * k - 2})-tree-connected (lambda = {cut_size(g, x)})")
+    orientation = _orient(hypothesis, warnings, mod_k_orientation, g, k, p, budget=budget)
     fz = decompose_directed(orientation, k, mode="size")
     claims = ["deviation<1" if z is None else "deviation<2", "size±1"]
     return fz, verify(g, fz, claims), warnings
@@ -117,30 +122,22 @@ def parity_factorize(g: Multigraph, k: int, f=None, budget: int = DEFAULT_BUDGET
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")
-    warnings = []
     if k % 2 == 1:
         if f is not None:
             raise InvalidInput("odd k takes no parity map; targets are d(v) mod 2")
-        parity = "parity"
-        if not connectivity.f_odd_cut_bound(g, g.degrees, 3 * k - 2, 2 * k - 2)[0]:
-            warnings.append(
-                f"hypothesis not met: graph is neither odd-({3 * k - 2})-edge-connected "
-                f"nor ({2 * k - 2})-tree-connected"
-            )
-        orientation = _orient(warnings, balanced_mod_k_orientation, g, k, budget=budget)
+        parity, q = "parity", None
+        hypothesis = _hypothesis(g, g.degrees, 3 * k - 2, 2 * k - 2, lambda x: f"graph is neither odd-({3 * k - 2})"
+                                 f"-edge-connected nor ({2 * k - 2})-tree-connected")
     else:
         if f is None:
             raise InvalidInput("even k requires a parity map f")
-        targets = tuple(int(x) % 2 for x in f)
-        # f_odd_cut_bound also rejects a targets tuple of the wrong length or odd sum
-        ok, witness = connectivity.f_odd_cut_bound(g, targets, 3 * k - 2)
-        if not ok:
-            warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at f-odd set {sorted(witness)}")
+        targets = parity_targets(g, f)  # rejected before any solver work
         q = {v for v in range(g.n) if targets[v] == 1}
         parity = parity_claim(targets)
-        orientation = _orient(warnings, balanced_mod_k_orientation, g, k, q, budget=budget)
+        hypothesis = _hypothesis(g, targets, 3 * k - 2, 0, lambda x: f"d(X) < {3 * k - 2} at f-odd set {sorted(x)}")
+    orientation = _orient(hypothesis, [], balanced_mod_k_orientation, g, k, q, budget=budget)
     fz = decompose_directed(orientation, k, mode="parity")
-    return fz, verify(g, fz, ["deviation<2", parity]), warnings
+    return fz, verify(g, fz, ["deviation<2", parity]), []
 
 
 def regular_factorize(g: Multigraph, k: int, budget: int = DEFAULT_BUDGET) -> tuple:
@@ -153,17 +150,14 @@ def regular_factorize(g: Multigraph, k: int, budget: int = DEFAULT_BUDGET) -> tu
     for v in range(g.n):
         if g.degree(v) % k != 0:
             raise InvalidInput(f"degree {g.degree(v)} of vertex {v} is not divisible by k = {k}")
-    warnings = []
     q_parity = tuple((g.degree(v) // k) % 2 for v in range(g.n))
-    ok, witness = connectivity.f_odd_cut_bound(g, q_parity, 3 * k - 2)
-    if not ok:
-        warnings.append(f"hypothesis not met: d(X) < {3 * k - 2} at Q-odd set {sorted(witness)}")
-    orientation = _orient(warnings, mod_k_orientation, g, k, (0,) * g.n, budget=budget)
+    hypothesis = _hypothesis(g, q_parity, 3 * k - 2, 0, lambda x: f"d(X) < {3 * k - 2} at Q-odd set {sorted(x)}")
+    orientation = _orient(hypothesis, [], mod_k_orientation, g, k, (0,) * g.n, budget=budget)
     fz = decompose_directed(orientation, k, mode="size")
     audit = verify(g, fz, ["regular"])
     if not all(passed for *_, passed in audit):
         raise AssertionError("regular factorization produced a non-regular factor")
-    return fz, audit, warnings
+    return fz, audit, []
 
 
 def regular_split(g: Multigraph, r_list, k: int, bounded_mode: bool = False, budget: int = DEFAULT_BUDGET) -> tuple:

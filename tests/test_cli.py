@@ -142,6 +142,15 @@ def test_cli_k4_k3_is_undecided_not_infeasible(tmp_path, capsys, argv, hypothesi
     assert f"; hypothesis not met: {hypothesis}" in err
 
 
+def test_cli_spent_budget_names_the_unmet_hypothesis(tmp_path, capsys):
+    """A plan search that runs out of budget proves nothing either: its
+    Undecided names the hypothesis that K4 does not meet, as Infeasible's does."""
+    k4 = write_graph(tmp_path, complete_graph(4))
+    assert main(["factor", k4, "--k", "3", "--budget", "0"]) == 3
+    assert capsys.readouterr() == ("", "undecided: mod-k plan search exceeded node budget 0; hypothesis not met: "
+                                       "graph is neither (6)-edge-connected nor (4)-tree-connected (lambda = 3)\n")
+
+
 K44 = Multigraph(8, [(i, 4 + j) for i in range(4) for j in range(4)])
 
 
@@ -157,11 +166,12 @@ def test_cli_regular_split_grouping_is_invalid_input(tmp_path, capsys):
     assert sorted(len(f["edges"]) for f in json.loads(capsys.readouterr().out)["factors"]) == [4, 12]
 
 
-# an exact --r-list split, the claim its audit makes, and its base split's warnings
+# an exact --r-list split, the claim its audit makes, and its base split's
+# warnings: none, as a successful split checks no hypothesis (K4,4 at k = 4
+# is outside it, with d(X) = 4 < 10 at the Q-odd set {1})
 R_LISTS = [
     (complete_graph(5), ["--k", "2", "--r-list", "2,2"], "deviation<1:0.5;0.5", ""),
-    (K44, ["--k", "4", "--r-list", "1,3"], "deviation<1:0.25;0.75",
-     "warning: hypothesis not met: d(X) < 10 at Q-odd set [1]\n"),
+    (K44, ["--k", "4", "--r-list", "1,3"], "deviation<1:0.25;0.75", ""),
 ]
 
 
@@ -776,11 +786,8 @@ def test_text_format_golden_on_k5(tmp_path, capsys, argv):
     assert main([argv[0], path, *argv[1:], "--format", "text"]) == 0
     out, err = capsys.readouterr()
     assert out == K5_TEXT[argv]
-    if argv == ("factor", "--k", "3"):
-        assert err == ("warning: hypothesis not met: graph is neither (6)-edge-connected "
-                       "nor (4)-tree-connected (lambda = 4)\n")
-    else:
-        assert err == ""
+    # K5 is outside the k = 3 hypothesis (lambda = 4 < 6), but a success checks none
+    assert err == ""
 
 
 MALFORMED_REPORTS = [

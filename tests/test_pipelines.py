@@ -4,8 +4,8 @@ import pytest
 
 import cut_oracles
 from conftest import audit_passes, cycle_graph, eulerian_union, irregular_union, random_multigraph
-from eqfactor import connectivity, orientation
-from eqfactor.errors import Infeasible, InvalidInput, Undecided
+from eqfactor import connectivity, orientation, parity, pipelines
+from eqfactor.errors import DEFAULT_BUDGET, Infeasible, InvalidInput, Undecided
 from eqfactor.lab import oracle_equitable
 from eqfactor.maxflow import FlowNetwork
 from eqfactor.multigraph import Multigraph, complete_graph
@@ -237,29 +237,76 @@ def test_scale_equitable_k3_irregular_10k_runs_one_flow(monkeypatch):
     assert audit_passes(audit) and not warnings
 
 
+K44 = Multigraph(8, [(i, 4 + j) for i in range(4) for j in range(4)])
+
+
+def test_a_success_checks_no_hypothesis(monkeypatch):
+    """No pipeline calls f_odd_cut_bound when its construction succeeds, also
+    outside its hypothesis (lambda(K5) = 4 < 6; K4,4 has d(X) = 4 < 10 at a
+    Q-odd set), and a failing one calls it once."""
+    calls = []
+    bound = connectivity.f_odd_cut_bound
+    monkeypatch.setattr(connectivity, "f_odd_cut_bound", lambda *a: calls.append(a) or bound(*a))
+    k5 = complete_graph(5)
+    for fz, audit, warnings in (
+        equitable_factorize(k5, 3),
+        parity_factorize(k5, 3),
+        parity_factorize(k5, 2, f=(0, 1, 1, 0, 0)),
+        regular_factorize(K44, 4),
+        regular_split(K44, [1, 3], 4),
+    ):
+        assert audit_passes(audit) and warnings == []
+    assert calls == []
+    with pytest.raises(Undecided, match="hypothesis not met"):
+        regular_factorize(complete_graph(4), 3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("f, error", [((0, 1, 1), "f must assign a parity to every vertex"),
+                                      ((0, 1, 0, 0, 0), "sum of f over V must be even")])
+def test_even_k_parity_map_is_rejected_before_any_solver_work(monkeypatch, f, error):
+    """parity_factorize (even k) and epsilon_parity_factor reject a parity map
+    of the wrong length or with an odd sum, in the same words, before their
+    solvers start."""
+    def unreached(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(pipelines, "balanced_mod_k_orientation", unreached)
+    monkeypatch.setattr(parity, "epsilon_windows", unreached)
+    for solve in (lambda: parity_factorize(complete_graph(5), 2, f=f),
+                  lambda: parity.epsilon_parity_factor(complete_graph(5), f, 0.5)):
+        with pytest.raises(InvalidInput, match=error):
+            solve()
+
+
 def test_odd_k_parity_check_computes_lambda_at_most_once(monkeypatch):
-    """The odd-k hypothesis check warns exactly when odd lambda < 3k - 2 and
-    the graph is not (2k - 2)-tree-connected. It computes lambda once when
-    some degree is odd and never when none is (no T-odd cut exists then)."""
+    """The odd-k hypothesis is checked only when the construction fails. A
+    success computes lambda never and warns of nothing. An Undecided names the
+    hypothesis exactly when odd lambda < 3k - 2 and the graph is not
+    (2k - 2)-tree-connected, and computes lambda once when some degree is odd
+    and never when none is (no T-odd cut exists then)."""
     rng = random.Random(47)
     calls = []
     witness = connectivity.edge_connectivity_witness
     monkeypatch.setattr(connectivity, "edge_connectivity_witness", lambda *a: calls.append(a) or witness(*a))
-    warned = 0
+    undecided = warned = 0
     for trial in range(80):
         if trial % 4 == 0:
             g = eulerian_union(rng, rng.randint(3, 9), rng.randint(1, 3))
         else:
             g = random_multigraph(rng, min_n=2, max_n=8, max_m=24)
         k = rng.choice((3, 5))
-        expected = (connectivity.odd_edge_connectivity(g) < 3 * k - 2
-                    and cut_oracles.tree_connectivity(g) < 2 * k - 2)
         calls.clear()
-        try:
-            got = "hypothesis not met" in "".join(parity_factorize(g, k)[2])
+        try:  # a spent budget, every other trial, is Undecided whatever the hypothesis
+            assert parity_factorize(g, k, budget=trial % 2 * DEFAULT_BUDGET)[2] == [] and calls == []
+            continue
         except Undecided as exc:
             got = "hypothesis not met" in str(exc)
+        expected = (connectivity.odd_edge_connectivity(g) < 3 * k - 2
+                    and cut_oracles.tree_connectivity(g) < 2 * k - 2)
         assert got == expected
         assert len(calls) == any(d % 2 for d in g.degrees)
+        undecided += 1
         warned += got
-    assert 10 <= warned <= 70
+    # some successes, and Undecided both with and without the warning
+    assert undecided <= 70 and 10 <= warned <= undecided - 10
