@@ -18,7 +18,7 @@ import sys
 
 from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, Undecided
 from .graphio import check_report, dump_report, factorization_report, parse_graph, serialize_graph
-from .multigraph import Factorization, Multigraph
+from .multigraph import Factorization, Multigraph, parity_targets
 
 
 def _csv(text: str, kind=int) -> list:
@@ -268,7 +268,7 @@ def cmd_oracle(args):
             raise InvalidInput("oracle parity_gf requires --f and --epsilon")
         from . import parity
 
-        f = _parity_map(g, _csv(args.f))
+        f = parity_targets(g, _parity_map(g, _csv(args.f)))
         g0, f0 = parity.epsilon_windows(g, f, args.epsilon)
         answer = lab.oracle_parity_gf(g, parity.ParitySpec(f=f, g0=g0, f0=f0), jobs=args.jobs)
     print("true" if answer else "false")

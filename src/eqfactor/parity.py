@@ -1,14 +1,17 @@
 """Parity factors: a constructive finder and the epsilon-window pipelines
 (even factors, recursive and weighted even factorizations).
 
-The finder is exact at every size: it reduces to perfect matching through the
-classical degree-gadget construction (padding loops encode the allowed parity
-window) and solves that with the in-house cardinality blossom of
-``matching``, warm-started from a greedy factor. It stays fully independent
-of the brute-force subset oracle used for cross-checking. Both take a
-ParitySpec, a plain record whose constructor enforces the window condition:
-g0(v) <= f0(v), both of f(v)'s parity. The even factorizations orient by
-``orientation.trail_walk``, imported in each, so parity-factor never loads it.
+The finder is exact at every size. It takes edges greedily, then mends what
+the greedy pass leaves outside the windows by alternating trails on G. Only
+when a trail search fails does it build the classical degree gadget (padding
+pairs encode the allowed parity window), warm-started from the factor so
+far, and solve it with the in-house cardinality blossom of ``matching``.
+Past the window and handshake checks, only the matching answers "no
+factor". The finder stays fully independent of the brute-force subset
+oracle used for cross-checking. Both take a ParitySpec, a plain record
+whose constructor enforces the window condition: g0(v) <= f0(v), both of
+f(v)'s parity. The even factorizations orient by ``orientation.trail_walk``,
+imported in each, so parity-factor never loads it.
 """
 
 from __future__ import annotations
@@ -55,8 +58,12 @@ def find_parity_factor(g: Multigraph, spec: ParitySpec):
     """An edge set F with g0(v) <= d_F(v) <= f0(v) and d_F(v) = f(v) (mod 2)
     for every v, or None when no such factor exists.
 
-    Exact at every size: a perfect matching of ``_gadget`` is a factor, and
-    the search stops at the first node shown exposed in a maximum matching.
+    Greedy first: an edge is taken while d_F stays at most f0 at both ends.
+    ``_repair`` then mends the vertices this leaves outside their windows by
+    alternating trails on G, and F is returned when it mends them all.
+    Otherwise F warm-starts a perfect matching of ``_gadget``, which is exact
+    at every size: its search stops at the first node shown exposed in a
+    maximum matching, so only the gadget answers None.
     """
     if len(spec.f) != g.n:
         raise InvalidInput("spec must cover every vertex")
@@ -65,13 +72,95 @@ def find_parity_factor(g: Multigraph, spec: ParitySpec):
         return None
     if sum(spec.f) % 2 != 0:
         return None  # handshake: sum of factor degrees is even
-    adj, mate = _gadget(g, windows)
-    if maximum_matching(adj, mate, perfect=True) is None:
-        return None
-    return frozenset(eid for eid in range(g.m) if mate[2 * eid] == 2 * eid + 1)
+    deg = [0] * g.n  # d_F
+    taken = []
+    for u, v in g.edges:  # a loop adds 2 to d_F(u)
+        take = deg[u] + 1 + (u == v) <= windows[u][1] and deg[v] < windows[v][1]
+        deg[u] += take
+        deg[v] += take
+        taken.append(take)
+    if not _repair(g, windows, taken, deg):
+        adj, mate = _gadget(g, windows, taken)
+        if maximum_matching(adj, mate, perfect=True) is None:
+            return None
+        taken = [mate[2 * eid] == 2 * eid + 1 for eid in range(g.m)]
+    return frozenset(eid for eid, take in enumerate(taken) if take)
 
 
-def _gadget(g: Multigraph, windows):
+def _repair(g: Multigraph, windows, taken, deg) -> bool:
+    """Mend the factor taken, whose degrees deg are at most hi everywhere, on
+    G itself, changing both in place; True when every vertex ends inside its
+    window with the right parity.
+
+    need(v) is lo - d_F(v) below the window, else d_F(v)'s parity error. While
+    a vertex s has need, a breadth-first search runs over states 2w + b,
+    where b is 1 when the edge that entered w is added to F and 0 when it is
+    removed. It leaves w by any edge that keeps d_F(w) plus this visit's
+    change within [min(lo, d_F(w)), hi] (never by the edge it came in on),
+    and stops at the first state whose edge lowers its vertex's need. The trail
+    is flipped only when it repeats no edge, lowers s's need, and raises no
+    vertex's need nor takes it above hi. Loops take no part. Returns False at
+    the first search that fails, and the gadget decides from there.
+    """
+    n, edges = g.n, g.edges
+    inc = [[] for _ in range(n)]
+    tip = [u + v for u, v in edges]  # the far end of eid from v is tip[eid] - v
+    for eid, (u, v) in enumerate(edges):
+        if u != v:
+            inc[u].append(eid)
+            inc[v].append(eid)
+    lo = [w[0] for w in windows]
+    hi = [w[1] for w in windows]
+
+    def need(v, d):
+        return lo[v] - d if d < lo[v] else (d - lo[v]) & 1
+
+    mark = [0] * (2 * n)  # id of the last search that reached each state
+    via = [0] * (2 * n)  # the edge each state was reached by
+    parent = [0] * (2 * n)  # the state it was reached from; -1 is s
+    change = [0] * n  # the trail's net change of d_F, zero between trails
+    search = 0
+    for s in range(n):
+        while need(s, deg[s]):
+            search += 1
+            queue, hit = [-1], -1
+            for st in queue:
+                v, d, back = (s, deg[s], -1) if st < 0 else (st >> 1, deg[st >> 1] + 2 * (st & 1) - 1, via[st])
+                add, drop = d < hi[v], d > min(lo[v], deg[v])
+                for eid in inc[v]:
+                    x = 0 if taken[eid] else 1
+                    if eid == back or not (add if x else drop):
+                        continue
+                    w = tip[eid] - v
+                    nxt = 2 * w + x
+                    if mark[nxt] == search:
+                        continue
+                    mark[nxt], via[nxt], parent[nxt] = search, eid, st
+                    if need(w, deg[w] + 2 * x - 1) < need(w, deg[w]) and (w != s or need(s, deg[s]) > 1):
+                        hit = nxt
+                        break
+                    queue.append(nxt)
+                if hit >= 0:
+                    break
+            trail, ends = [], []
+            while hit >= 0:
+                eid, hit = via[hit], parent[hit]
+                trail.append(eid)
+                for v in edges[eid]:
+                    change[v] += 1 - 2 * taken[eid]
+                    ends.append(v)
+            if not trail or len(set(trail)) < len(trail) or need(s, deg[s] + change[s]) >= need(s, deg[s]) or any(
+                    deg[v] + change[v] > hi[v] or need(v, deg[v] + change[v]) > need(v, deg[v]) for v in ends):
+                return False
+            for v in ends:
+                deg[v] += change[v]
+                change[v] = 0
+            for eid in trail:
+                taken[eid] = not taken[eid]
+    return True
+
+
+def _gadget(g: Multigraph, windows, taken):
     """Adjacency lists of the gadget and a warm-start matching in it.
 
     Nodes 2e and 2e + 1 are the ends of edge e (at its first and second
@@ -81,26 +170,20 @@ def _gadget(g: Multigraph, windows):
     padding node of v. A perfect matching matches d(v) - lo of them to cores,
     so the matched ends d_F(v) and padding pairs p(v) give d_F(v) + 2p(v) = hi.
 
-    The warm start takes edges greedily while d_F stays at most hi at both
-    ends, matches padding pairs while d_F(v) + 2 <= hi, and gives every other
-    node of v a core; it leaves hi - d_F(v) - 2p(v) nodes of v free.
+    The warm start matches the two ends of each edge that taken flags, matches
+    padding pairs while d_F(v) + 2 <= hi, and gives every other node of v a
+    core while cores last. Any flags give a matching, and the search is exact
+    from any matching.
     """
     incidences = [[] for _ in range(g.n)]
     used = [0] * g.n  # d_F(v) + 2p(v) in the warm start
     mate = []
-    for eid, (u, v) in enumerate(g.edges):
+    for eid, ((u, v), take) in enumerate(zip(g.edges, taken)):
         incidences[u].append(2 * eid)
         incidences[v].append(2 * eid + 1)
-        if u == v:
-            take = used[u] + 2 <= windows[u][1]
-        else:
-            take = used[u] < windows[u][1] and used[v] < windows[v][1]
-        if take:
-            used[u] += 1
-            used[v] += 1
-            mate += (2 * eid + 1, 2 * eid)
-        else:
-            mate += (-1, -1)
+        used[u] += take
+        used[v] += take
+        mate += (2 * eid + 1, 2 * eid) if take else (-1, -1)
     for v, (lo, hi) in enumerate(windows):
         for _ in range((hi - lo) // 2):
             x = len(mate)
@@ -138,10 +221,8 @@ def circulation_ratio(eps: float) -> tuple:
 def epsilon_windows(g: Multigraph, f, eps: float):
     """Per-vertex parity windows around eps*d(v): the closest values of the
     parity f(v) to floor(eps*d) from below and ceil(eps*d) from above, in
-    integers for eps read by ``window_ratio``."""
-    f = tuple(int(x) % 2 for x in f)
-    if len(f) != g.n:
-        raise InvalidInput("f must assign a parity to every vertex")
+    integers for eps read by ``window_ratio``. f is a map that
+    ``parity_targets`` has checked."""
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie strictly between 0 and 1")
     p, q = window_ratio(eps)

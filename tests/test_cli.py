@@ -413,6 +413,15 @@ def test_oracle_rejects_a_job_count_below_one(tmp_path, capsys, monkeypatch, job
         assert capsys.readouterr() == ("", f"error: jobs must be >= 1, got {jobs}\n")
 
 
+def test_oracle_rejects_an_odd_parity_map_as_parity_factor_does(tmp_path, capsys):
+    """An f with an odd sum is an invalid request (exit 2) for both commands;
+    the oracle used to answer false (exit 1)."""
+    k5 = write_graph(tmp_path, complete_graph(5))
+    for argv in (["oracle", k5, "--question", "parity_gf"], ["parity-factor", k5]):
+        assert main([*argv, "--f", "0", "--epsilon", "0.5"]) == 2
+        assert capsys.readouterr() == ("", "error: sum of f over V must be even\n")
+
+
 def test_cli_parity_budget_of_n_admits_the_first_plan(tmp_path, capsys):
     """Even-k parity with k >= 3 tries the first plan, uncharged, with a
     budget of at least n, and it is realized here; below n the plan search
@@ -773,7 +782,7 @@ audit even: bound 0, measured 0, pass True
 audit eps-window: bound 2, measured 0.0, pass True
 """,
     ("parity-factor", "--f", "0,1", "--epsilon", "0.5"): """\
-factor edges: [0, 2, 3, 4, 5, 8]
+factor edges: [1, 2, 3, 4, 5, 6]
 audit parity: bound 0, measured 0, pass True
 audit eps-window: bound 2, measured 1.0, pass True
 """,

@@ -13,7 +13,7 @@ from conftest import (
     subgraph,
 )
 from cut_oracles import ConditionCertificate, check_lovasz, omega_f
-from eqfactor import maxflow
+from eqfactor import maxflow, parity
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
 from eqfactor.lab import generate, measure, oracle_parity_gf, verify
 from eqfactor.multigraph import Multigraph, complete_graph
@@ -78,7 +78,20 @@ def test_parity_spec_validation():
         ParitySpec(f=(0,), g0=(2,), f0=(0,))  # g0 > f0
 
 
-def test_lovasz_finder_oracle_triple_agreement():
+def count_gadgets(monkeypatch):
+    """A list that gains the graph of each ``parity._gadget`` call."""
+    calls = []
+    gadget = parity._gadget
+    monkeypatch.setattr(parity, "_gadget", lambda *args: calls.append(args[0]) or gadget(*args))
+    return calls
+
+
+def test_lovasz_finder_oracle_triple_agreement(monkeypatch):
+    """Both branches of the finder answer here: the repair on G returns some
+    factors, and the gadget decides every other instance that passes the
+    window and handshake checks, each infeasible one among them."""
+    gadgets = count_gadgets(monkeypatch)
+    repaired = 0
     rng = random.Random(47)
     for _ in range(150):
         g = random_multigraph(rng, max_n=5, max_m=8, min_m=1)
@@ -92,19 +105,36 @@ def test_lovasz_finder_oracle_triple_agreement():
         spec = ParitySpec(f=tuple(f), g0=tuple(g0), f0=tuple(f0))
         truth = oracle_parity_gf(g, spec)
         assert (check_lovasz(g, spec) is True) == truth
+        before = len(gadgets)
         found = find_parity_factor(g, spec)
+        repaired += found is not None and len(gadgets) == before
         assert (found is not None) == truth
         if found is not None:
             degs = subgraph(g, found).degrees
             for v in range(g.n):
                 assert g0[v] <= degs[v] <= f0[v]
                 assert degs[v] % 2 == f[v]
+    assert repaired > 0 and len(gadgets) > 0
 
 
-def test_scale_epsilon_parity_factor_10k():
+def test_a_failed_repair_hands_its_factor_to_the_gadget(monkeypatch):
+    """Vertex 1 needs its two edges to vertex 0, which the greedy pass has
+    filled with the two edges to vertex 2. The one trail that mends vertex 1
+    adds 0-1, removes both 0-2 and adds the other 0-1; the search reaches
+    vertex 0 by the first 0-1 edge, so the trail it finds repeats that edge,
+    and the repair hands over. The gadget finds the factor {2, 3}."""
+    gadgets = count_gadgets(monkeypatch)
+    g = Multigraph(3, [(0, 2), (0, 2), (0, 1), (0, 1)])
+    assert find_parity_factor(g, ParitySpec(f=(0, 0, 0), g0=(2, 2, 0), f0=(2, 2, 2))) == frozenset({2, 3})
+    assert gadgets == [g]
+
+
+def test_scale_epsilon_parity_factor_10k(monkeypatch):
     """The eps-window parity factor of a 10^4-vertex union of three
     Hamiltonian cycles (m = 3 * 10^4), at eps = 0.5 and 0.34 and steered at
-    vertex 3, runs at the default recursion limit and passes its audits."""
+    vertex 3, runs at the default recursion limit, passes its audits and is
+    mended on G: no request builds the matching gadget."""
+    gadgets = count_gadgets(monkeypatch)
     g = generate("eulerian_cycles", {"n": 10_000, "c": 3}, seed=1)
     f = [0] * g.n
     f[17] = f[5017] = 1
@@ -114,6 +144,7 @@ def test_scale_epsilon_parity_factor_10k():
         assert audit_passes(measure(g, [degs], ["parity:17;5017", f"eps-window:{eps!r}"]))
         if z is not None:
             assert degs[3] < eps * g.degree(3)
+    assert gadgets == []
 
 
 def test_epsilon_windows_shape():
