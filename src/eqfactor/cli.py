@@ -7,14 +7,17 @@ reads as "infeasible").
 
 Importing this module loads only errors, graphio and multigraph of the
 package. Each cmd_* imports the modules it runs when it is dispatched, so
-one call loads what its subcommand needs and nothing more.
+one call loads what its subcommand needs and nothing more. A plain command
+line is read straight from the COMMANDS table (parse_command); argparse,
+which costs as much to load and build as a small solve, is imported only
+for help, errors and the forms that parse leaves to it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+import types
 
 from .errors import DEFAULT_BUDGET, Infeasible, InvalidInput, Undecided
 from .graphio import check_report, dump_report, factorization_report, parse_graph, serialize_graph
@@ -353,20 +356,63 @@ COMMANDS = {
 }
 
 
-def build_parser(*names) -> argparse.ArgumentParser:
-    """The top-level parser with the subparsers of the named COMMANDS, or of
-    all of them when none is named."""
+def parse_command(argv) -> types.SimpleNamespace | None:
+    """The attributes argparse sets for argv, read from COMMANDS and
+    SHARED_FLAGS, when argv is a subcommand name followed only by its
+    positionals, exact `--flag value` pairs and store-true flags, and every
+    value converts and passes its checks; None for anything else (help, a
+    flag prefix, `--flag=value`, a value that starts with '-', a repeated
+    flag, a failed conversion or check), which main hands to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, shared, arguments = COMMANDS[argv[0]]
+    specs = [(flag, SHARED_FLAGS[flag]) for flag in shared] + [(option[0], kwargs) for option, kwargs in arguments]
+    flags = {name: spec for name, spec in specs if name.startswith("-")}
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token in given or token not in flags:
+            return None
+        elif "action" in flags[token]:  # store_true, the only action the specs use
+            given[token] = True
+        else:
+            given[token] = next(tokens, "-")
+            if given[token].startswith("-"):
+                return None
+    names = [name for name, _ in specs if name not in flags]
+    if len(positionals) != len(names):
+        return None
+    given.update(zip(names, positionals))
+    args = types.SimpleNamespace(subcommand=argv[0], func=globals()[func.__name__])
+    for name, spec in specs:
+        if name not in given:
+            if spec.get("required"):
+                return None
+            value = spec.get("default", False if "action" in spec else None)
+        else:
+            try:
+                value = spec.get("type", lambda text: text)(given[name])
+            except ValueError:
+                return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        setattr(args, spec.get("dest", name.lstrip("-").replace("-", "_")), value)
+    return args
+
+
+def build_parser():
+    """The top-level argparse parser with one subparser per COMMANDS entry,
+    for the help texts, the errors and any argv that parse_command leaves."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="eqfactor",
         description="Equitable and parity edge-factorizations of multigraphs.",
     )
-    # with some subparsers left out, the usage line still names them all; the
-    # full parser sets no metavar, as its errors name the argument
-    # 'subcommand' only then
-    sub = parser.add_subparsers(dest="subcommand", required=True,
-                                metavar="{" + ",".join(COMMANDS) + "}" if names else None)
-    for name in names or COMMANDS:
-        text, func, shared, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (text, func, shared, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag in shared:
             p.add_argument(flag, **SHARED_FLAGS[flag])
@@ -381,14 +427,12 @@ def build_parser(*names) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # building all eight subparsers costs more than a small solve, so a call
-    # that names its subcommand builds that one alone; any other argv gets
-    # every subparser, for the top-level help and the invalid-choice error
-    parser = build_parser(*argv[:1]) if argv and argv[0] in COMMANDS else build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = parse_command(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except InvalidInput as exc:

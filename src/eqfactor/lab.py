@@ -161,7 +161,11 @@ def generate(family: str, params: dict, seed: int = 0) -> Multigraph:
         return complete_graph(n)
     if family == "regular":
         n, d = _params(family, params, "n", "d")
-        if n < 1 or d < 0 or (n * d) % 2 != 0:
+        if n < 1:
+            raise InvalidInput("regular family needs n >= 1")
+        if d < 0:
+            raise InvalidInput("regular family needs d >= 0")
+        if (n * d) % 2 != 0:
             raise InvalidInput("regular family needs n*d even")
         edges = []
         if n % 2 == 0:

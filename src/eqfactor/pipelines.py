@@ -47,10 +47,13 @@ def find_Z_set(g: Multigraph, k: int):
     """Smallest vertex set Z with sum of degrees over Z = |E| (mod k), or None.
 
     Subset-sum dynamic programming over degree residues, tracking the
-    minimal-cardinality (then lexicographically smallest) witness.
+    minimal-cardinality (then lexicographically smallest) witness; the
+    empty set when k divides |E|, as no candidate replaces it.
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")
+    if g.m % k == 0:
+        return frozenset()
     dp = {0: ()}
     for v in range(g.n):
         r = g.degree(v) % k

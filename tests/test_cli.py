@@ -8,6 +8,7 @@ import tracemalloc
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import audit_passes, cycle_graph, eulerian_union, random_multigraph
 from eqfactor import cli, graphio, lab, orientation, parity, pipelines
@@ -328,34 +329,112 @@ def test_cli_subcommands_take_only_the_shared_flags_they_read(capsys):
     capsys.readouterr()
 
 
-def test_one_subparser_parses_as_the_full_parser_does():
-    full = build_parser()
+FULL_PARSER = build_parser()
+
+
+def comparable(namespace) -> dict:
+    """The attributes of a parsed namespace, with NaN made equal to itself."""
+    return {key: "NaN" if value != value else value for key, value in vars(namespace).items()}
+
+
+def sample_values(spec) -> tuple:
+    """Values for one argument: (valid ones, a negative number and values
+    that fail its conversion or choices)."""
+    if "choices" in spec:
+        return list(spec["choices"]), ["up"]
+    if spec.get("type") is int:
+        return ["3", "0", "12"], ["-1", "x", "2.5"]
+    if spec.get("type") is float:
+        return ["0.5", "nan", "1e-1", "inf"], ["-0.5", "x"]
+    return ["0,1", "g.txt", "", "a=b"], ["-1", "-"]
+
+
+STRAYS = [["-h"], ["--help"], ["--"], ["-"], ["--jobs", "2"], ["--format", "text"], ["--bogus"], ["extra"]]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of one subcommand: each positional, each required flag and
+    some others, with valid values, except that up to two arguments may be
+    left out, take a value that fails, or come in a form that argparse reads
+    otherwise (`=`, a prefix, a repeat, no value); then up to two stray
+    tokens, all in any order."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, _, shared, arguments = cli.COMMANDS[name]
+    specs = [(f, cli.SHARED_FLAGS[f]) for f in shared] + [(flags[0], kw) for flags, kw in arguments]
+    odd = draw(st.sets(st.sampled_from([flag for flag, _ in specs]), max_size=2))
+    pieces = []
+    for flag, spec in specs:
+        valid, invalid = sample_values(spec)
+        value, other = (draw(st.sampled_from(valid + invalid if flag in odd else valid)) for _ in range(2))
+        positional = not flag.startswith("-")
+        tokens = [value] if positional else [flag] if spec.get("action") == "store_true" else [flag, value]
+        if flag not in odd:
+            forms = [[tokens]] if positional or spec.get("required") else [[], [tokens]]
+        elif positional:
+            forms = [[tokens], []]
+        else:
+            forms = [[], [tokens], [[f"{flag}={value}"]], [[flag[:-1], *tokens[1:]]],
+                     [tokens, [flag, other][:len(tokens)]], [[flag]]]
+        pieces += draw(st.sampled_from(forms))
+    pieces += draw(st.lists(st.sampled_from(STRAYS), max_size=2))
+    return [name] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_parse_command_agrees_with_the_full_parser(argv):
+    """Whenever the table parse returns a namespace, argparse parses the same
+    argv without error to the same attributes."""
+    args = cli.parse_command(argv)
+    if args is not None:
+        assert comparable(args) == comparable(FULL_PARSER.parse_args(argv))
+
+
+def test_parse_command_reads_each_plain_argv():
     for name, argv in SUBCOMMAND_ARGVS.items():
-        one = build_parser(name)
-        assert list(one._subparsers._group_actions[0].choices) == [name]
         for extra in [[], *([flag, value] for flag, (value, readers) in SHARED_FLAGS.items() if name in readers)]:
-            assert one.parse_args(argv + extra) == full.parse_args(argv + extra), (name, extra)
+            args = cli.parse_command(argv + extra)
+            assert comparable(args) == comparable(FULL_PARSER.parse_args(argv + extra)), (name, extra)
+    for argv in [[], ["-h"], ["factr"], ["factor", "g.txt", "--k=3"], ["factor", "g.txt", "--k", "3", "--k", "3"],
+                 ["orient", "g.txt", "--Z"], ["orient", "g.txt", "--Z", "-h"], ["orient", "g.txt", "--", "--Z", "1"]]:
+        assert cli.parse_command(argv) is None, argv
+
+
+def test_every_argument_spec_is_one_parse_command_models():
+    """A spec key that parse_command does not read, such as nargs or
+    action="append", or a second option string, fails here instead of being
+    misread."""
+    specs = [((flag,), spec) for flag, spec in cli.SHARED_FLAGS.items()]
+    specs += [argument for _, _, _, arguments in cli.COMMANDS.values() for argument in arguments]
+    for flags, spec in specs:
+        assert len(flags) == 1 and set(spec) <= {"type", "choices", "default", "required", "dest", "action", "help"}
+        assert spec.get("action", "store_true") == "store_true" and spec.get("type", int) in (int, float), flags
 
 
 def test_main_prints_what_the_full_parser_prints(tmp_path, capsys, monkeypatch):
-    """Every argv that reaches argparse's help or errors gives the same
-    stdout, stderr and exit code whether main builds one subparser or all."""
+    """Every argv gives the same stdout, stderr and exit code whether the
+    table parse reads it or argparse does; the forms the table parse leaves
+    to argparse included."""
     k5 = write_graph(tmp_path, complete_graph(5))
     runs = [["analyze", k5], ["even-factor", k5, "--k", "2", "--format", "text"],
-            ["-h"], ["--help"], *([name, "-h"] for name in cli.COMMANDS)]
+            ["-h"], ["--help"], *([name, "-h"] for name in cli.COMMANDS),
+            ["factor", k5, "--k=3"], ["parity-factor", k5, "--f", "0,1", "--eps", "0.5"],
+            ["factor", k5, "--k", "2", "--k", "3"], ["analyze", "--", k5]]
     errors = [
         [], ["frobnicate"], ["factr"], ["--bogus"], ["factor", k5, "--k", "x"],
         ["factor", k5, "--k", "3", "--bogus"], ["analyze", k5, "extra"],
         ["parity-factor", k5, "--f", "0,1", "--epsilon", "0.5", "--side", "up"],
         ["analyze", k5, "--budget", "5"], ["gen", "--family", "regular", "--jobs", "2"],
         *([name] for name in cli.COMMANDS),
+        ["parity-factor", k5, "--f", "0,1", "--epsilon", "0.5", "--z", "-1"], ["analyze", "-"],
     ]
     for argv, code in [(argv, 0) for argv in runs] + [(argv, 2) for argv in errors]:
-        one = (main(argv), *capsys.readouterr())
-        monkeypatch.setattr(cli, "build_parser", lambda *names: build_parser())
-        assert one == (main(argv), *capsys.readouterr()), argv
+        table = (main(argv), *capsys.readouterr())
+        monkeypatch.setattr(cli, "parse_command", lambda argv: None)
+        assert table == (main(argv), *capsys.readouterr()), argv
         monkeypatch.undo()
-        assert one[0] == code, argv
+        assert table[0] == code, argv
 
 
 def test_main_without_argv_reads_sys_argv(tmp_path, capsys, monkeypatch):
@@ -385,6 +464,19 @@ def test_gen_without_a_family_parameter_names_the_flag(tmp_path, capsys, family,
         rest = [arg for other, value in params.items() if other != key for arg in (f"--{other}", value)]
         assert main(["gen", "--family", family, *rest]) == 2, key
         assert capsys.readouterr().err == f"error: {family} family needs --{key}\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "4", "--d", "-2"], "d >= 0"),
+    (["--n", "0", "--d", "2"], "n >= 1"),
+    (["--n", "-3", "--d", "-1"], "n >= 1"),
+    (["--n", "5", "--d", "3"], "n*d even"),
+])
+def test_gen_regular_names_the_parameter_at_fault(capsys, flags, message):
+    """A negative degree and an empty graph used to be told that n*d must be
+    even, which held."""
+    assert main(["gen", "--family", "regular", *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: regular family needs {message}\n")
 
 
 @pytest.mark.parametrize("z", ["999", "-1"])

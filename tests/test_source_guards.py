@@ -29,7 +29,7 @@ def itertools_enumerators(tree):
 
 # the line count of src/eqfactor/*.py; a change that grows the package raises
 # it and says why in CHANGES.md
-SOURCE_LINES = 3161
+SOURCE_LINES = 3212
 
 
 def test_source_stays_within_its_line_count():
@@ -235,16 +235,16 @@ def test_the_package_requires_the_python_of_its_bulk_parser():
 
 # Top-level public modules that `import eqfactor.cli` loads into a bare
 # interpreter (python -S) besides the interpreter's own start-up modules,
-# recorded on Python 3.11 when the package root and the subcommands began to
-# import their modules on first use.
+# recorded on Python 3.11 when argparse (with gettext, os and warnings) moved
+# into build_parser.
 CLI_IMPORTS = {
-    "argparse", "collections", "copyreg", "enum", "eqfactor", "functools", "genericpath", "gettext", "itertools",
-    "json", "keyword", "operator", "os", "posixpath", "re", "reprlib", "stat", "types", "warnings",
+    "collections", "copyreg", "enum", "eqfactor", "functools", "itertools", "json", "keyword", "operator", "re",
+    "reprlib", "types",
 }
 # what `import multiprocessing` adds to them
 MULTIPROCESSING_IMPORTS = {
-    "array", "errno", "math", "multiprocessing", "pickle", "select", "selectors", "signal", "socket", "struct",
-    "threading",
+    "array", "errno", "genericpath", "math", "multiprocessing", "os", "pickle", "posixpath", "select", "selectors",
+    "signal", "socket", "stat", "struct", "threading",
 }
 
 
@@ -298,7 +298,8 @@ COMMAND_MODULES = [
 def command_modules(argv):
     """(eqfactor modules after `import eqfactor.cli`, exit code of main(argv),
     eqfactor modules after it, whether multiprocessing got loaded, whether
-    dataclasses did), in a fresh interpreter started without site packages."""
+    dataclasses did, whether argparse did), in a fresh interpreter started
+    without site packages."""
     src = str(Path(eqfactor.__file__).parent.parent)
     probe = (
         f"import contextlib, io, sys; sys.path.insert(0, {src!r})\n"
@@ -307,7 +308,7 @@ def command_modules(argv):
         "loaded = ours()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = eqfactor.cli.main({argv!r})\n"
-        "print(repr((loaded, code, ours(), 'multiprocessing' in sys.modules, 'dataclasses' in sys.modules)))"
+        "print(repr((loaded, code, ours(), *(m in sys.modules for m in ('multiprocessing', 'dataclasses', 'argparse')))))"
     )
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True).stdout
     return ast.literal_eval(out)
@@ -316,15 +317,23 @@ def command_modules(argv):
 @pytest.mark.parametrize("argv, modules", COMMAND_MODULES, ids=[" ".join(a) for a, _ in COMMAND_MODULES])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv, modules):
     """A subcommand imports the modules it runs when it is dispatched; a
-    one-shot call pays for nothing else, and none loads multiprocessing or
+    one-shot call pays for nothing else, and none loads multiprocessing,
     dataclasses (which loads inspect, ast, dis and tokenize and costs about
-    as much as a small solve)."""
+    as much as a small solve) or argparse, which a plain command line does
+    not need."""
     k5 = tmp_path / "k5.txt"
     k5.write_text(serialize_graph(complete_graph(5)))
     fz = Factorization(complete_graph(5), 2, [1, 2] * 5)
     report = tmp_path / "report.json"
     report.write_text(dump_report(factorization_report(fz, [])))
     argv = [{"K5": str(k5), "REPORT": str(report)}.get(arg, arg) for arg in argv]
-    loaded, code, after, multiprocessing, dataclasses = command_modules(argv)
+    loaded, code, after, multiprocessing, dataclasses, argparse = command_modules(argv)
     assert set(loaded) == CLI_MODULES
-    assert (code, set(after), multiprocessing, dataclasses) == (0, CLI_MODULES | modules, False, False)
+    assert (code, set(after), multiprocessing, dataclasses, argparse) == (0, CLI_MODULES | modules, False, False, False)
+
+
+def test_a_command_line_error_loads_argparse(tmp_path):
+    """The probe above sees argparse when main builds the full parser."""
+    k5 = tmp_path / "k5.txt"
+    k5.write_text(serialize_graph(complete_graph(5)))
+    assert command_modules(["factor", str(k5), "--k", "3", "--bogus"])[1:] == (2, sorted(CLI_MODULES), False, False, True)
