@@ -9,6 +9,7 @@ sharded across processes (pure exists-reduction).
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import product
 
@@ -397,8 +398,9 @@ def _check_jobs(jobs) -> None:
 def _sharded(worker, task, choices, limit, jobs):
     """Is worker(task(prefix)) true for some prefix? The prefixes are every
     choice of the first d search decisions, with d the least giving 4 tasks
-    per process (at most limit), shared out over a pool of jobs processes;
-    with jobs == 1 the empty prefix runs the whole search in this process."""
+    per process (at most limit), shared out over a pool of jobs processes, one
+    per CPU at most; with one job the empty prefix runs the search in process."""
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1:
         return worker(task(()))
     from multiprocessing import Pool  # loads pickle, socket and more: only here

@@ -354,6 +354,8 @@ def mod_k_orientation(g: Multigraph, k: int, p, budget: int = DEFAULT_BUDGET) ->
     cannot sum to its edge count (k = 2) or the plan search space is
     exhausted, and Undecided when the node budget runs out.
     """
+    if budget < 0:
+        raise InvalidInput("budget must be >= 0")
     if k < 1:
         raise InvalidInput("modulus k must be >= 1")
     p = tuple(int(x) % k for x in p)

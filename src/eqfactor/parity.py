@@ -10,8 +10,9 @@ Past the window and handshake checks, only the matching answers "no
 factor". The finder stays fully independent of the brute-force subset
 oracle used for cross-checking. Both take a ParitySpec, a plain record
 whose constructor enforces the window condition: g0(v) <= f0(v), both of
-f(v)'s parity. The even factorizations orient by ``orientation.trail_walk``,
-imported in each, so parity-factor never loads it.
+f(v)'s parity. ``even_factor_eps`` and ``_even_split``, the one driver of
+Hilton's and the weighted even factorizations, orient by
+``orientation.trail_walk``, imported in each, so parity-factor never loads it.
 """
 
 from __future__ import annotations
@@ -365,46 +366,47 @@ def even_factor_eps(g: Multigraph, eps: float):
     return frozenset(eid for eid, take in enumerate(taken) if take)
 
 
-def hilton_even_factorization(g: Multigraph, k: int) -> Factorization:
-    """Split an even-degree graph into k even factors, peeling a 1/k factor
-    (bounds in integers, so floor(49/49) is 1, not floor((1/49)*49) = 0) and
-    recursing; every factor deviates from d(v)/k by less than 2.
-
-    The graph is oriented once: each peeled factor is a sub-circulation of
-    the arcs left (``_even_circulation``), so what remains is Eulerian again
-    and the next step works on the same arcs, with no new graph or
-    orientation.
-    """
+def _even_split(g: Multigraph, k: int, factors, split) -> Factorization:
+    """Factors 1..k of an even-degree graph by even-factor splits of one
+    Eulerian orientation, each side of a sub-circulation being Eulerian again.
+    From (every arc, factors), an entry of two or more 0-based factor indices
+    splits by the (left, right, num, den) of split(indices): ``_even_circulation``
+    at num/den, taken arcs to left, the rest to right."""
     from .orientation import trail_walk
 
-    if k < 1:
-        raise InvalidInput("k must be >= 1")
     _check_even_degrees(g)
     tails, heads = trail_walk(g)
-    assignment = [1] * g.m
-    ids = list(range(g.m))
-    for step in range(k, 1, -1):
-        taken = _even_circulation(g.n, [tails[eid] for eid in ids], [heads[eid] for eid in ids], 1, step)
-        rest = []
-        for eid, take in zip(ids, taken):
-            if take:
-                assignment[eid] = step
-            else:
-                rest.append(eid)
-        ids = rest
+    assignment = [0] * g.m
+    pending = [(range(g.m), factors)]
+    while pending:
+        ids, indices = pending.pop()
+        if len(indices) == 1:
+            for eid in ids:
+                assignment[eid] = indices[0] + 1
+            continue
+        left, right, num, den = split(indices)
+        taken = _even_circulation(g.n, [tails[eid] for eid in ids], [heads[eid] for eid in ids], num, den)
+        pending.append(([eid for eid, take in zip(ids, taken) if not take], right))
+        pending.append(([eid for eid, take in zip(ids, taken) if take], left))
     return Factorization(g, k, assignment)
 
 
-def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
-    """Split an even-degree graph into even factors with
-    |d_{G_i}(v) - eps_i * d(v)| < 6, by recursive balanced bipartition of the
-    weights with an even-factor extraction at each split.
-
-    As in ``hilton_even_factorization``, one Eulerian orientation serves every
-    split: both sides of a sub-circulation are Eulerian again.
+def hilton_even_factorization(g: Multigraph, k: int) -> Factorization:
+    """Split an even-degree graph into k even factors, peeling a 1/k factor
+    (bounds in integers, so floor(49/49) is 1, not floor((1/49)*49) = 0) and
+    recursing (``_even_split``); every factor deviates from d(v)/k by less
+    than 2. A 1/j peel with j above every d(v)/2 takes no arc, so factors past
+    max d(v)/2 stay empty. The indices are a range, which slices in O(1).
     """
-    from .orientation import trail_walk
+    if k < 1:
+        raise InvalidInput("k must be >= 1")
+    top = max(1, min(k, max(g.degrees, default=0) // 2))
+    return _even_split(g, k, range(top), lambda f: (f[-1:], f[:-1], 1, len(f)))
 
+
+def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
+    """Even factors of an even-degree graph with |d_{G_i}(v) - eps_i * d(v)| < 6,
+    by a greedy balanced bisection of the weights at each split (``_even_split``)."""
     eps_list = [float(x) for x in eps_list]
     if not eps_list or any(x <= 0 for x in eps_list):
         raise InvalidInput("weights must be positive")
@@ -412,28 +414,17 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
         raise InvalidInput("weights must be finite")
     if abs(sum(eps_list) - 1.0) > 1e-9:
         raise InvalidInput("weights must sum to 1")
-    _check_even_degrees(g)
-    tails, heads = trail_walk(g)
-    assignment = [0] * g.m
-    pending = [(list(range(g.m)), list(range(len(eps_list))))]
-    while pending:
-        edge_ids, indices = pending.pop()
-        if len(indices) == 1:
-            for eid in edge_ids:
-                assignment[eid] = indices[0] + 1
-            continue
-        order = sorted(indices, key=lambda i: (-eps_list[i], i))
+
+    def bisect(indices):
         left, right = [], []
         sl = sr = 0.0
-        for i in order:
+        for i in sorted(indices, key=lambda i: (-eps_list[i], i)):
             if sl <= sr:
                 left.append(i)
                 sl += eps_list[i]
             else:
                 right.append(i)
                 sr += eps_list[i]
-        taken = _even_circulation(
-            g.n, [tails[eid] for eid in edge_ids], [heads[eid] for eid in edge_ids], sl, sl + sr)
-        pending.append(([eid for eid, take in zip(edge_ids, taken) if take], left))
-        pending.append(([eid for eid, take in zip(edge_ids, taken) if not take], right))
-    return Factorization(g, len(eps_list), assignment)
+        return left, right, sl, sl + sr
+
+    return _even_split(g, len(eps_list), range(len(eps_list)), bisect)

@@ -547,6 +547,16 @@ def test_cli_factor_k2_on_three_cycles_builds_no_network(tmp_path, capsys, monke
     assert built == []
 
 
+def test_cli_rejects_a_negative_budget(tmp_path, capsys):
+    """A budget below 0 is invalid input (exit 2) at every k: k = 3 used to
+    report it as spent (exit 3), and k = 2, which spends none, exit 0."""
+    k5 = write_graph(tmp_path, complete_graph(5))
+    for argv in (["factor", k5, "--k", "3", "--budget", "-7"], ["orient", k5, "--k", "2", "--budget", "-1"],
+                 ["orient", k5, "--k", "3", "--budget", "-1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: budget must be >= 0\n")
+
+
 def test_cli_orient_k2_on_parity_inconsistent_components_is_infeasible(tmp_path, capsys):
     """Two disjoint triangles: |E| = 6 is even, but each triangle has an odd
     edge count, so no orientation has every out-degree even. That is a

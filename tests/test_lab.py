@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -164,6 +166,30 @@ def test_oracle_jobs():
     assert oracle_equitable(g, 2) is True
     assert oracle_equitable(g, 2, jobs=3) is True
     assert oracle_equitable(cycle_graph(5), 2, jobs=3) is False
+
+
+def test_oracle_pool_has_at_most_one_process_per_cpu(monkeypatch):
+    """jobs = 10^6 opens a pool of at most cpu_count processes, with the
+    jobs = 1 answer; the pool is a fake that maps in process."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, tasks):
+            return list(map(worker, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    for g in (complete_graph(5), cycle_graph(5)):
+        assert oracle_equitable(g, 2, jobs=10**6) is oracle_equitable(g, 2)
+    assert all(size <= (os.cpu_count() or 1) for size in sizes)
 
 
 def test_sharded_orientation_and_parity_oracles_agree():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -341,3 +342,64 @@ def test_scale_even_factors_shuffled_edges_10k(network_builds):
         assert audit_passes(measure(g, [subgraph(g, factor).degrees], ["even", f"eps-window:{eps!r}"]))
     assert network_builds[0] == 2
     audit_factorizations(g, 3, (0.5, 0.25, 0.25))
+
+
+def even_cases():
+    """Eight seeded even multigraphs (seven with loops and parallel edges),
+    then a 300-vertex three-cycle union with its edges shuffled (seed 7)."""
+    rng = random.Random(103)
+    graphs = [random_even_multigraph(rng, rng.randint(2, 8), 12, 24) for _ in range(8)]
+    rng = random.Random(7)
+    edges = list(eulerian_union(rng, 300, 3).edges)
+    rng.shuffle(edges)
+    return graphs + [Multigraph(300, edges)]
+
+
+EVEN_DIGESTS = {
+    "hilton 1": "2af3027165de24c1", "hilton 2": "40cd0480632f5757", "hilton 3": "e45af4c338a67954",
+    "hilton 5": "92c77ced5327d643", "hilton 49": "d29918d621cf259a",
+    "weighted (0.5, 0.25, 0.25)": "e32370485fae5b76", "weighted (0.4, 0.3, 0.2, 0.1)": "d95c1fe9b548fe17",
+    "eps 0": "06d11f21b0e236e6", "eps 0.3333333333333333": "255aff7ba182ed32",
+    "eps 0.5": "a90cb74b38bc7d5c", "eps 1": "2af3027165de24c1",
+}
+
+
+def test_even_outputs_match_their_recorded_digests(network_builds):
+    """Hilton's, the weighted and the eps even factors of even_cases() hash
+    to digests recorded before the two factorizations shared one split
+    driver; the shuffled union builds the shortfall network."""
+    runs = {f"hilton {k}": lambda g, k=k: hilton_even_factorization(g, k).assignment for k in (1, 2, 3, 5, 49)}
+    for w in ((0.5, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1)):
+        runs[f"weighted {w}"] = lambda g, w=w: weighted_even_factorization(g, w).assignment
+    for eps in (0, 1 / 3, 0.5, 1):
+        runs[f"eps {eps}"] = lambda g, eps=eps: [eid in even_factor_eps(g, eps) for eid in range(g.m)]
+    graphs = even_cases()
+    assert sum(any(u == v for u, v in g.edges) and len(set(g.edges)) < g.m for g in graphs) == 7
+    got = {}
+    for name, run in runs.items():
+        digest = hashlib.sha256()
+        for g in graphs:
+            digest.update(bytes(run(g)))
+        got[name] = digest.hexdigest()[:16]
+    assert got == EVEN_DIGESTS
+    assert network_builds[0] > 0
+
+
+def test_hilton_skips_the_peels_that_take_no_arc(monkeypatch):
+    """A 1/j peel with j above every d(v)/2 takes no arc: Hilton's peel runs
+    top - 1 circulations, top = min(k, max d(v)/2), for any k from 3 to 10^5,
+    with the assignment recorded when it ran all k - 1."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _even_circulation(*args)
+
+    monkeypatch.setattr(parity, "_even_circulation", counted)
+    for g, top, digest in ((complete_graph(5), 2, "cb726b95052c9eb4"),
+                           (eulerian_union(random.Random(11), 12, 3), 3, "91ac9b92586edf68")):
+        for k in (3, 50, 10**5):
+            calls[0] = 0
+            fz = hilton_even_factorization(g, k)
+            assert calls[0] == top - 1
+            assert hashlib.sha256(bytes(fz.assignment)).hexdigest()[:16] == digest

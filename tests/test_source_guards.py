@@ -29,7 +29,7 @@ def itertools_enumerators(tree):
 
 # the line count of src/eqfactor/*.py; a change that grows the package raises
 # it and says why in CHANGES.md
-SOURCE_LINES = 3212
+SOURCE_LINES = 3207
 
 
 def test_source_stays_within_its_line_count():
