@@ -8,13 +8,14 @@ eqfactor package (default: change=src of this checkout). Every row runs three
 times per tree, the trees taking turns, and records the median and the spread
 (max - min) of the call's process time and of the process's peak RSS, with a
 sha256 of the input and of the output. It prints each row with its input's
-digest, and writes BENCH_LABEL.json at the repository root.
+and its output's digests, and writes BENCH_LABEL.json at the repository root.
 
 The generators are copied here, not imported from the package or its tests,
 so that a change there cannot move these inputs.
 """
 
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -29,13 +30,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 SIZES = (10_000, 100_000)
-# row name -> the call it times on the shuffled three-cycle union, as
-# (parity module, graph) -> one small int per edge
+# row name -> (module of eqfactor, the call it times on the shuffled
+# three-cycle union as (module, graph) -> one small int per edge)
 CALLS = {
-    "hilton_k3": lambda parity, g: parity.hilton_even_factorization(g, 3).assignment,
-    "weighted_0.5_0.25_0.25": lambda parity, g: parity.weighted_even_factorization(g, (0.5, 0.25, 0.25)).assignment,
-    "even_eps_0.5": lambda parity, g: [eid in factor for factor in [parity.even_factor_eps(g, 0.5)]
-                                       for eid in range(g.m)],
+    "hilton_k3": ("parity", lambda parity, g: parity.hilton_even_factorization(g, 3).assignment),
+    "weighted_0.5_0.25_0.25": ("parity", lambda parity, g: parity.weighted_even_factorization(
+        g, (0.5, 0.25, 0.25)).assignment),
+    "even_eps_0.5": ("parity", lambda parity, g: [eid in factor for factor in [parity.even_factor_eps(g, 0.5)]
+                                                  for eid in range(g.m)]),
+    # even k with f odd at vertices 0 and 1, as the benchmark's factor_parity_k2
+    "parity_k2": ("pipelines", lambda pipelines, g: pipelines.parity_factorize(
+        g, 2, f=[1, 1] + [0] * (g.n - 2))[0].assignment),
+    "parity_k3": ("pipelines", lambda pipelines, g: pipelines.parity_factorize(g, 3)[0].assignment),
+    "parity_k4": ("pipelines", lambda pipelines, g: pipelines.parity_factorize(
+        g, 4, f=[1, 1] + [0] * (g.n - 2))[0].assignment),
 }
 
 
@@ -52,15 +60,16 @@ def shuffled_union(n: int, seed: int = 7) -> list:
     return edges
 
 
-def run_row(call, n: int) -> dict:
-    """Build the input, time the call in process time, and report digests and peak RSS."""
-    from eqfactor import parity
+def run_row(row: str, n: int) -> dict:
+    """Build the input, time the row's call in process time, and report digests and peak RSS."""
     from eqfactor.multigraph import Multigraph
 
+    name, call = CALLS[row]
+    module = importlib.import_module(f"eqfactor.{name}")
     edges = shuffled_union(n)
     g = Multigraph(n, edges)
     start = time.process_time()
-    out = call(parity, g)
+    out = call(module, g)
     seconds = time.process_time() - start
     return {
         "input_sha256": hashlib.sha256("".join(f"{u} {v}\n" for u, v in edges).encode()).hexdigest(),
@@ -89,13 +98,14 @@ def measure(trees: dict) -> dict:
             entry[key] = {"median": statistics.median(values), "spread": max(values) - min(values)}
         rows[name].append(entry)
         print(f"{name:8} {row:24} n={n:<7} input {entry['input_sha256'][:16]}  "
+              f"output {','.join(digest[:16] for digest in entry['output_sha256'])}  "
               f"{entry['process_s']['median']:.3f} s  {entry['peak_rss_mb']['median']:.0f} MB", flush=True)
     return rows
 
 
 def main(argv) -> int:
     if argv[:1] == ["--row"]:
-        print(json.dumps(run_row(CALLS[argv[1]], int(argv[2]))))
+        print(json.dumps(run_row(argv[1], int(argv[2]))))
         return 0
     if not argv or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)

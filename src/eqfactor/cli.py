@@ -283,9 +283,10 @@ SHARED_FLAGS = {
     "--format": dict(choices=("json", "text"), default="json"),
     "--seed": dict(type=int, default=0),
     "--budget": dict(type=int, default=DEFAULT_BUDGET,
-                     help="plan-search nodes, one per candidate out-degree tried, before exit 3 (undecided); "
-                          "with a budget of at least n, a mod-k orientation with k >= 3 first tries one "
-                          "least-imbalance plan, and a failed first plan is not charged; k = 2 spends none"),
+                     help="plan-search nodes (>= 0), one per candidate out-degree tried, before exit 3 "
+                          "(undecided); with a budget of at least n, a mod-k orientation with k >= 3 first "
+                          "tries one least-imbalance plan, and a failed first plan is not charged; k = 2, "
+                          "the Eulerian orientation and anstee spend none"),
     "--jobs": dict(type=int, default=1),
 }
 
@@ -434,6 +435,9 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
     try:
+        # checked here, as not every command that takes --budget spends it
+        if getattr(args, "budget", 0) < 0:
+            raise InvalidInput("budget must be >= 0")
         return args.func(args)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

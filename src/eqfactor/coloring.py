@@ -1,10 +1,13 @@
-"""Directed decomposition engine: vertex splitting, Konig coloring, rebalancing.
+"""Directed decomposition engine: vertex splitting, edge coloring, rebalancing.
 
 A directed multigraph is split into a loopless bipartite graph of maximum
-degree <= k (out-chunks vs in-chunks), properly k-edge-colored greedily on
-free-color bitmasks with an alternating path swap where greedy is stuck,
-optionally rebalanced so color-class sizes differ by at most one, and the
-colors are pulled back to a factorization of the original edges.
+degree <= k (out-chunks vs in-chunks) and properly k-edge-colored, optionally
+rebalanced so color-class sizes differ by at most one, and the colors are
+pulled back to a factorization of the original edges. Even k is halved by
+Euler partitions, each half taking k/2 colors, and at k = 2 the halves are
+the colors: k = 2^j takes j linear walks and no swap. Odd k, and the odd
+part of k, is colored by Konig's method: greedily on free-color bitmasks,
+with an alternating path swap where greedy is stuck.
 The chunk graph is a chunk count and two flat int lists, the out-chunk and
 the in-chunk of each chunk edge; the coloring and the rebalancing read those
 lists, and no Multigraph is built for them. A coloring is a plain tuple of
@@ -14,6 +17,7 @@ construction, so no odd-cycle test runs.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import eq
 
 from .errors import InvalidInput
@@ -154,9 +158,74 @@ def konig_edge_coloring(n: int, us: list, ws: list, k: int) -> tuple:
     return tuple(color)
 
 
+def _halves(n: int, us: list, ws: list) -> list:
+    """The half, 1 or 2, of each edge of a graph as edge_coloring takes it,
+    such that a vertex of degree d meets each half at most ceil(d/2) times:
+    an Euler partition (Gabow 1976). The edges at each vertex are paired in
+    id order (first with second, third with fourth, ...): pu[e] is e's
+    partner at its us end, pw[e] at its ws end, or -1. Partners chain the
+    edges into trails that step by pu and pw in turn, so the closed ones are
+    even, and each trail alternates halves. A walk from an edge not yet
+    placed that stops at an unpaired end walks the rest of its trail from
+    the start's other end with the halves swapped; it keeps no stack. At max
+    degree 2 the trails are the paths and cycles, and the halves a proper
+    coloring."""
+    m = len(us)
+    pu, pw = [-1] * m, [-1] * m
+    for partner, ends in ((pu, us), (pw, ws)):
+        last = [-1] * n  # the edge at each vertex that waits for its partner
+        for e, x in enumerate(ends):
+            p = last[x]
+            if p < 0:
+                last[x] = e
+            else:
+                partner[e] = p
+                partner[p] = e
+                last[x] = -1
+    half = [0] * m
+    for e0 in range(m):
+        if half[e0]:
+            continue
+        for e, a, b in ((e0, 1, 2), (pu[e0], 2, 1)):
+            while e >= 0 and not half[e]:
+                half[e] = a
+                e = pw[e]
+                if e < 0 or half[e]:
+                    break
+                half[e] = b
+                e = pu[e]
+    return half
+
+
+def edge_coloring(n: int, us: list, ws: list, k: int) -> tuple:
+    """Proper k-edge-coloring of a bipartite multigraph with max degree <= k,
+    given as konig_edge_coloring takes it, with every us end on one side and
+    every ws end on the other (split_to_bipartite's chunk graph, by
+    construction): the color of each edge, in 1..k.
+
+    Odd k is konig_edge_coloring. Even k colors each half of ``_halves``
+    (Alon 2003), of max degree <= k/2, with k/2 colors, the second half from
+    k/2 + 1 on: k = 2^j takes j linear passes and no swap, O(m log k), and
+    any other even k ends in Konig on the parts of its odd factor.
+    """
+    if k % 2:
+        return konig_edge_coloring(n, us, ws, k)
+    halves = _halves(n, us, ws)
+    if k == 2:
+        return tuple(halves)
+    k //= 2
+    color = [0] * len(us)
+    for h in (1, 2):
+        keep = [x == h for x in halves]
+        part = edge_coloring(n, list(compress(us, keep)), list(compress(ws, keep)), k)
+        for e, c in zip(compress(range(len(us)), keep), part):
+            color[e] = c + (h - 1) * k
+    return tuple(color)
+
+
 def balance_color_sizes(n: int, us: list, ws: list, color, k: int) -> tuple:
     """Swap alternating paths until color-class sizes differ by at most 1, on
-    the graph of konig_edge_coloring (n vertices, edge i from us[i] to ws[i]).
+    the graph of edge_coloring (n vertices, edge i from us[i] to ws[i]).
 
     Each round takes the largest class hi and the smallest lo, builds their
     subgraph once (paths and even cycles, as the coloring is proper), and
@@ -205,9 +274,11 @@ def decompose_directed(d: Orientation, k: int, mode: str = "size") -> Factorizat
     """Split a directed multigraph into k factors with per-vertex windows
     floor(d+-/k) <= per-factor out/in degrees <= ceil(d+-/k).
 
-    mode "size" additionally balances ||E(G_i)| - |E|/k| < 1; mode "parity"
-    instead forces d_{G_i}(u) = (d+(u) - d-(u))/k (mod 2) at every vertex u
-    with d+(u) = d-(u) (mod k). Artificial padding edges are discarded after
+    The chunk graph is colored by edge_coloring: Euler-partition halving at
+    even k, Konig at odd k. mode "size" additionally balances
+    ||E(G_i)| - |E|/k| < 1; mode "parity" instead forces
+    d_{G_i}(u) = (d+(u) - d-(u))/k (mod 2) at every vertex u with
+    d+(u) = d-(u) (mod k). Artificial padding edges are discarded after
     coloring.
     """
     if mode not in ("size", "parity"):
@@ -217,7 +288,7 @@ def decompose_directed(d: Orientation, k: int, mode: str = "size") -> Factorizat
     # every chunk-graph edge, padding included, runs from an out-chunk to an
     # in-chunk, so the split is bipartite
     ends = split.chunks, split.out_chunk, split.in_chunk
-    color = konig_edge_coloring(*ends, k)
+    color = edge_coloring(*ends, k)
     if mode == "size":  # no padding: only parity mode pads
         color = balance_color_sizes(*ends, color, k)
     # chunk-graph edge i is edge i of g for i < m; padding edges come after

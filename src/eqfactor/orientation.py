@@ -1,9 +1,12 @@
 """Orientation solvers: Eulerian, prescribed out-degrees, mod-k residues, balance.
 
-A mod-2 orientation is a T-join: from the near-balanced start, the edges of
-one spanning forest that lie above an odd number of wrong-parity vertices
-are reversed, in O(n + m) with no flow and no search, and a component with
-an odd number of them proves that none exists. No budget is spent.
+A mod-2 orientation is a T-join: from the stored edge order, each edge
+(u, w) oriented u -> w, the edges of one spanning forest that lie above an
+odd number of wrong-parity vertices are reversed, in O(n + m) with no walk,
+no flow and no search, and a component with an odd number of them proves
+that none exists. No budget is spent. The T-join fixes every parity from
+any start, and at k = 2 the split keeps each factor at floor or ceil of
+d+-(v)/2 whatever the out-degree, so no balanced start is needed.
 
 For k >= 3 a mod-k orientation is found by a first plan, then search. The
 first plan gives every vertex its residue-compliant out-degree nearest d(v)/2
@@ -288,16 +291,17 @@ def _mod_2_orientation(g: Multigraph, p) -> Orientation:
     """Orientation with d+(v) = p(v) (mod 2), each p(v) in {0, 1}, or Infeasible.
 
     Reversing an edge flips the out-degree parity at both of its ends. From
-    the near-balanced start, let W be the vertices of wrong parity; in each
-    tree of a BFS spanning forest, walked leaves first, the edge above every
-    vertex whose subtree holds an odd number of W vertices is reversed. That
-    fixes every vertex but the root, which is fixed too exactly when its
-    component C holds an even number of W vertices. An odd number means
-    sum_C p != |E(C)| (mod 2), as sum_C d+ = |E(C)|: no mod-2 orientation
-    exists, and C is the certificate.
+    the stored tails, each edge (u, w) as u -> w, let W be the vertices of
+    wrong parity; in each tree of a BFS spanning forest, walked leaves
+    first, the edge above every vertex whose subtree holds an odd number of
+    W vertices is reversed. That fixes every vertex but the root, which is
+    fixed too exactly when its component C holds an even number of W
+    vertices. An odd number means sum_C p != |E(C)| (mod 2), as
+    sum_C d+ = |E(C)|: no mod-2 orientation exists, and C is the
+    certificate.
     """
-    tails = list(near_balanced_orientation(g).tails)
     edges = g.edges
+    tails = [u for u, _ in edges]
     incidence = [[] for _ in range(g.n)]  # the edge ids at each vertex, ascending, a loop once
     for eid, (u, w) in enumerate(edges):
         incidence[u].append(eid)
@@ -340,8 +344,9 @@ def _mod_2_orientation(g: Multigraph, p) -> Orientation:
 
 def mod_k_orientation(g: Multigraph, k: int, p, budget: int = DEFAULT_BUDGET) -> Orientation:
     """Orientation with d+(v) = p(v) (mod k) at every vertex. k = 2 takes one
-    T-join pass (``_mod_2_orientation``), exact with no budget spent; k >= 3
-    a first plan, then search.
+    T-join pass from the stored tails (``_mod_2_orientation``), exact with no
+    walk and no budget spent; k >= 3 a first plan, then search, each plan
+    realized from the near-balanced start.
 
     With a budget of at least n nodes, the first plan (``_first_plan``, the
     least-imbalance plan that sums to |E|) is realized by one flow and

@@ -1,7 +1,7 @@
 """Theorem pipelines: equitable, parity, and regular factorizations.
 
 Each pipeline is one sufficient construction: a residue orientation, a
-bipartite split, a Konig coloring. Each returns one plain triple
+bipartite split, an edge coloring. Each returns one plain triple
 (factorization, audit, warnings): the audit is ``lab.verify``'s list of
 (claim, bound, measured, passed) entries for the pipeline's claims, and the
 warnings are the messages the CLI prints to stderr. As the construction is

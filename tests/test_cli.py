@@ -548,11 +548,13 @@ def test_cli_factor_k2_on_three_cycles_builds_no_network(tmp_path, capsys, monke
 
 
 def test_cli_rejects_a_negative_budget(tmp_path, capsys):
-    """A budget below 0 is invalid input (exit 2) at every k: k = 3 used to
-    report it as spent (exit 3), and k = 2, which spends none, exit 0."""
+    """A budget below 0 is invalid input (exit 2) for every command and mode
+    that takes one: k = 3 used to report it as spent (exit 3), and k = 2,
+    the Eulerian orientation and anstee, which spend none, exit 0."""
     k5 = write_graph(tmp_path, complete_graph(5))
     for argv in (["factor", k5, "--k", "3", "--budget", "-7"], ["orient", k5, "--k", "2", "--budget", "-1"],
-                 ["orient", k5, "--k", "3", "--budget", "-1"]):
+                 ["orient", k5, "--k", "3", "--budget", "-1"], ["orient", k5, "--budget", "-1"],
+                 ["factor", k5, "--k", "2", "--mode", "anstee", "--budget", "-1"]):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: budget must be >= 0\n")
 
@@ -839,8 +841,8 @@ def test_dump_report_bytes_equal_indented_json_dumps():
 K5_TEXT = {
     ("factor", "--k", "2"): """\
 k = 2
-factor 1: edges [1, 2, 5, 6, 8]
-factor 2: edges [0, 3, 4, 7, 9]
+factor 1: edges [0, 1, 6, 7, 9]
+factor 2: edges [2, 3, 4, 5, 8]
 audit deviation<1: bound 1, measured 0.0, pass True
 audit size±1: bound 1, measured 0.0, pass True
 """,
@@ -862,8 +864,8 @@ audit parity: bound 0, measured 0, pass True
 """,
     ("factor", "--k", "2", "--mode", "regular"): """\
 k = 2
-factor 1: edges [1, 2, 5, 6, 8]
-factor 2: edges [0, 3, 4, 7, 9]
+factor 1: edges [0, 1, 6, 7, 9]
+factor 2: edges [2, 3, 4, 5, 8]
 audit regular: bound 0, measured 0, pass True
 """,
     ("even-factor", "--k", "2"): """\

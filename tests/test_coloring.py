@@ -13,10 +13,12 @@ from conftest import (
     random_multigraph,
     random_orientation,
 )
+from eqfactor import coloring
 from eqfactor.coloring import (
     anstee_decomposition,
     balance_color_sizes,
     decompose_directed,
+    edge_coloring,
     konig_edge_coloring,
     split_to_bipartite,
 )
@@ -113,6 +115,56 @@ def test_konig_random_properness():
         col = konig_edge_coloring(*ends(b), k)
         assert proper_coloring(b, col)
         assert all(1 <= c <= k for c in col)
+
+
+def test_edge_coloring_is_proper_at_even_k():
+    """Seeded property test of the Euler-partition route, k in {2, 4, 6, 8}:
+    random bipartite multigraphs with max degree <= k (sides interleaved,
+    parallel edges; in over half of them most vertices have degree k) and
+    the parity-mode chunk graphs of random orientations, padding included,
+    get proper colorings in 1..k. At k = 6 each half goes to Konig, which
+    raises if a half meets a vertex more than 3 times."""
+    rng = random.Random(101)
+    full = 0
+    for trial in range(400):
+        k = (2, 4, 6, 8)[trial % 4]
+        if trial % 8 < 4:
+            n = rng.randint(2, 24)
+            left = [v for v in range(n) if rng.random() < 0.5] or [0]
+            right = [v for v in range(n) if v not in left] or [n]
+            deg = [0] * (n + 1)
+            edges = []
+            for _ in range(k * n):
+                u, w = rng.choice(left), rng.choice(right)
+                if deg[u] < k and deg[w] < k:
+                    deg[u] += 1
+                    deg[w] += 1
+                    edges.append((u, w))
+            full += deg.count(k) * 2 > n
+            b = Multigraph(n + 1, edges)
+        else:
+            g = random_multigraph(rng, max_n=20, max_m=80)
+            b = split_to_bipartite(random_orientation(rng, g), k, parity_mode=True).b
+        col = edge_coloring(*ends(b), k)
+        assert proper_coloring(b, col)
+        assert set(col) <= set(range(1, k + 1))
+    assert full > 100
+
+
+def test_decompose_runs_konig_only_at_odd_k(monkeypatch):
+    """Even k takes the swap-free Euler-partition route: decompose_directed
+    calls konig_edge_coloring at k = 3, in both modes, and never at k = 2
+    or 4, and every audit still passes."""
+    calls = []
+    konig = coloring.konig_edge_coloring
+    monkeypatch.setattr(coloring, "konig_edge_coloring", lambda *args: calls.append(args[-1]) or konig(*args))
+    g = eulerian_union(random.Random(3), 200, 3)
+    for k in (2, 3, 4):
+        d = balanced_mod_k_orientation(g, k, None if k % 2 else {0, 1})
+        for mode, claims in (("size", ["deviation<2", "size±1"]), ("parity", ["deviation<2"])):
+            entries = verify(g, decompose_directed(d, k, mode=mode), claims)
+            assert audit_passes(entries), entries
+    assert calls == [3, 3]
 
 
 def test_balance_two_disjoint_edges():
@@ -400,26 +452,28 @@ def test_decompose_builds_no_multigraph(monkeypatch):
 
 
 # sha256 prefixes of decompose_directed(...).assignment, recorded when the
-# chunk graph was a Multigraph: the flat lists keep every color
+# chunk graph was a Multigraph: the flat lists keep every color. The k = 2
+# and k = 4 entries were recorded again for the Euler-partition coloring
 ASSIGNMENT_DIGESTS = (
-    "5cf0d611e6dfe279", "9488ed06b0eace5f", "37f885a7735edd5e", "f342759dfbc5c013", "592aeeab723f424f",
-    "a25ac3eb4fb5f7ef", "1c07518fb5cf49a1", "3b25b52cbf752822", "09286d75295b109c", "904652e8d038d311",
-    "f18dc92429e47f62", "d374ad4c88a6bf06", "d4026afc91c160e9", "f2b3d9baceb901c4", "03d254082506ed59",
-    "4ce59fbcdac2274d", "2ac84579a51085d4", "3935d27741b51876", "4ae00acc642c54d2", "a64284dda18399c2",
-    "fab568c303394e61", "928d37b680b490fb", "2dee5e7f92bffbce", "d04ba9d89dcad5d7", "fdf00fac92e78bc1",
-    "5d2b88dcda30a71b", "f29bf2ee9f51ac93", "1217367fe59f3c8e", "4af33cf500032288", "7d11dfc49bfe66d5",
-    "06b9e3eaa956cf83", "b7ca65d5b9b7b749", "19aa6d36e0ed74be", "f89dd28494c7336d", "5baeb93115dd5ef9",
-    "451b12008d8e8397", "430c0b141604cf16", "38deb4b6d42018c8", "84b3b856daa17575", "19dd75eb0e07bfee",
-    "c471b00e5dc28207", "e72db0d2c9884d0b", "50a126e25572033c", "a043b2a59bccda93", "6b609d8510df9572",
-    "2899c08534a1e31a", "bd1a56c38fa2918c", "8889b88a6b057ebe", "04fb88ae5e923c53", "5cc69f61c2e32554",
+    "5a019b3d959ca3db", "9488ed06b0eace5f", "737e2abb83df18d5", "f342759dfbc5c013", "592aeeab723f424f",
+    "1d6fa0d3e29e6d95", "75b17f283e7fe908", "3b25b52cbf752822", "956150e5aeb1dd64", "904652e8d038d311",
+    "f18dc92429e47f62", "5cd2efb6de77ecdf", "d4026afc91c160e9", "f2b3d9baceb901c4", "f02a495d234a5c5c",
+    "bf56254fb703d046", "2ac84579a51085d4", "7b7dd335558865cb", "4ae00acc642c54d2", "a64284dda18399c2",
+    "3363233bcfa007aa", "9df4fe61364460bd", "2dee5e7f92bffbce", "e8a5cac386223031", "fdf00fac92e78bc1",
+    "5d2b88dcda30a71b", "19968b3ae2663897", "07c91c81ba9cfa61", "4af33cf500032288", "132c6e3298692d7c",
+    "6d55f32a603b0568", "b7ca65d5b9b7b749", "948915c89246a5c6", "1d4669b8bc14d31a", "5baeb93115dd5ef9",
+    "49c14e40d7c37f41", "430c0b141604cf16", "38deb4b6d42018c8", "8608a86db02c9823", "19dd75eb0e07bfee",
+    "c471b00e5dc28207", "307df89a6101678f", "50a126e25572033c", "a043b2a59bccda93", "b3c8acfa9b1b7a70",
+    "2899c08534a1e31a", "bd1a56c38fa2918c", "695debd02006bd6c", "04fb88ae5e923c53", "5cc69f61c2e32554",
 )
 
 
 def test_decompose_keeps_every_color():
     """50 seeded cases, k in {2, 3, 4}, both modes: random orientations of
     multigraphs with loops and parallel edges (n <= 40, m <= 160), then two
-    near-balanced irregular graphs at n = 400; 45 of them need a path swap
-    and 21 a rebalancing. Each assignment hashes to its recorded digest."""
+    near-balanced irregular graphs at n = 400; 14 of the 17 at k = 3 need a
+    Konig path swap, and 21 of the 50 a rebalancing. Each assignment hashes
+    to its recorded digest."""
     got = []
     for i in range(50):
         rng = random.Random(f"assignment:{i}")

@@ -673,6 +673,22 @@ def test_mod_2_orientation_matches_the_oracle():
     assert found >= 750 and infeasible >= 750
 
 
+def test_mod_2_orientation_walks_no_trail(monkeypatch):
+    """The k = 2 T-join starts from the stored tails, so it runs no trail
+    walk: trail_walk is never called on a 6-regular graph, whose answer has
+    d+ = p (mod 2), nor on two triangles, whose residues admit none."""
+    def walk(*args):
+        raise AssertionError("trail_walk called")
+
+    monkeypatch.setattr(orientation, "trail_walk", walk)
+    g = eulerian_union(random.Random(5), 300, 3)
+    p = [v % 2 for v in range(g.n)]
+    d = mod_k_orientation(g, 2, p)
+    assert all((x - y) % 2 == 0 for x, y in zip(d.out_degrees, p))
+    with pytest.raises(Infeasible):
+        mod_k_orientation(Multigraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), 2, (0,) * 6)
+
+
 def test_scale_six_regular_10k_k3_first_plan_is_the_first_leaf(monkeypatch):
     """On a 6-regular 10^4-vertex graph with k = 3 the first plan is the plan
     search's first leaf: same tails, and no candidate list is built."""
