@@ -51,8 +51,9 @@ def split_to_bipartite(d: Orientation, k: int, parity_mode: bool = False) -> Bip
     contiguously in edge-id order, so edge i of the chunk graph is edge i of
     the orientation for i < m. In parity mode, for each vertex u with d+(u) =
     d-(u) != 0 (mod k), the two deficient chunks are padded to degree k with
-    artificial parallel edges between them, numbered after the m edges. The
-    slot counters live only in this call, so they are freed before coloring.
+    artificial parallel edges between them, numbered after the m edges:
+    k - (d+(u) mod k) at u, at most n(k - 1) in all. The slot counters live
+    only in this call, so they are freed before coloring.
     """
     if k < 1:
         raise InvalidInput("k must be >= 1")

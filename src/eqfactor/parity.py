@@ -1,5 +1,5 @@
 """Parity factors: a constructive finder and the epsilon-window pipelines
-(even factors, recursive and weighted even factorizations).
+(even factors, Hilton's and weighted even factorizations).
 
 The finder is exact at every size. It takes edges greedily, then mends what
 the greedy pass leaves outside the windows by alternating trails on G. Only
@@ -10,9 +10,11 @@ Past the window and handshake checks, only the matching answers "no
 factor". The finder stays fully independent of the brute-force subset
 oracle used for cross-checking. Both take a ParitySpec, a plain record
 whose constructor enforces the window condition: g0(v) <= f0(v), both of
-f(v)'s parity. ``even_factor_eps`` and ``_even_split``, the one driver of
-Hilton's and the weighted even factorizations, orient by
-``orientation.trail_walk``, imported in each, so parity-factor never loads it.
+f(v)'s parity. ``even_factor_eps`` and the weighted even factorization take
+sub-circulations of one ``orientation.trail_walk``; Hilton's even
+factorization is a parity-mode split of an Eulerian orientation
+(``coloring.decompose_directed``). Each imports what it runs, so
+parity-factor loads neither module.
 """
 
 from __future__ import annotations
@@ -291,9 +293,9 @@ def _check_even_degrees(g: Multigraph):
 def _even_circulation(n: int, tails, heads, num, den) -> list:
     """Flags over arcs, an Eulerian digraph given as the tail and the head of
     each arc, that mark a sub-circulation of throughput floor or ceil of
-    num*d+(v)/den (in integers for integer num and den) at every vertex v.
-    Its edges form an even factor with |d_F(v) - (num/den)*d(v)| < 2, and the
-    unmarked arcs form an Eulerian digraph again.
+    num*d+(v)/den at every vertex v. Its edges form an even factor with
+    |d_F(v) - (num/den)*d(v)| < 2, and the unmarked arcs form an Eulerian
+    digraph again.
 
     Greedy first: an arc u->w is taken while out(u) and in(w) are both below
     their lower bounds. When every bound is met, the taken arcs have out = in
@@ -366,47 +368,32 @@ def even_factor_eps(g: Multigraph, eps: float):
     return frozenset(eid for eid, take in enumerate(taken) if take)
 
 
-def _even_split(g: Multigraph, k: int, factors, split) -> Factorization:
-    """Factors 1..k of an even-degree graph by even-factor splits of one
-    Eulerian orientation, each side of a sub-circulation being Eulerian again.
-    From (every arc, factors), an entry of two or more 0-based factor indices
-    splits by the (left, right, num, den) of split(indices): ``_even_circulation``
-    at num/den, taken arcs to left, the rest to right."""
-    from .orientation import trail_walk
-
-    _check_even_degrees(g)
-    tails, heads = trail_walk(g)
-    assignment = [0] * g.m
-    pending = [(range(g.m), factors)]
-    while pending:
-        ids, indices = pending.pop()
-        if len(indices) == 1:
-            for eid in ids:
-                assignment[eid] = indices[0] + 1
-            continue
-        left, right, num, den = split(indices)
-        taken = _even_circulation(g.n, [tails[eid] for eid in ids], [heads[eid] for eid in ids], num, den)
-        pending.append(([eid for eid, take in zip(ids, taken) if not take], right))
-        pending.append(([eid for eid, take in zip(ids, taken) if take], left))
-    return Factorization(g, k, assignment)
-
-
 def hilton_even_factorization(g: Multigraph, k: int) -> Factorization:
-    """Split an even-degree graph into k even factors, peeling a 1/k factor
-    (bounds in integers, so floor(49/49) is 1, not floor((1/49)*49) = 0) and
-    recursing (``_even_split``); every factor deviates from d(v)/k by less
-    than 2. A 1/j peel with j above every d(v)/2 takes no arc, so factors past
-    max d(v)/2 stay empty. The indices are a range, which slices in O(1).
+    """Split an even-degree graph into k even factors with |d_i(v) - d(v)/k| < 2:
+    a parity-mode ``decompose_directed`` of an Eulerian orientation into
+    top = min(k, max d(v)/2) factors (at least 1). As d+(v) = d-(v), v's two
+    deficient chunks get the same padding, so a factor meets v as often going
+    out as coming in: d_i(v) = 2 out_i(v), out_i(v) the floor or ceil of
+    d(v)/(2 top). Factors past top stay empty; every d(v)/k is below 2 there.
     """
+    from .coloring import decompose_directed
+    from .orientation import near_balanced_orientation
+
     if k < 1:
         raise InvalidInput("k must be >= 1")
+    _check_even_degrees(g)
     top = max(1, min(k, max(g.degrees, default=0) // 2))
-    return _even_split(g, k, range(top), lambda f: (f[-1:], f[:-1], 1, len(f)))
+    fz = decompose_directed(near_balanced_orientation(g), top, mode="parity")
+    return fz if top == k else Factorization(g, k, fz.assignment)
 
 
 def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
-    """Even factors of an even-degree graph with |d_{G_i}(v) - eps_i * d(v)| < 6,
-    by a greedy balanced bisection of the weights at each split (``_even_split``)."""
+    """Even factors of an even-degree graph with |d_{G_i}(v) - eps_i * d(v)| < 6:
+    a stack of (arc ids, factor indices) on one Eulerian orientation, each
+    entry of two or more indices bisected greedily by weight and split by
+    ``_even_circulation`` at the left side's share, both sides Eulerian again."""
+    from .orientation import trail_walk
+
     eps_list = [float(x) for x in eps_list]
     if not eps_list or any(x <= 0 for x in eps_list):
         raise InvalidInput("weights must be positive")
@@ -414,8 +401,16 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
         raise InvalidInput("weights must be finite")
     if abs(sum(eps_list) - 1.0) > 1e-9:
         raise InvalidInput("weights must sum to 1")
-
-    def bisect(indices):
+    _check_even_degrees(g)
+    tails, heads = trail_walk(g)
+    assignment = [0] * g.m
+    pending = [(range(g.m), range(len(eps_list)))]
+    while pending:
+        ids, indices = pending.pop()
+        if len(indices) == 1:
+            for eid in ids:
+                assignment[eid] = indices[0] + 1
+            continue
         left, right = [], []
         sl = sr = 0.0
         for i in sorted(indices, key=lambda i: (-eps_list[i], i)):
@@ -425,6 +420,7 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
             else:
                 right.append(i)
                 sr += eps_list[i]
-        return left, right, sl, sl + sr
-
-    return _even_split(g, len(eps_list), range(len(eps_list)), bisect)
+        taken = _even_circulation(g.n, [tails[eid] for eid in ids], [heads[eid] for eid in ids], sl, sl + sr)
+        pending.append(([eid for eid, take in zip(ids, taken) if not take], right))
+        pending.append(([eid for eid, take in zip(ids, taken) if take], left))
+    return Factorization(g, len(eps_list), assignment)

@@ -869,8 +869,8 @@ factor 2: edges [2, 3, 4, 5, 8]
 audit regular: bound 0, measured 0, pass True
 """,
     ("even-factor", "--k", "2"): """\
-factor 1: edges [1, 2, 5, 6, 8]
-factor 2: edges [0, 3, 4, 7, 9]
+factor 1: edges [0, 3, 4, 7, 9]
+factor 2: edges [1, 2, 5, 6, 8]
 audit even: bound 0, measured 0, pass True
 audit deviation<2: bound 2, measured 0.0, pass True
 """,

@@ -249,9 +249,8 @@ def test_hilton_k5_and_doubled_c6():
 
 
 def test_hilton_peels_one_over_k_exactly():
-    """49 Hamiltonian cycles on 7 vertices, k = 49: floor((1/49) * 49) is 0
-    in floats, so a float peel leaves factors empty; each factor must be a
-    2-factor."""
+    """49 Hamiltonian cycles on 7 vertices, k = 49 = d(v)/2: each factor
+    must be a 2-factor."""
     g = generate("eulerian_cycles", {"n": 7, "c": 49}, seed=1)
     fz = hilton_even_factorization(g, 49)
     assert audit_passes(verify(g, fz, ["even", "deviation<2"]))
@@ -312,7 +311,8 @@ def audit_factorizations(g, k, weights):
 def test_even_factors_audited_on_small_multigraphs(network_builds):
     """Both ways of finding the sub-circulation run: the greedy pass alone
     when it meets every lower bound, and the network for the shortfall when
-    it does not; every result passes its audit."""
+    it does not; every result passes its audit. Hilton's k reaches past
+    max d(v)/2, where the factors past top stay empty."""
     rng = random.Random(67)
     calls_by_builds = [0, 0]  # even_factor_eps calls that built no network, one
     shapes = set()
@@ -324,7 +324,7 @@ def test_even_factors_audited_on_small_multigraphs(network_builds):
         factor = even_factor_eps(g, eps)
         calls_by_builds[network_builds[0] - before] += 1
         assert audit_passes(measure(g, [subgraph(g, factor).degrees], ["even", f"eps-window:{eps!r}"]))
-        audit_factorizations(g, rng.randint(1, 4), rng.choice(WEIGHTS))
+        audit_factorizations(g, rng.choice((*range(1, 9), 49, 10**5)), rng.choice(WEIGHTS))
     assert min(calls_by_builds) >= 30, calls_by_builds
     assert (True, True) in shapes
 
@@ -356,8 +356,8 @@ def even_cases():
 
 
 EVEN_DIGESTS = {
-    "hilton 1": "2af3027165de24c1", "hilton 2": "40cd0480632f5757", "hilton 3": "e45af4c338a67954",
-    "hilton 5": "92c77ced5327d643", "hilton 49": "d29918d621cf259a",
+    "hilton 1": "2af3027165de24c1", "hilton 2": "b1be91fc6faf29b6", "hilton 3": "95008ae29cdd6185",
+    "hilton 5": "3fa871ed6a8ddaf4", "hilton 49": "5881926125eaf729",
     "weighted (0.5, 0.25, 0.25)": "e32370485fae5b76", "weighted (0.4, 0.3, 0.2, 0.1)": "d95c1fe9b548fe17",
     "eps 0": "06d11f21b0e236e6", "eps 0.3333333333333333": "255aff7ba182ed32",
     "eps 0.5": "a90cb74b38bc7d5c", "eps 1": "2af3027165de24c1",
@@ -366,8 +366,9 @@ EVEN_DIGESTS = {
 
 def test_even_outputs_match_their_recorded_digests(network_builds):
     """Hilton's, the weighted and the eps even factors of even_cases() hash
-    to digests recorded before the two factorizations shared one split
-    driver; the shuffled union builds the shortfall network."""
+    to recorded digests: the weighted and eps ones from before the two
+    factorizations shared one split driver, Hilton's k >= 2 from its
+    parity-mode split; the shuffled union builds the shortfall network."""
     runs = {f"hilton {k}": lambda g, k=k: hilton_even_factorization(g, k).assignment for k in (1, 2, 3, 5, 49)}
     for w in ((0.5, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1)):
         runs[f"weighted {w}"] = lambda g, w=w: weighted_even_factorization(g, w).assignment
@@ -385,21 +386,15 @@ def test_even_outputs_match_their_recorded_digests(network_builds):
     assert network_builds[0] > 0
 
 
-def test_hilton_skips_the_peels_that_take_no_arc(monkeypatch):
-    """A 1/j peel with j above every d(v)/2 takes no arc: Hilton's peel runs
-    top - 1 circulations, top = min(k, max d(v)/2), for any k from 3 to 10^5,
-    with the assignment recorded when it ran all k - 1."""
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return _even_circulation(*args)
-
-    monkeypatch.setattr(parity, "_even_circulation", counted)
-    for g, top, digest in ((complete_graph(5), 2, "cb726b95052c9eb4"),
-                           (eulerian_union(random.Random(11), 12, 3), 3, "91ac9b92586edf68")):
+def test_hilton_runs_no_circulation_and_no_network(monkeypatch):
+    """Hilton's factors come from the parity-mode split alone: no
+    _even_circulation call and no FlowNetwork, for any k from 3 to 10^5, and
+    the factors past top = min(k, max d(v)/2) are empty."""
+    monkeypatch.setattr(parity, "_even_circulation", lambda *args: pytest.fail("a circulation ran"))
+    monkeypatch.setattr(maxflow.FlowNetwork, "__init__", lambda *args: pytest.fail("a flow network was built"))
+    for g, top in ((complete_graph(5), 2), (eulerian_union(random.Random(11), 12, 3), 3)):
         for k in (3, 50, 10**5):
-            calls[0] = 0
             fz = hilton_even_factorization(g, k)
-            assert calls[0] == top - 1
-            assert hashlib.sha256(bytes(fz.assignment)).hexdigest()[:16] == digest
+            assert fz.k == k
+            assert audit_passes(verify(g, fz, ["even", "deviation<2"]))
+            assert set(fz.assignment) == set(range(1, top + 1))
