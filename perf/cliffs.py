@@ -30,6 +30,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3
 SIZES = (10_000, 100_000)
+
+
+def hilton_k100_audited(lab, g):
+    """Hilton's factorization at k = 100, then its even and deviation<2 audit:
+    top = 3 factors hold edges, and the audit must not pay for the other 97."""
+    fz = importlib.import_module("eqfactor.parity").hilton_even_factorization(g, 100)
+    assert all(entry[3] for entry in lab.verify(g, fz, ["even", "deviation<2"]))
+    return fz.assignment
+
+
 # row name -> (module of eqfactor, the call it times on the shuffled
 # three-cycle union as (module, graph) -> one small int per edge)
 CALLS = {
@@ -44,6 +54,7 @@ CALLS = {
     "parity_k3": ("pipelines", lambda pipelines, g: pipelines.parity_factorize(g, 3)[0].assignment),
     "parity_k4": ("pipelines", lambda pipelines, g: pipelines.parity_factorize(
         g, 4, f=[1, 1] + [0] * (g.n - 2))[0].assignment),
+    "hilton_k100_audited": ("lab", hilton_k100_audited),
 }
 
 

@@ -55,8 +55,15 @@ def measure(g: Multigraph, degree_vectors, claims) -> list:
     - ``even``: number of odd d_i(v); ``regular``: number of d_i(v) != d(v)/k.
 
     The weights and eps are decimals or p/q, judged exactly (0.07 is 7/100).
+    Factors that share one vector object, as every empty factor of
+    ``Factorization.all_factor_degrees`` does, are judged once, and a count
+    is multiplied by the number of factors that share the vector.
     """
     k = len(degree_vectors)
+    shared = {}  # id of a vector -> [the vector, the number of factors sharing it]
+    for degs in degree_vectors:
+        shared.setdefault(id(degs), [degs, 0])[1] += 1
+    distinct = list(shared.values())
     entries = []
     for claim in claims:
         name, has_args, text = claim.partition(":")
@@ -72,17 +79,19 @@ def measure(g: Multigraph, degree_vectors, claims) -> list:
                 weights = _claim_values(claim, args, _ratio, 1) * k
             else:
                 weights = _claim_values(claim, args, _ratio, k)
+            pairs = {(id(degs), w): (degs, w) for degs, w in zip(degree_vectors, weights)}
             worst = [(max((abs(q * x - p * d) for x, d in zip(degs, g.degrees)), default=0), q)
-                     for degs, (p, q) in zip(degree_vectors, weights)]
+                     for degs, (p, q) in pairs.values()]
             measured = max((w / q for w, q in worst), default=0.0)
             entries.append((name, bound, measured, all(w < bound * q for w, q in worst)))
             continue
-        elif name.startswith("deviation<"):
-            measured = _max_deviation(g, degree_vectors)
+        elif name.startswith("deviation<"):  # max |d_i(v) - d(v)/k|
+            centre = [d / k for d in g.degrees]
+            measured = max((abs(x - c) for degs, _ in distinct for x, c in zip(degs, centre)), default=0.0)
         elif name == "size±1":
-            measured = max((abs(sum(degs) // 2 - g.m / k) for degs in degree_vectors), default=0.0)
+            measured = max((abs(sum(degs) // 2 - g.m / k) for degs, _ in distinct), default=0.0)
         elif name == "regular":
-            measured = sum(x * k != d for degs in degree_vectors for x, d in zip(degs, g.degrees))
+            measured = sum(c * sum(x * k != d for x, d in zip(degs, g.degrees)) for degs, c in distinct)
         else:
             if name == "even":
                 targets = [0] * g.n
@@ -93,7 +102,7 @@ def measure(g: Multigraph, degree_vectors, claims) -> list:
                 targets = [int(v in odd) for v in range(g.n)]
             else:
                 targets = [d % 2 for d in g.degrees]
-            measured = sum(x % 2 != t for degs in degree_vectors for x, t in zip(degs, targets))
+            measured = sum(c * sum(x % 2 != t for x, t in zip(degs, targets)) for degs, c in distinct)
         entries.append((name, bound, measured, measured < bound if bound else measured == 0))
     return entries
 
@@ -127,13 +136,6 @@ def decimal_ratio(x: float) -> tuple:
     p, q = _ratio(digits)
     shift = int(exponent or 0)
     return (p * 10 ** shift, q) if shift >= 0 else (p, q * 10 ** -shift)
-
-
-def _max_deviation(g: Multigraph, degree_vectors) -> float:
-    """max over factors i and vertices v of |d_i(v) - d(v)/k|."""
-    k = len(degree_vectors)
-    centre = [d / k for d in g.degrees]
-    return max((abs(x - c) for degs in degree_vectors for x, c in zip(degs, centre)), default=0.0)
 
 
 def _random_hamiltonian_cycle(n: int, rng: random.Random) -> list:

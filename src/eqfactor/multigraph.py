@@ -160,8 +160,12 @@ class Factorization:
         return self.all_factor_degrees()[i - 1]
 
     def all_factor_degrees(self) -> list:
-        """List of per-vertex degree lists, one per factor, in one pass."""
-        degs = [[0] * self.base.n for _ in range(self.k)]
+        """List of per-vertex degree lists, one per factor, in one pass; every
+        empty factor shares one zero list, so the lists cost O(n) per factor
+        in use, however large k is."""
+        degs = [[0] * self.base.n] * self.k
+        for a in set(self.assignment):
+            degs[a - 1] = [0] * self.base.n
         for a, (u, v) in zip(self.assignment, self.base.edges):
             deg = degs[a - 1]
             deg[u] += 1

@@ -154,17 +154,10 @@ def realize_out_degrees(g: Multigraph, o, *, start=None) -> Orientation:
 
 def _plan_candidates(g: Multigraph, v: int, residue: int, k: int) -> list:
     """Residue-compliant out-degree values at v in [loops(v), d(v) - loops(v)],
-    nearest d(v)/2 first, ties to the smaller: the nearest value, then the
-    values stepping outward from it by -k and by +k, merged by distance."""
-    import heapq  # here, as in _first_plan: only the plan search needs it
-
+    nearest d(v)/2 first, ties to the smaller."""
     d, loops = g.degree(v), g.loops[v]
-    c = _nearest_candidate(d, loops, residue, k)
-    if c is None:
-        return []
-    # c is the nearest, so the values below it lie below d/2 and those above it above
-    below, above = range(c - k, loops - 1, -k), range(c + k, d - loops + 1, k)
-    return [c, *heapq.merge(below, above, key=lambda x: (abs(2 * x - d), x))]
+    first = loops + (residue - loops) % k
+    return sorted(range(first, d - loops + 1, k), key=lambda x: (abs(2 * x - d), x))
 
 
 def _nearest_candidate(d: int, loops: int, residue: int, k: int):

@@ -14,7 +14,9 @@ f(v)'s parity. ``even_factor_eps`` and the weighted even factorization take
 sub-circulations of one ``orientation.trail_walk``; Hilton's even
 factorization is a parity-mode split of an Eulerian orientation
 (``coloring.decompose_directed``). Each imports what it runs, so
-parity-factor loads neither module.
+parity-factor loads neither module. Every eps and weight is read as the
+decimal it prints as (``lab.decimal_ratio``: 0.29 is 29/100), the reading
+the auditor judges by, and every bound on it is taken in integers.
 """
 
 from __future__ import annotations
@@ -45,18 +47,6 @@ class ParitySpec:
                 raise InvalidInput(f"g0, f0, f must share parity at vertex {v}")
 
 
-def _effective_window(g: Multigraph, spec: ParitySpec, v: int):
-    """Clamp [g0, f0] into the realizable range [0, d(v)] keeping parity."""
-    fv = spec.f[v]
-    lo, hi = spec.g0[v], spec.f0[v]
-    if lo < fv:
-        lo = fv
-    d = g.degree(v)
-    if hi > d:
-        hi = d if d % 2 == fv else d - 1
-    return lo, hi
-
-
 def find_parity_factor(g: Multigraph, spec: ParitySpec):
     """An edge set F with g0(v) <= d_F(v) <= f0(v) and d_F(v) = f(v) (mod 2)
     for every v, or None when no such factor exists.
@@ -70,30 +60,32 @@ def find_parity_factor(g: Multigraph, spec: ParitySpec):
     """
     if len(spec.f) != g.n:
         raise InvalidInput("spec must cover every vertex")
-    windows = [_effective_window(g, spec, v) for v in range(g.n)]
-    if any(lo > hi for lo, hi in windows):
+    # [g0, f0] clamped into the realizable [0, d(v)], keeping the parity f(v)
+    lo = [g0 if g0 > fv else fv for g0, fv in zip(spec.g0, spec.f)]
+    hi = [f0 if f0 <= d else d - (d - fv) % 2 for f0, d, fv in zip(spec.f0, g.degrees, spec.f)]
+    if any(a > b for a, b in zip(lo, hi)):
         return None
     if sum(spec.f) % 2 != 0:
         return None  # handshake: sum of factor degrees is even
     deg = [0] * g.n  # d_F
     taken = []
     for u, v in g.edges:  # a loop adds 2 to d_F(u)
-        take = deg[u] + 1 + (u == v) <= windows[u][1] and deg[v] < windows[v][1]
+        take = deg[u] + 1 + (u == v) <= hi[u] and deg[v] < hi[v]
         deg[u] += take
         deg[v] += take
         taken.append(take)
-    if not _repair(g, windows, taken, deg):
-        adj, mate = _gadget(g, windows, taken)
+    if not _repair(g, lo, hi, taken, deg):
+        adj, mate = _gadget(g, lo, hi, taken)
         if maximum_matching(adj, mate, perfect=True) is None:
             return None
         taken = [mate[2 * eid] == 2 * eid + 1 for eid in range(g.m)]
     return frozenset(eid for eid, take in enumerate(taken) if take)
 
 
-def _repair(g: Multigraph, windows, taken, deg) -> bool:
+def _repair(g: Multigraph, lo, hi, taken, deg) -> bool:
     """Mend the factor taken, whose degrees deg are at most hi everywhere, on
-    G itself, changing both in place; True when every vertex ends inside its
-    window with the right parity.
+    G itself, changing both in place; True when every vertex v ends inside
+    [lo[v], hi[v]] with the parity of lo[v].
 
     need(v) is lo - d_F(v) below the window, else d_F(v)'s parity error. While
     a vertex s has need, a breadth-first search runs over states 2w + b,
@@ -112,8 +104,6 @@ def _repair(g: Multigraph, windows, taken, deg) -> bool:
         if u != v:
             inc[u].append(eid)
             inc[v].append(eid)
-    lo = [w[0] for w in windows]
-    hi = [w[1] for w in windows]
 
     def need(v, d):
         return lo[v] - d if d < lo[v] else (d - lo[v]) & 1
@@ -163,18 +153,18 @@ def _repair(g: Multigraph, windows, taken, deg) -> bool:
     return True
 
 
-def _gadget(g: Multigraph, windows, taken):
+def _gadget(g: Multigraph, lo, hi, taken):
     """Adjacency lists of the gadget and a warm-start matching in it.
 
     Nodes 2e and 2e + 1 are the ends of edge e (at its first and second
     endpoint); padding pairs follow, also as (2i, 2i + 1); then the cores.
-    Each vertex v with window [lo, hi] owns d(v) ends, (hi - lo) / 2 padding
-    pairs and d(v) - lo cores, and every core of v is joined to every end and
-    padding node of v. A perfect matching matches d(v) - lo of them to cores,
-    so the matched ends d_F(v) and padding pairs p(v) give d_F(v) + 2p(v) = hi.
+    Each vertex v owns d(v) ends, (hi[v] - lo[v]) / 2 padding pairs and
+    d(v) - lo[v] cores, and every core of v is joined to every end and padding
+    node of v. A perfect matching matches d(v) - lo[v] of them to cores, so the
+    matched ends d_F(v) and padding pairs p(v) give d_F(v) + 2p(v) = hi[v].
 
     The warm start matches the two ends of each edge that taken flags, matches
-    padding pairs while d_F(v) + 2 <= hi, and gives every other node of v a
+    padding pairs while d_F(v) + 2 <= hi[v], and gives every other node of v a
     core while cores last. Any flags give a matching, and the search is exact
     from any matching.
     """
@@ -187,19 +177,19 @@ def _gadget(g: Multigraph, windows, taken):
         used[u] += take
         used[v] += take
         mate += (2 * eid + 1, 2 * eid) if take else (-1, -1)
-    for v, (lo, hi) in enumerate(windows):
-        for _ in range((hi - lo) // 2):
+    for v in range(g.n):
+        for _ in range((hi[v] - lo[v]) // 2):
             x = len(mate)
             incidences[v] += (x, x + 1)
-            if used[v] + 2 <= hi:
+            if used[v] + 2 <= hi[v]:
                 used[v] += 2
                 mate += (x + 1, x)
             else:
                 mate += (-1, -1)
     adj = [[x ^ 1] for x in range(len(mate))]
-    for v, (lo, _) in enumerate(windows):
+    for v in range(g.n):
         first = len(mate)
-        cores = list(range(first, first + g.degree(v) - lo))
+        cores = list(range(first, first + g.degree(v) - lo[v]))
         for x in incidences[v]:
             adj[x] += cores
         adj += [incidences[v]] * len(cores)
@@ -211,24 +201,14 @@ def _gadget(g: Multigraph, windows, taken):
     return adj, mate
 
 
-def window_ratio(eps: float) -> tuple:
-    """p/q that the eps windows are exact for: the decimal repr prints (0.07 is 7/100)."""
-    return decimal_ratio(eps)
-
-
-def circulation_ratio(eps: float) -> tuple:
-    """p/q that the even circulations' float floor and ceil stay within 1 of: eps's binary value."""
-    return float(eps).as_integer_ratio()
-
-
 def epsilon_windows(g: Multigraph, f, eps: float):
     """Per-vertex parity windows around eps*d(v): the closest values of the
     parity f(v) to floor(eps*d) from below and ceil(eps*d) from above, in
-    integers for eps read by ``window_ratio``. f is a map that
-    ``parity_targets`` has checked."""
+    integers for eps read as the decimal it prints as (``decimal_ratio``). f
+    is a map that ``parity_targets`` has checked."""
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie strictly between 0 and 1")
-    p, q = window_ratio(eps)
+    p, q = decimal_ratio(eps)
     g0 = []
     f0 = []
     for v in range(g.n):
@@ -252,13 +232,13 @@ def epsilon_parity_factor(g: Multigraph, f, eps: float, z=None):
     f = parity_targets(g, f)
     g0, f0 = epsilon_windows(g, f, eps)
     g0, f0 = list(g0), list(f0)
+    p, q = decimal_ratio(eps)
     if z is not None:
         zv, side = z
         if side not in ("at_least", "at_most"):
             raise InvalidInput(f"unknown steering side {side!r}")
         if not 0 <= zv < g.n:
             raise InvalidInput(f"vertex {zv} out of range")
-        p, q = window_ratio(eps)
         ed = p * g.degree(zv)  # eps*d(z), scaled by q
         if side == "at_least" and q * g0[zv] < ed:
             g0[zv] += 2
@@ -266,22 +246,16 @@ def epsilon_parity_factor(g: Multigraph, f, eps: float, z=None):
             f0[zv] -= 2
     spec = ParitySpec(f=f, g0=tuple(g0), f0=tuple(f0))
     factor = find_parity_factor(g, spec)
-    if factor is None:
-        hypothesis = _epsilon_hypothesis_report(g, f, eps)
-        raise Infeasible(f"no f-parity factor in the eps window; {hypothesis}")
-    return factor
-
-
-def _epsilon_hypothesis_report(g: Multigraph, f, eps) -> str:
+    if factor is not None:
+        return factor
     from . import connectivity
 
-    ok_odd, _ = connectivity.f_odd_cut_bound(g, f, math.ceil(1 / eps))
+    ok_odd, _ = connectivity.f_odd_cut_bound(g, f, -(-q // p))  # ceil(1/eps)
     # d - f sums to 2|E| - sum(f), even as sum(f) is
     comp = tuple((g.degree(v) - f[v]) % 2 for v in range(g.n))
-    ok_even, _ = connectivity.f_odd_cut_bound(g, comp, math.ceil(1 / (1 - eps)))
-    if ok_odd and ok_even:
-        return "cut hypotheses hold (unexpected)"
-    return "cut hypotheses of the guarantee are not met"
+    ok_even, _ = connectivity.f_odd_cut_bound(g, comp, -(-q // (q - p)))  # ceil(1/(1 - eps))
+    hypothesis = "hold (unexpected)" if ok_odd and ok_even else "of the guarantee are not met"
+    raise Infeasible(f"no f-parity factor in the eps window; cut hypotheses {hypothesis}")
 
 
 def _check_even_degrees(g: Multigraph):
@@ -290,12 +264,12 @@ def _check_even_degrees(g: Multigraph):
             raise InvalidInput(f"vertex {v} has odd degree {g.degree(v)}")
 
 
-def _even_circulation(n: int, tails, heads, num, den) -> list:
+def _even_circulation(n: int, tails, heads, num: int, den: int) -> list:
     """Flags over arcs, an Eulerian digraph given as the tail and the head of
-    each arc, that mark a sub-circulation of throughput floor or ceil of
-    num*d+(v)/den at every vertex v. Its edges form an even factor with
-    |d_F(v) - (num/den)*d(v)| < 2, and the unmarked arcs form an Eulerian
-    digraph again.
+    each arc, that mark a sub-circulation of throughput num*d+(v) // den or
+    its ceiling at every vertex v, for integers 0 <= num <= den. Its edges
+    form an even factor with |d_F(v) - (num/den)*d(v)| < 2, exactly, and the
+    unmarked arcs form an Eulerian digraph again.
 
     Greedy first: an arc u->w is taken while out(u) and in(w) are both below
     their lower bounds. When every bound is met, the taken arcs have out = in
@@ -317,7 +291,7 @@ def _even_circulation(n: int, tails, heads, num, den) -> list:
     outdeg = [0] * n
     for u in tails:
         outdeg[u] += 1
-    lo = [int(num * x // den) for x in outdeg]
+    lo = [num * x // den for x in outdeg]
     got_out = [0] * n
     got_in = [0] * n
     taken = []
@@ -333,7 +307,7 @@ def _even_circulation(n: int, tails, heads, num, den) -> list:
     arc_heads = [n + u if take else w for u, w, take in zip(tails, heads, taken)]
     caps = [1] * len(taken)
     for v in range(n):
-        spare = -int(-num * outdeg[v] // den) - lo[v]
+        spare = -(-num * outdeg[v] // den) - lo[v]
         if spare:
             arc_tails.append(v)
             arc_heads.append(n + v)
@@ -348,7 +322,7 @@ def _even_circulation(n: int, tails, heads, num, den) -> list:
 
 def even_factor_eps(g: Multigraph, eps: float):
     """Even factor with |d_F(v) - eps*d(v)| < 2 on an even-degree graph, for
-    eps read by ``circulation_ratio``.
+    eps read as the decimal it prints as (``decimal_ratio``: 0.29 is 29/100).
 
     A sub-circulation of one Eulerian orientation with per-vertex throughput
     in [floor(eps*d/2), ceil(eps*d/2)]: greedily taken arcs first, and a unit
@@ -364,7 +338,7 @@ def even_factor_eps(g: Multigraph, eps: float):
     _check_even_degrees(g)
     if not 0 <= eps <= 1:
         raise InvalidInput("eps must lie in [0, 1]")
-    taken = _even_circulation(g.n, *trail_walk(g), eps, 1)
+    taken = _even_circulation(g.n, *trail_walk(g), *decimal_ratio(eps))
     return frozenset(eid for eid, take in enumerate(taken) if take)
 
 
@@ -388,10 +362,12 @@ def hilton_even_factorization(g: Multigraph, k: int) -> Factorization:
 
 
 def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
-    """Even factors of an even-degree graph with |d_{G_i}(v) - eps_i * d(v)| < 6:
-    a stack of (arc ids, factor indices) on one Eulerian orientation, each
-    entry of two or more indices bisected greedily by weight and split by
-    ``_even_circulation`` at the left side's share, both sides Eulerian again."""
+    """Even factors of an even-degree graph with |d_{G_i}(v) - eps_i * d(v)| < 6,
+    each eps_i read as the decimal it prints as: a stack of (arc ids, factor
+    indices) on one Eulerian orientation, each entry of two or more indices
+    bisected greedily by weight and split by ``_even_circulation`` at the left
+    side's share, both sides Eulerian again. The weights are integers over one
+    power of ten, so every sum and share is exact."""
     from .orientation import trail_walk
 
     eps_list = [float(x) for x in eps_list]
@@ -402,6 +378,9 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
     if abs(sum(eps_list) - 1.0) > 1e-9:
         raise InvalidInput("weights must sum to 1")
     _check_even_degrees(g)
+    ratios = list(map(decimal_ratio, eps_list))
+    scale = max(q for _, q in ratios)  # each q is a power of ten
+    weights = [p * (scale // q) for p, q in ratios]
     tails, heads = trail_walk(g)
     assignment = [0] * g.m
     pending = [(range(g.m), range(len(eps_list)))]
@@ -412,14 +391,14 @@ def weighted_even_factorization(g: Multigraph, eps_list) -> Factorization:
                 assignment[eid] = indices[0] + 1
             continue
         left, right = [], []
-        sl = sr = 0.0
-        for i in sorted(indices, key=lambda i: (-eps_list[i], i)):
+        sl = sr = 0
+        for i in sorted(indices, key=lambda i: (-weights[i], i)):
             if sl <= sr:
                 left.append(i)
-                sl += eps_list[i]
+                sl += weights[i]
             else:
                 right.append(i)
-                sr += eps_list[i]
+                sr += weights[i]
         taken = _even_circulation(g.n, [tails[eid] for eid in ids], [heads[eid] for eid in ids], sl, sl + sr)
         pending.append(([eid for eid, take in zip(ids, taken) if not take], right))
         pending.append(([eid for eid, take in zip(ids, taken) if take], left))

@@ -790,10 +790,10 @@ def test_canonical_text_parses_in_bulk_within_8_mb(monkeypatch):
 
 
 def test_eps_claims_are_written_from_the_ratio_each_solver_bounds_by(tmp_path, capsys, monkeypatch):
-    """parity-factor's windows read eps as the decimal it prints as, and
-    even-factor's circulation rounds eps's binary value; each command writes
-    its eps-window claim from the ratio that its solver's module gives, and
-    the factor meets it."""
+    """Both eps solvers read eps as the decimal it prints as, and each
+    command writes its eps-window claim from that ratio: 0.07 is 7/100 and
+    0.29 is 29/100, so 200 parallel edges give an even factor of exactly 58,
+    and the factor meets the claim."""
     claims = []
     one_factor = cli._one_factor
     monkeypatch.setattr(cli, "_one_factor", lambda g, ids, c: claims.append(c[-1]) or one_factor(g, ids, c))
@@ -804,9 +804,11 @@ def test_eps_claims_are_written_from_the_ratio_each_solver_bounds_by(tmp_path, c
     assert all(entry["pass"] for entry in report["audit"].values())
     assert main(["even-factor", write_graph(tmp_path, Multigraph(2, [(0, 1)] * 200), "m.txt"),
                  "--epsilon", "0.29"]) == 0
-    assert all(entry["pass"] for entry in json.loads(capsys.readouterr().out)["audit"].values())
-    assert claims == ["eps-window:7/100", "eps-window:%d/%d" % (0.29).as_integer_ratio()]
-    assert parity.window_ratio(0.07) == (7, 100) and parity.circulation_ratio(0.07) == (0.07).as_integer_ratio()
+    report = json.loads(capsys.readouterr().out)
+    assert [len(f["edges"]) for f in report["factors"]] == [58, 142]
+    assert report["audit"]["eps-window"] == {"bound": 2, "measured": 0.0, "pass": True}
+    assert all(entry["pass"] for entry in report["audit"].values())
+    assert claims == ["eps-window:7/100", "eps-window:29/100"]
 
 
 def _random_report(rng):

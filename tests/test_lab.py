@@ -1,11 +1,12 @@
 import multiprocessing
 import os
 import random
+import tracemalloc
 
 import pytest
 
 from eqfactor.errors import InvalidInput, Undecided
-from conftest import audit_passes, cycle_graph, random_multigraph, subgraph
+from conftest import audit_passes, cycle_graph, eulerian_union, random_multigraph, subgraph
 from eqfactor.lab import (
     decimal_ratio,
     generate,
@@ -16,7 +17,7 @@ from eqfactor.lab import (
     verify,
 )
 from eqfactor.multigraph import Factorization, Multigraph, complete_graph
-from eqfactor.parity import ParitySpec
+from eqfactor.parity import ParitySpec, hilton_even_factorization
 from eqfactor.pipelines import equitable_factorize, regular_split
 
 
@@ -94,6 +95,32 @@ def test_eps_window_is_judged_exactly():
     for claim in ("eps-window:1e-05", "eps-window:nan", "eps-window:0.5;0.5"):
         with pytest.raises(InvalidInput):
             measure(g, [[9, 9]], [claim])
+
+
+def test_audit_cost_does_not_grow_with_k():
+    """Hilton's factorization of a three-cycle union at k = 1000 uses three
+    factors. The other 997 share one zero list, which the audit judges once:
+    at n = 10^4 it peaks below 5 MB, where a list per factor holds 80 MB. On
+    a smaller union every claim measures what it measures with no list
+    shared."""
+    g = eulerian_union(random.Random(1), 10_000, 3)
+    fz = hilton_even_factorization(g, 1000)
+    tracemalloc.start()
+    try:
+        audit = verify(g, fz, ["even", "deviation<2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert audit_passes(audit)
+    assert peak < 5 * 10**6
+    g = eulerian_union(random.Random(2), 30, 3)
+    degs = hilton_even_factorization(g, 1000).all_factor_degrees()
+    assert len({id(d) for d in degs}) == 4
+    # the zero list is judged once per weight it meets: factor 4's gives 3
+    claims = ["even", "deviation<2", "size±1", "parity", "parity:0;1", "regular", "eps-window:1/1000",
+              "deviation<6:" + ";".join(["1/3"] * 3 + ["1/2"] + ["0"] * 996)]
+    assert measure(g, degs, claims) == measure(g, [list(d) for d in degs], claims)
+    assert measure(g, degs, claims)[-1] == ("deviation<6", 6, 3.0, True)
 
 
 def test_generate_observation_c5():

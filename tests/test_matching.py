@@ -4,7 +4,7 @@ import networkx as nx
 
 from conftest import random_multigraph
 from eqfactor.matching import maximum_matching
-from eqfactor.parity import ParitySpec, _effective_window, _gadget
+from eqfactor.parity import _gadget
 
 
 def random_graph_with_odd_cycles(rng, max_n=30):
@@ -109,17 +109,13 @@ def test_gadget_perfect_verdict_agrees_with_networkx():
     rng = random.Random(47)
     for _ in range(150):
         g = random_multigraph(rng, max_n=5, max_m=8, min_m=1)
-        f, g0, f0 = [], [], []
+        # windows [lo, hi] of one parity inside [0, d(v)], as find_parity_factor clamps them
+        lo, hi = [], []
         for v in range(g.n):
-            lo = rng.randint(0, g.degree(v))
-            hi = lo + 2 * rng.randint(0, (g.degree(v) - lo) // 2)
-            f.append(lo % 2)
-            g0.append(lo)
-            f0.append(hi)
-        spec = ParitySpec(f=tuple(f), g0=tuple(g0), f0=tuple(f0))
-        windows = [_effective_window(g, spec, v) for v in range(g.n)]
+            lo.append(rng.randint(0, g.degree(v)))
+            hi.append(lo[v] + 2 * rng.randint(0, (g.degree(v) - lo[v]) // 2))
         # a warm-start factor of every other edge, above some windows: still a matching
-        adj, mate = _gadget(g, windows, [eid % 2 == 0 for eid in range(g.m)])
+        adj, mate = _gadget(g, lo, hi, [eid % 2 == 0 for eid in range(g.m)])
         edges = {(min(x, y), max(x, y)) for x, nbrs in enumerate(adj) for y in nbrs}
         matching_edges(mate, edges)  # the warm start is a matching of the gadget
         perfect = 2 * reference_size(len(adj), edges) == len(adj)

@@ -14,7 +14,7 @@ from conftest import (
     subgraph,
 )
 from cut_oracles import ConditionCertificate, check_lovasz, omega_f
-from eqfactor import maxflow, parity
+from eqfactor import connectivity, maxflow, parity
 from eqfactor.errors import Infeasible, InvalidInput, Undecided
 from eqfactor.lab import generate, measure, oracle_parity_gf, verify
 from eqfactor.multigraph import Multigraph, complete_graph
@@ -212,6 +212,18 @@ def test_epsilon_parity_factor_validations():
         epsilon_parity_factor(g, (0,) * 4, 0.0)
 
 
+def test_the_hypothesis_check_reads_eps_as_its_decimal(monkeypatch):
+    """An Infeasible answer names the cut hypotheses for eps read as the
+    decimal it prints as, as the windows read it: at a float 1/3, f-odd cuts
+    of at least ceil(1/0.3333333333333333) = 4, and complementary ones of at
+    least 2."""
+    thresholds = []
+    monkeypatch.setattr(connectivity, "f_odd_cut_bound", lambda g, f, c: thresholds.append(c) or (False, None))
+    with pytest.raises(Infeasible, match="cut hypotheses of the guarantee are not met"):
+        epsilon_parity_factor(Multigraph(3, [(0, 1)]), (0, 1, 1), 1 / 3)
+    assert thresholds == [4, 2]
+
+
 def test_even_factor_eps_extremes_and_k5():
     """eps = 0 and 1 take the general path: the greedy pass takes no arc, or every arc."""
     rng = random.Random(5)
@@ -232,10 +244,8 @@ def test_even_factor_eps_window_random():
         g = eulerian_union(rng, n, rng.randint(1, 4))
         eps = rng.choice((0.25, 1 / 3, 0.5, 0.7))
         factor = even_factor_eps(g, eps)
-        degs = subgraph(g, factor).degrees
-        for v in range(g.n):
-            assert degs[v] % 2 == 0
-            assert abs(degs[v] - eps * g.degree(v)) < 2
+        # the exact window of the decimal that eps prints as
+        assert audit_passes(measure(g, [subgraph(g, factor).degrees], ["even", f"eps-window:{eps!r}"]))
 
 
 def test_hilton_k5_and_doubled_c6():
@@ -332,12 +342,13 @@ def test_even_factors_audited_on_small_multigraphs(network_builds):
 def test_scale_even_factors_shuffled_edges_10k(network_builds):
     """Three Hamiltonian cycles on 10^4 vertices with the edges in random
     order: the greedy pass falls short, and the network built for the
-    shortfall completes every factor."""
+    shortfall completes every factor. At eps = 0.34 the window at d+ = 3 is
+    [1, 2], which the greedy pass does not always meet."""
     rng = random.Random(73)
     edges = list(eulerian_union(rng, 10_000, 3).edges)
     rng.shuffle(edges)
     g = Multigraph(10_000, edges)
-    for eps in (0.5, 1 / 3):
+    for eps in (0.5, 0.34):
         factor = even_factor_eps(g, eps)
         assert audit_passes(measure(g, [subgraph(g, factor).degrees], ["even", f"eps-window:{eps!r}"]))
     assert network_builds[0] == 2
@@ -359,7 +370,7 @@ EVEN_DIGESTS = {
     "hilton 1": "2af3027165de24c1", "hilton 2": "b1be91fc6faf29b6", "hilton 3": "95008ae29cdd6185",
     "hilton 5": "3fa871ed6a8ddaf4", "hilton 49": "5881926125eaf729",
     "weighted (0.5, 0.25, 0.25)": "e32370485fae5b76", "weighted (0.4, 0.3, 0.2, 0.1)": "d95c1fe9b548fe17",
-    "eps 0": "06d11f21b0e236e6", "eps 0.3333333333333333": "255aff7ba182ed32",
+    "eps 0": "06d11f21b0e236e6", "eps 0.3333333333333333": "e02df58ad0d17f94",
     "eps 0.5": "a90cb74b38bc7d5c", "eps 1": "2af3027165de24c1",
 }
 
@@ -367,8 +378,9 @@ EVEN_DIGESTS = {
 def test_even_outputs_match_their_recorded_digests(network_builds):
     """Hilton's, the weighted and the eps even factors of even_cases() hash
     to recorded digests: the weighted and eps ones from before the two
-    factorizations shared one split driver, Hilton's k >= 2 from its
-    parity-mode split; the shuffled union builds the shortfall network."""
+    factorizations shared one split driver (eps 1/3 since it is read as the
+    decimal it prints as), Hilton's k >= 2 from its parity-mode split; the
+    shuffled union builds the shortfall network."""
     runs = {f"hilton {k}": lambda g, k=k: hilton_even_factorization(g, k).assignment for k in (1, 2, 3, 5, 49)}
     for w in ((0.5, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1)):
         runs[f"weighted {w}"] = lambda g, w=w: weighted_even_factorization(g, w).assignment
